@@ -21,13 +21,13 @@ import numpy as np
 from . import costs as cost_model
 from . import diagnostics
 from .costs import ClassParams
-from .network import AV, RV, VEHICLE_CLASSES, ParseError, ValidationError, load_network
+from .network import RV, VEHICLE_CLASSES, ParseError, ValidationError, load_network
 from .paths import PathSet, build_path, format_path_line, yen_k_shortest
-from .pga import PgaConfig, pga_solve
+from .pga import PgaConfig, generate_paths, pga_solve
 from .solver import SolverConfig, SolverError, solve
 
 CONFIG_ENV = "MIXFLOW_CONFIG"
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -37,11 +37,10 @@ EXIT_RESIDUAL = 3
 _PARAM_KEYS = {"vot_rv", "vot_av", "fuel_price", "dispersion", "nesting",
                "swap_degree_rv", "swap_degree_av", "penetration",
                "av_capacity_ratio", "flow_floor"}
-_SOLVER_KEYS = {"gap", "gamma_init", "gamma_growth", "lambda2", "max_iters",
-                "mode", "h_floor"}
+_SOLVER_KEYS = {"gap", "gamma_init", "gamma_growth", "max_iters", "mode", "h_floor"}
 _PGA_KEYS = {"k", "outer_tol", "inner_gap", "final_gap", "max_outer"}
-_RUN_KEYS = {"net", "trips", "out_dir", "seed", "threads", "check_tol"}
-_INT_KEYS = {"max_iters", "k", "max_outer", "seed", "threads"}
+_RUN_KEYS = {"net", "trips", "out_dir", "seed", "check_tol"}
+_INT_KEYS = {"max_iters", "k", "max_outer", "seed"}
 _STR_KEYS = {"mode", "net", "trips", "out_dir"}
 
 
@@ -54,7 +53,6 @@ class RunConfig:
     trips: str = None
     out_dir: str = None       # None = current directory, no check report file
     seed: int = 0
-    threads: int = 0          # 0 = backend default; recorded, not enforced
     check_tol: float = 1e-3   # relative residual bound for `check`
 
 
@@ -121,10 +119,10 @@ def write_link_flows_csv(path, network, x_rv, x_av):
     _write(path, lines)
 
 
-def write_path_flows_csv(path, groups):
+def write_path_flows_csv(path, result):
     lines = ["od,class,path_key,flow"]
-    for g in groups:
-        for p, flow in zip(g.paths, g.flows):
+    for g in result.groups:
+        for p, flow in zip(g.paths, result.flow.f[g.start:g.stop]):
             lines.append(f"{g.od_index},{g.vehicle_class},{_path_key(p)},{_fmt(flow)}")
     _write(path, lines)
 
@@ -161,101 +159,71 @@ def write_summary_json(path, payload):
         fh.write("\n")
 
 
-def _free_flow_costs(network, params):
-    zeros = np.zeros(network.n_links)
-    state = cost_model.evaluate_links(network, zeros, zeros, params)
-    return {RV: state.cost_rv, AV: state.cost_av}
-
-
-def _one_shot_paths(network, params, k):
-    """k cheapest free-flow paths per demanded (OD, class)."""
-    class_costs = _free_flow_costs(network, params)
-    path_set = PathSet()
-    for od_index, od in enumerate(network.od_pairs):
-        for cls in VEHICLE_CLASSES:
-            if od.demand(cls) <= 0:
-                continue
-            for p in yen_k_shortest(network, class_costs[cls], od.origin,
-                                    od.destination, k):
-                path_set.add(od_index, cls, p)
-    return path_set
-
-
 def _load(rc):
     if not rc.net or not rc.trips:
         raise ValueError("both --net and --trips are required")
     return load_network(rc.net, rc.trips, rc.params)
 
 
-def _base_summary(rc, command):
-    return {
+def _write_outputs(rc, command, network, final, path_set, wall, pga=None):
+    """Write the solve outputs of `solve` or `pga` (`pga` is the PgaResult)."""
+    out = rc.out_dir or "."
+    os.makedirs(out, exist_ok=True)
+    write_link_flows_csv(os.path.join(out, "link_flows.csv"), network,
+                         final.flow.x_rv, final.flow.x_av)
+    write_path_flows_csv(os.path.join(out, "path_flows.csv"), final)
+    write_trace_csv(os.path.join(out, "trace.csv"), final.trace)
+    summary = {
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "net": rc.net,
         "trips": rc.trips,
         "seed": rc.seed,
-        "threads": rc.threads,
         "mode": rc.solver.mode,
         "gap_tol": rc.solver.gap_tol,
+        "converged": final.converged, "gap": final.gap,
+        "iterations": final.iterations, "total_cost": final.total_cost,
+        "wall_seconds": wall, "paths": len(path_set),
     }
+    if pga is not None:
+        write_outer_trace_csv(os.path.join(out, "outer_trace.csv"), pga.outer)
+        write_path_dump(os.path.join(out, "paths.txt"), network, rc.params, final,
+                        path_set)
+        summary.update({
+            "outer_iterations": len(pga.outer),
+            "outer_converged": pga.outer_converged,
+            "new_paths": [r.new_paths for r in pga.outer],
+            "k": rc.pga.k,
+        })
+    write_summary_json(os.path.join(out, "summary.json"), summary)
+    return EXIT_OK if final.converged else EXIT_MAX_ITERS
 
 
 def cmd_solve(rc):
     network = _load(rc)
     started = time.perf_counter()
-    path_set = _one_shot_paths(network, rc.params, rc.pga.k)
+    free_flow = cost_model.free_flow_state(network, rc.params)
+    path_set = generate_paths(network, free_flow, rc.pga.k)
     result = solve(network, path_set, rc.params, rc.solver)
-    wall = time.perf_counter() - started
-    out = rc.out_dir or "."
-    os.makedirs(out, exist_ok=True)
-    write_link_flows_csv(os.path.join(out, "link_flows.csv"), network,
-                         result.flow.x_rv, result.flow.x_av)
-    write_path_flows_csv(os.path.join(out, "path_flows.csv"), result.groups)
-    write_trace_csv(os.path.join(out, "trace.csv"), result.trace)
-    summary = _base_summary(rc, "solve")
-    summary.update({"converged": result.converged, "gap": result.gap,
-                    "iterations": result.iterations, "total_cost": result.total_cost,
-                    "wall_seconds": wall, "paths": len(path_set)})
-    write_summary_json(os.path.join(out, "summary.json"), summary)
-    return EXIT_OK if result.converged else EXIT_MAX_ITERS
+    return _write_outputs(rc, "solve", network, result, path_set,
+                          time.perf_counter() - started)
 
 
 def cmd_pga(rc):
     network = _load(rc)
     started = time.perf_counter()
     result = pga_solve(network, rc.params, rc.pga, rc.solver)
-    wall = time.perf_counter() - started
-    out = rc.out_dir or "."
-    os.makedirs(out, exist_ok=True)
-    final = result.solve
-    write_link_flows_csv(os.path.join(out, "link_flows.csv"), network,
-                         final.flow.x_rv, final.flow.x_av)
-    write_path_flows_csv(os.path.join(out, "path_flows.csv"), final.groups)
-    write_trace_csv(os.path.join(out, "trace.csv"), final.trace)
-    write_outer_trace_csv(os.path.join(out, "outer_trace.csv"), result.outer)
-    write_path_dump(os.path.join(out, "paths.txt"), network, rc.params, final,
-                    result.path_set)
-    summary = _base_summary(rc, "pga")
-    summary.update({
-        "converged": final.converged, "gap": final.gap,
-        "iterations": final.iterations, "total_cost": final.total_cost,
-        "wall_seconds": wall, "paths": len(result.path_set),
-        "outer_iterations": len(result.outer),
-        "outer_converged": result.outer_converged,
-        "new_paths": [r.new_paths for r in result.outer],
-        "k": rc.pga.k,
-    })
-    write_summary_json(os.path.join(out, "summary.json"), summary)
-    return EXIT_OK if final.converged else EXIT_MAX_ITERS
+    return _write_outputs(rc, "pga", network, result.solve, result.path_set,
+                          time.perf_counter() - started, pga=result)
 
 
 def cmd_ksp(rc, origin, destination, k, vehicle_class):
     if not rc.net:
         raise ValueError("--net is required")
     network = load_network(rc.net, rc.trips, rc.params)
-    class_costs = _free_flow_costs(network, rc.params)
-    paths = yen_k_shortest(network, class_costs[vehicle_class], origin, destination, k)
-    cost_by_id = {l.id: class_costs[vehicle_class][i] for i, l in enumerate(network.links)}
+    link_costs = cost_model.free_flow_state(network, rc.params).cost(vehicle_class)
+    paths = yen_k_shortest(network, link_costs, origin, destination, k)
+    cost_by_id = {l.id: link_costs[i] for i, l in enumerate(network.links)}
     for p in paths:
         nodes = "-".join(str(n) for n in p.nodes)
         print(f"{_fmt(cost_model.path_cost(p, cost_by_id))} {nodes}")
@@ -263,29 +231,39 @@ def cmd_ksp(rc, origin, destination, k, vehicle_class):
 
 
 def _read_path_flows_csv(path, network):
+    """Path set and per-group flow arrays of a path_flows.csv file."""
     with open(path, encoding="utf-8") as fh:
-        lines = [l.strip() for l in fh if l.strip()]
-    if not lines or lines[0] != "od,class,path_key,flow":
-        raise ValueError(f"{path}: expected header od,class,path_key,flow")
-    if len(lines) == 1:
-        raise ValueError(f"{path}: no flow rows")
+        rows = [(line_no, line.strip()) for line_no, line in enumerate(fh, start=1)
+                if line.strip()]
+    if not rows or rows[0][1] != "od,class,path_key,flow":
+        raise ParseError(path, rows[0][0] if rows else 1,
+                         "expected header od,class,path_key,flow")
+    if len(rows) == 1:
+        raise ParseError(path, rows[0][0], "no flow rows")
     path_set = PathSet()
     flows = {}
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"{path}: bad row {line!r}")
-        od_index, cls, key, flow = int(parts[0]), parts[1], parts[2], float(parts[3])
-        if cls not in VEHICLE_CLASSES:
-            raise ValueError(f"{path}: unknown class {cls!r}")
-        if not 0 <= od_index < len(network.od_pairs):
-            raise ValueError(f"{path}: od index {od_index} out of range")
-        od = network.od_pairs[od_index]
-        p = build_path(network, tuple(int(a) for a in key.split("-")))
-        if p.nodes[0] != od.origin or p.nodes[-1] != od.destination:
-            raise ValueError(f"{path}: path {key} does not connect od {od_index}")
-        if not path_set.add(od_index, cls, p):
-            raise ValueError(f"{path}: duplicate row for path {key}")
+    for line_no, line in rows[1:]:
+        try:
+            parts = line.split(",")
+            if len(parts) != 4:
+                raise ValueError(f"bad row {line!r}")
+            od_index, cls, key, flow = int(parts[0]), parts[1], parts[2], float(parts[3])
+            if cls not in VEHICLE_CLASSES:
+                raise ValueError(f"unknown class {cls!r}")
+            if not 0 <= od_index < len(network.od_pairs):
+                raise ValueError(f"od index {od_index} out of range")
+            od = network.od_pairs[od_index]
+            if od.demand(cls) <= 0:
+                raise ValueError(f"od {od_index} has no {cls} demand")
+            p = build_path(network, tuple(int(a) for a in key.split("-")))
+            if p.nodes[0] != od.origin or p.nodes[-1] != od.destination:
+                raise ValueError(f"path {key} does not connect od {od_index}")
+            if not path_set.add(od_index, cls, p):
+                raise ValueError(f"duplicate row for path {key}")
+        except KeyError as exc:
+            raise ParseError(path, line_no, f"unknown link id {exc.args[0]}") from None
+        except ValueError as exc:
+            raise ParseError(path, line_no, str(exc)) from None
         flows.setdefault((od_index, cls), []).append(flow)
     return path_set, {k: np.asarray(v) for k, v in flows.items()}
 
@@ -293,34 +271,16 @@ def _read_path_flows_csv(path, network):
 def cmd_check(rc, flows_file):
     network = _load(rc)
     path_set, flows = _read_path_flows_csv(flows_file, network)
-    x_rv, x_av = diagnostics.link_flows_from_paths(path_set, flows, network)
-    state = cost_model.evaluate_links(network, x_rv, x_av, rc.params)
-    cost_by_id = {cls: {l.id: state.cost(cls)[i] for i, l in enumerate(network.links)}
-                  for cls in VEHICLE_CLASSES}
-    lengths = {l.id: l.length for l in network.links}
-    costs_by_group = {}
-    demand_by_group = {}
-    for (od_index, cls), paths in path_set.items():
-        observed = np.array([cost_model.path_cost(p, cost_by_id[cls]) for p in paths])
-        if cls == RV:
-            _, ln_alpha = cost_model.overlap_log_weights(paths, lengths)
-            commonality = cost_model.cnl_commonalities(
-                ln_alpha, observed, rc.params.dispersion, rc.params.nesting)
-            demand = network.od_pairs[od_index].demand_rv
-            perceived = cost_model.perceived_cost_rv(
-                observed, flows[(od_index, cls)], demand, commonality, rc.params)
-        else:
-            demand = network.od_pairs[od_index].demand_av
-            perceived = cost_model.perceived_cost_av(observed)
-        costs_by_group[(od_index, cls)] = perceived
-        demand_by_group[(od_index, cls)] = demand
-    report = diagnostics.ncp_residual(flows, costs_by_group, demand_by_group)
+    report = diagnostics.certify(network, path_set, flows, rc.params)
     print(report.to_text())
     if rc.out_dir:
         os.makedirs(rc.out_dir, exist_ok=True)
         _write(os.path.join(rc.out_dir, "report.csv"),
                ["key,value"] + [f"{k},{v}" for k, v in report.csv_rows()])
-    return EXIT_OK if report.relative_residual <= rc.check_tol else EXIT_RESIDUAL
+    total_demand = sum(od.demand_rv + od.demand_av for od in network.od_pairs)
+    certified = (report.relative_residual <= rc.check_tol
+                 and report.feasibility_violation <= rc.check_tol * total_demand)
+    return EXIT_OK if certified else EXIT_RESIDUAL
 
 
 def _add_common(parser):

@@ -132,16 +132,15 @@ def evaluate_links(network, x_rv, x_av, params):
     )
 
 
+def free_flow_state(network, params):
+    """Every per-link quantity at zero flow."""
+    zeros = np.zeros(network.n_links)
+    return evaluate_links(network, zeros, zeros, params)
+
+
 def path_cost(path, link_costs):
     """Sum of member-link costs; `link_costs` maps link id to dollars."""
     return float(sum(link_costs[a] for a in path.links))
-
-
-def overlap_alpha(link, path):
-    """Length share of `link` within `path`; zero when the link is not a member."""
-    if link.id not in path.links:
-        return 0.0
-    return link.length / path.length
 
 
 def overlap_log_weights(paths, link_lengths):
@@ -182,12 +181,6 @@ def cnl_commonalities(ln_alpha, path_costs_vec, theta, u):
     outer_max = exponent.max(axis=0)
     h = outer_max + np.log(np.exp(exponent - outer_max[None, :]).sum(axis=0))
     return h - (u - 1.0) * theta * c_ref / u
-
-
-def cnl_commonality(k, paths, link_lengths, path_costs_vec, params):
-    """Commonality of path index `k` within its rv path group."""
-    _, ln_alpha = overlap_log_weights(paths, link_lengths)
-    return float(cnl_commonalities(ln_alpha, path_costs_vec, params.dispersion, params.nesting)[k])
 
 
 def perceived_cost_rv(path_cost_vec, flow, demand, commonality, params):

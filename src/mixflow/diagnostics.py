@@ -2,6 +2,9 @@
 
 Everything here recomputes its inputs from first principles (plain loops
 over paths) so it can certify solver output rather than echo it.
+`certify` reprices a path-flow pattern from scratch and feeds the rebuilt
+perceived costs to `ncp_residual`; a demanded (OD, class) group with no
+flows counts its whole demand as infeasible.
 """
 
 from __future__ import annotations
@@ -10,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import AV, RV
+from . import costs as cost_model
+from .network import AV, RV, VEHICLE_CLASSES
 
 USED_PATH_FRACTION = 1e-6   # f > fraction*q counts a path as used
 
@@ -91,6 +95,43 @@ def ncp_residual(flows_by_group, costs_by_group, demand_by_group):
         total_cost=total,
         relative_residual=relative,
     )
+
+
+def certify(network, path_set, flows_by_group, params):
+    """Equilibrium report of per-path flows keyed by (od_index, class).
+
+    `path_set` holds the paths the flows belong to, in the same order;
+    its groups without flows are skipped.
+    """
+    x_rv, x_av = link_flows_from_paths(path_set, flows_by_group, network)
+    state = cost_model.evaluate_links(network, x_rv, x_av, params)
+    cost_by_id = {cls: {l.id: state.cost(cls)[i] for i, l in enumerate(network.links)}
+                  for cls in VEHICLE_CLASSES}
+    lengths = {l.id: l.length for l in network.links}
+    costs_by_group = {}
+    demand_by_group = {}
+    for (od_index, cls), paths in path_set.items():
+        flows = flows_by_group.get((od_index, cls))
+        if flows is None:
+            continue
+        observed = np.array([cost_model.path_cost(p, cost_by_id[cls]) for p in paths])
+        demand = network.od_pairs[od_index].demand(cls)
+        if cls == RV:
+            _, ln_alpha = cost_model.overlap_log_weights(paths, lengths)
+            commonality = cost_model.cnl_commonalities(
+                ln_alpha, observed, params.dispersion, params.nesting)
+            perceived = cost_model.perceived_cost_rv(
+                observed, flows, demand, commonality, params)
+        else:
+            perceived = cost_model.perceived_cost_av(observed)
+        costs_by_group[(od_index, cls)] = perceived
+        demand_by_group[(od_index, cls)] = demand
+    report = ncp_residual(flows_by_group, costs_by_group, demand_by_group)
+    for od_index, od in enumerate(network.od_pairs):
+        for cls in VEHICLE_CLASSES:
+            if od.demand(cls) > 0 and (od_index, cls) not in costs_by_group:
+                report.feasibility_violation += od.demand(cls)
+    return report
 
 
 def flow_deviation(link_flows, reference_flows):

@@ -82,7 +82,10 @@ class PathSet:
 
 
 def merge_path_sets(current, generated):
-    """Union by canonical key; returns (merged copy, count of new paths)."""
+    """Union by canonical key; returns (merged copy, count of new paths).
+
+    Paths of `current` keep their positions in each group; new ones follow.
+    """
     merged = current.copy()
     new_count = 0
     for (od_index, vehicle_class), paths in generated.items():
@@ -90,13 +93,6 @@ def merge_path_sets(current, generated):
             if merged.add(od_index, vehicle_class, path):
                 new_count += 1
     return merged, new_count
-
-
-def incidence(path_set, od_index, vehicle_class, link_id, path):
-    """1 if the link belongs to a path registered in the set, else 0."""
-    if not path_set.contains(od_index, vehicle_class, path):
-        raise KeyError(f"unknown path key {path.key}")
-    return int(link_id in path.links)
 
 
 def _adjacency(network, link_costs):

@@ -4,7 +4,8 @@ Alternates k-shortest-path generation on current per-class link costs with
 a loose inner equilibrium solve until the total cost stabilizes, then runs
 one final solve at the tight gap. Flows on existing paths carry over
 between outer iterations; newly generated paths start empty and pick up
-flow through the swap direction.
+flow through the swap direction. `generate_paths` is also the one-shot
+path generator of `mixflow solve`: its free-flow round is PGA's first.
 """
 
 from __future__ import annotations
@@ -63,43 +64,40 @@ class PgaResult:
         return self.solve.flow
 
 
-def _generate(network, path_set, link_costs_by_class, k):
-    """Yen per (OD, class) with positive demand; returns (merged, new count)."""
-    generated = PathSet()
+def generate_paths(network, link_state, k):
+    """Up to k Yen paths for every demanded (OD, class) at the link state's
+    per-class costs, as a fresh PathSet."""
+    path_set = PathSet()
     for od_index, od in enumerate(network.od_pairs):
         for cls in VEHICLE_CLASSES:
             if od.demand(cls) <= 0:
                 continue
-            for path in yen_k_shortest(network, link_costs_by_class[cls],
+            for path in yen_k_shortest(network, link_state.cost(cls),
                                        od.origin, od.destination, k):
-                generated.add(od_index, cls, path)
-    return merge_path_sets(path_set, generated)
+                path_set.add(od_index, cls, path)
+    return path_set
 
 
-def _carry_over(assignment, flows_by_key):
-    """Align stored flows to a merged path set; all-new groups start uniform."""
+def _carry_over(assignment, previous):
+    """The previous round's flows, or uniform ones in the first round.
+
+    Merging keeps the previous round's paths first in each group, so they
+    take their old flows and the new paths start empty.
+    """
+    if previous is None:
+        return assignment.uniform_flows()
+    carried = previous.flows_by_group()
     flows = np.zeros(assignment.n_paths)
     for g in assignment.groups:
-        stored = flows_by_key.get((g.od_index, g.vehicle_class), {})
-        vals = np.array([stored.get(p.key, 0.0) for p in g.paths])
-        if vals.sum() <= 0:
-            vals = np.full(len(g.paths), g.demand / len(g.paths))
-        flows[g.start:g.stop] = vals
+        old = carried[(g.od_index, g.vehicle_class)]
+        flows[g.start:g.start + len(old)] = old
     return flows
-
-
-def _store(result):
-    return {(g.od_index, g.vehicle_class): {p.key: float(f) for p, f in zip(g.paths, g.flows)}
-            for g in result.groups}
 
 
 def pga_solve(network, params, pga_config, solver_config):
     """Run generation/assignment rounds, then the final tight solve."""
     path_set = PathSet()
-    flows_by_key = {}
-    free_state = cost_model.evaluate_links(
-        network, np.zeros(network.n_links), np.zeros(network.n_links), params)
-    class_costs = {cls: free_state.cost(cls) for cls in VEHICLE_CLASSES}
+    link_state = cost_model.free_flow_state(network, params)
     inner_config = replace(solver_config, gap_tol=pga_config.inner_gap)
     outer = []
     prev_total = None
@@ -107,18 +105,17 @@ def pga_solve(network, params, pga_config, solver_config):
     result = None
     for m in range(1, pga_config.max_outer + 1):
         tick = time.perf_counter()
-        path_set, new_count = _generate(network, path_set, class_costs, pga_config.k)
+        path_set, new_count = merge_path_sets(
+            path_set, generate_paths(network, link_state, pga_config.k))
         assignment = Assignment(network, path_set, params)
         result = solve_assignment(assignment, inner_config,
-                                  initial_flows=_carry_over(assignment, flows_by_key))
-        flows_by_key = _store(result)
+                                  initial_flows=_carry_over(assignment, result))
         total = result.total_cost
         error = float("inf") if prev_total is None else (total - prev_total) / total
         outer.append(OuterRow(m, new_count, total, error,
                               result.iterations, time.perf_counter() - tick))
         link_state = cost_model.evaluate_links(network, result.flow.x_rv,
                                                result.flow.x_av, params)
-        class_costs = {cls: link_state.cost(cls) for cls in VEHICLE_CLASSES}
         prev_total = total
         if m >= 2 and abs(error) <= pga_config.outer_tol:
             outer_converged = True
@@ -127,6 +124,6 @@ def pga_solve(network, params, pga_config, solver_config):
     final_config = solver_config if final_gap is None else replace(solver_config, gap_tol=final_gap)
     assignment = Assignment(network, path_set, params)
     final = solve_assignment(assignment, final_config,
-                             initial_flows=_carry_over(assignment, flows_by_key))
+                             initial_flows=_carry_over(assignment, result))
     return PgaResult(solve=final, path_set=path_set, outer=outer,
                      outer_converged=outer_converged)

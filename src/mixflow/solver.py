@@ -30,7 +30,6 @@ class SolverConfig:
     gap_tol: float = 1e-4
     gamma_init: float = 9.5        # first-iteration step damping
     gamma_growth: float = 1e-4     # additive damping increment per iteration
-    lambda2: float = 1e-4          # accepted for config compatibility; inert
     max_iters: int = 10000
     mode: str = MODIFIED
     h_floor: float = 1e-10         # outflow-rate floor at (near-)equilibrium
@@ -70,15 +69,6 @@ class FlowState:
 
 
 @dataclass
-class GroupFlows:
-    od_index: int
-    vehicle_class: str
-    demand: float
-    paths: tuple
-    flows: np.ndarray
-
-
-@dataclass
 class SolveResult:
     flow: FlowState
     trace: list
@@ -86,11 +76,15 @@ class SolveResult:
     gap: float
     total_cost: float
     wall_seconds: float
-    groups: list
+    groups: list         # the assignment's groups; group g owns flow.f[g.start:g.stop]
 
     @property
     def iterations(self):
         return self.flow.iteration
+
+    def flows_by_group(self):
+        """Per-path flows keyed by (od_index, class), in group order."""
+        return {(g.od_index, g.vehicle_class): self.flow.f[g.start:g.stop] for g in self.groups}
 
 
 @dataclass
@@ -163,6 +157,7 @@ class Assignment:
         self.demand_per_path = np.repeat(self.group_demands, self.group_sizes)
 
     def uniform_flows(self):
+        """Each group's demand spread evenly over its paths."""
         return np.repeat(self.group_demands / self.group_sizes, self.group_sizes)
 
     def link_flows(self, flows):
@@ -200,16 +195,6 @@ class Assignment:
 
     def group_sums(self, flows):
         return np.add.reduceat(flows, self.group_starts)
-
-    def group_view(self, flows):
-        return [GroupFlows(g.od_index, g.vehicle_class, g.demand, g.paths,
-                           np.array(flows[g.start:g.stop]))
-                for g in self.groups]
-
-
-def init_uniform(assignment):
-    """Spread each group's demand evenly over its paths."""
-    return assignment.uniform_flows()
 
 
 def swap_direction(flows, perceived, degree):
@@ -306,7 +291,7 @@ def solve_assignment(assignment, config, initial_flows=None, callback=None):
     else:
         degree_rv, degree_av = params.swap_degree_rv, params.swap_degree_av
     if initial_flows is None:
-        flows = init_uniform(assignment)
+        flows = assignment.uniform_flows()
     else:
         flows = np.array(initial_flows, dtype=float)
         if flows.shape != (assignment.n_paths,):
@@ -357,7 +342,7 @@ def solve_assignment(assignment, config, initial_flows=None, callback=None):
         gap=last.gap,
         total_cost=last.total_cost,
         wall_seconds=time.perf_counter() - started,
-        groups=assignment.group_view(flows),
+        groups=assignment.groups,
     )
 
 

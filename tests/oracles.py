@@ -29,6 +29,13 @@ def enumerate_simple_paths(network, origin, destination):
     return results
 
 
+def incidence(path_set, od_index, vehicle_class, link_id, path):
+    """1 if the link belongs to a path registered in the set, else 0."""
+    if not path_set.contains(od_index, vehicle_class, path):
+        raise KeyError(f"unknown path key {path.key}")
+    return int(link_id in path.links)
+
+
 def path_cost_by_id(links, cost_by_id):
     return sum(cost_by_id[a] for a in links)
 
@@ -63,6 +70,13 @@ def bellman_ford(network, link_costs, origin, destination):
         if not changed:
             break
     return best.get(destination)
+
+
+def overlap_alpha(link, path):
+    """Length share of `link` within `path`; zero when the link is not a member."""
+    if link.id not in path.links:
+        return 0.0
+    return link.length / path.length
 
 
 def naive_cnl_commonality(alpha, path_costs, theta, u):

@@ -9,18 +9,17 @@ import time
 import numpy as np
 import pytest
 
-from mixflow.costs import ClassParams, evaluate_links
-from mixflow.diagnostics import flow_deviation
+from mixflow.costs import ClassParams, evaluate_links, free_flow_state
+from mixflow.diagnostics import certify, flow_deviation
 from mixflow.fixtures import nguyen_network, sioux_falls_network
 from mixflow.network import AV, RV, Link, Network, ODPair
 from mixflow.paths import PathSet, build_path, yen_k_shortest
-from mixflow.pga import PgaConfig, pga_solve
+from mixflow.pga import PgaConfig, generate_paths, pga_solve
 from mixflow.solver import Assignment, SolverConfig, solve, solve_assignment
 from mixflow import costs as cost_model
 
 from conftest import parallel_network, random_network
 from oracles import k_cheapest_paths, logit_shares, mp_cnl_commonality, mp_perceived_cost_rv
-from test_solver import one_shot_paths, residual_report
 
 _CONVERGED_SOLVES = []
 
@@ -148,7 +147,7 @@ def test_criterion_4_conservation_and_nonnegativity_fuzz():
     while iterations < 1000:
         networks += 1
         net = random_network(rng, n_nodes=int(rng.integers(4, 11)))
-        ps = one_shot_paths(net, params, int(rng.integers(2, 5)))
+        ps = generate_paths(net, free_flow_state(net, params), int(rng.integers(2, 5)))
         assignment = Assignment(net, ps, params)
         demands = assignment.group_demands
         checks = []
@@ -173,7 +172,7 @@ def test_criterion_5_modified_beats_baseline_twofold():
     """Nguyen, seeded demand: modified reaches 1e-4 in <= half the iterations."""
     params = ClassParams()
     net = nguyen_network(params, seed=0)
-    ps = one_shot_paths(net, params, 8)
+    ps = generate_paths(net, free_flow_state(net, params), 8)
     started = time.perf_counter()
     runs = {}
     for mode in ("modified", "baseline"):
@@ -240,7 +239,7 @@ def test_criterion_7_pga_consistency_and_dev_pattern():
     from oracles import enumerate_simple_paths
     assert len(enumerate_simple_paths(net, 1, 9)) == 12
 
-    full = one_shot_paths(net, params, 12)
+    full = generate_paths(net, free_flow_state(net, params), 12)
     assert len(full) == 24  # all 12 paths for both classes
 
     tight = SolverConfig(gap_tol=1e-6, max_iters=150000)
@@ -281,7 +280,7 @@ def test_criterion_8_ncp_residual_bounded_by_gap_times_cost():
     """Every converged solve from criteria 1-7: residual <= G * TC."""
     assert len(_CONVERGED_SOLVES) >= 6
     for net, ps, params, result, gap_tol in _CONVERGED_SOLVES:
-        report = residual_report(net, ps, params, result)
+        report = certify(net, ps, result.flows_by_group(), params)
         assert report.ncp_residual <= gap_tol * report.total_cost * (1.0 + 1e-9)
         assert report.feasibility_violation <= 1e-6 * sum(
             od.demand_rv + od.demand_av for od in net.od_pairs)
@@ -295,7 +294,7 @@ def test_criterion_9_sioux_falls_scale_smoke():
     assert len(net.nodes) == 24
     assert len(net.links) == 76
     assert len(net.od_pairs) == 528
-    ps = one_shot_paths(net, params, 10)
+    ps = generate_paths(net, free_flow_state(net, params), 10)
     result = solve(net, ps, params, SolverConfig(gap_tol=0.005, max_iters=5000))
     elapsed = time.perf_counter() - started
     assert result.converged

@@ -7,7 +7,7 @@ import pytest
 from mixflow.cli import main, parse_config_text, build_run_config
 from mixflow.costs import ClassParams
 from mixflow.fixtures import nguyen_network
-from mixflow.network import ParseError, write_network
+from mixflow.network import Link, Network, ODPair, ParseError, write_network
 
 from conftest import diamond_network
 
@@ -43,17 +43,18 @@ def test_config_file_parsing():
 
 
 def test_build_run_config_rejects_unknown_keys():
-    with pytest.raises(ValueError, match="unknown config key"):
-        build_run_config(None, {"not_a_key": "1"})
+    # threads and lambda2 were accepted but did nothing; they are gone
+    for key in ("not_a_key", "threads", "lambda2"):
+        with pytest.raises(ValueError, match="unknown config key"):
+            build_run_config(None, {key: "1"})
 
 
 def test_config_file_plus_override(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("gap = 1e-3\npenetration = 0.25\nthreads = 2\n", encoding="utf-8")
+    cfg.write_text("gap = 1e-3\npenetration = 0.25\n", encoding="utf-8")
     rc = build_run_config(str(cfg), {"gap": "1e-5"})
     assert rc.solver.gap_tol == 1e-5      # cli override wins
     assert rc.params.penetration == 0.25  # file value kept
-    assert rc.threads == 2
 
 
 def test_solve_writes_outputs_and_converges(tmp_path, nguyen_files):
@@ -63,7 +64,7 @@ def test_solve_writes_outputs_and_converges(tmp_path, nguyen_files):
                  "--out-dir", str(out), "--k", "6"])
     assert code == 0
     summary = json.loads(read(out / "summary.json"))
-    assert summary["schema_version"] == 1
+    assert summary["schema_version"] == 2
     assert summary["converged"] is True
     assert summary["gap"] <= summary["gap_tol"]
     link_lines = read(out / "link_flows.csv").splitlines()
@@ -229,6 +230,57 @@ def test_check_rejects_duplicate_rows(tmp_path, diamond_files, capsys):
                  "--flows", str(dup)])
     assert code == 1
     assert "duplicate row" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, message, settings", [
+    ("x,av,1-2,30", "invalid literal for int()", []),
+    ("0,av,1-2,abc", "could not convert string to float", []),
+    ("0,av,1-2", "bad row", []),
+    ("0,bus,1-2,30", "unknown class", []),
+    ("5,av,1-2,30", "out of range", []),
+    ("0,rv,1-2,30", "od 0 has no rv demand", ["--set", "penetration=1"]),
+    ("0,av,1-99,30", "unknown link id 99", []),
+    ("0,av,1-4,30", "links 1 and 4 are not adjacent", []),
+    ("0,av,1,30", "does not connect od 0", []),
+    ("0,av,3-4,30", "duplicate row", []),
+])
+def test_check_malformed_row_names_file_and_line(tmp_path, diamond_files, capsys,
+                                                 row, message, settings):
+    net_file, trips_file = diamond_files
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"od,class,path_key,flow\n0,av,3-4,30\n{row}\n", encoding="utf-8")
+    code = main(["check", "--net", net_file, "--trips", trips_file, "--flows", str(bad),
+                 *settings])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{bad}:3:" in err
+    assert message in err
+
+
+def test_check_rejects_flows_missing_a_demanded_group(tmp_path, capsys):
+    # two disjoint av-only ODs of 80 veh/h; dropping OD 1's rows leaves
+    # every remaining group at equilibrium, but 80 veh/h undelivered
+    links = (Link(1, 1, 2, 5.0, 5.0, 800.0, 1600.0),
+             Link(2, 1, 2, 6.0, 6.0, 900.0, 1800.0),
+             Link(3, 3, 4, 5.0, 5.0, 800.0, 1600.0),
+             Link(4, 3, 4, 6.0, 6.0, 900.0, 1800.0))
+    net = Network(nodes=(1, 2, 3, 4), links=links,
+                  od_pairs=(ODPair(1, 2, 0.0, 80.0), ODPair(3, 4, 0.0, 80.0)))
+    net_file, trips_file = tmp_path / "net.tntp", tmp_path / "trips.tntp"
+    write_network(net, net_file, trips_file)
+    common = ["--net", str(net_file), "--trips", str(trips_file),
+              "--set", "penetration=1"]
+    out = tmp_path / "out"
+    assert main(["solve", *common, "--out-dir", str(out), "--gap", "1e-6"]) == 0
+    flows = out / "path_flows.csv"
+    assert main(["check", *common, "--flows", str(flows)]) == 0
+    rows = read(flows).splitlines()
+    partial = tmp_path / "partial.csv"
+    partial.write_text("\n".join(r for r in rows if not r.startswith("1,")) + "\n",
+                       encoding="utf-8")
+    capsys.readouterr()
+    assert main(["check", *common, "--flows", str(partial)]) == 3
+    assert "feasibility_violation = 80" in capsys.readouterr().out
 
 
 def test_check_writes_report_csv(tmp_path, diamond_files):

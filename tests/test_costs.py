@@ -3,16 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from mixflow.costs import (ClassParams, cnl_commonalities, cnl_commonality,
-                           evaluate_links, fuel_gallons, link_generalized_cost,
-                           link_travel_time, mixed_capacity, overlap_alpha,
-                           overlap_log_weights, path_cost, perceived_cost_av,
-                           perceived_cost_rv)
+from mixflow.costs import (ClassParams, cnl_commonalities, evaluate_links,
+                           fuel_gallons, link_generalized_cost, link_travel_time,
+                           mixed_capacity, overlap_log_weights, path_cost,
+                           perceived_cost_av, perceived_cost_rv)
 from mixflow.network import Link
 from mixflow.paths import Path, yen_k_shortest
 
 from conftest import random_network
-from oracles import mp_cnl_commonality, mp_perceived_cost_rv, naive_cnl_commonality
+from oracles import (mp_cnl_commonality, mp_perceived_cost_rv, naive_cnl_commonality,
+                     overlap_alpha)
 
 
 def test_mixed_capacity_pure_rv_boundary():
@@ -206,13 +206,6 @@ def test_commonality_survives_costs_that_overflow_naive():
     assert np.isfinite(stable).all()
     expected = mp_cnl_commonality(np.exp(ln_alpha), costs, 0.5, 0.3)
     assert np.allclose(stable, expected, rtol=1e-9)
-
-
-def test_cnl_commonality_scalar_wrapper():
-    paths, lengths = _crafted_group()
-    params = ClassParams(dispersion=0.1, nesting=0.5)
-    h2 = cnl_commonality(2, paths, lengths, [7.0, 7.0, 7.0], params)
-    assert h2 == pytest.approx(0.7, rel=1e-12)
 
 
 def test_perceived_cost_rv_single_path_carries_demand():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mixflow.diagnostics import (EquilibriumReport, flow_deviation,
+from mixflow.diagnostics import (EquilibriumReport, certify, flow_deviation,
                                  link_flows_from_paths, ncp_residual, r_squared)
 from mixflow.network import AV, RV
 from mixflow.paths import PathSet, build_path
@@ -138,6 +138,5 @@ def test_residual_bounded_by_gap_times_total_cost(params):
         ps.add(0, AV, build_path(net, (lid,)))
     result = solve(net, ps, params, SolverConfig(gap_tol=1e-5))
     assert result.converged
-    from test_solver import residual_report
-    report = residual_report(net, ps, params, result)
+    report = certify(net, ps, result.flows_by_group(), params)
     assert report.ncp_residual <= 1e-5 * report.total_cost * (1.0 + 1e-9)

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from mixflow.network import AV, RV, Link, Network
-from mixflow.paths import (PathSet, build_path, format_path_line, incidence,
-                           merge_path_sets, yen_k_shortest)
+from mixflow.paths import (PathSet, build_path, format_path_line, merge_path_sets,
+                           yen_k_shortest)
 
 from conftest import diamond_network, random_network
-from oracles import bellman_ford, k_cheapest_paths
+from oracles import bellman_ford, incidence, k_cheapest_paths
 
 
 def test_build_path_validates_adjacency():

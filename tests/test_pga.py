@@ -70,9 +70,9 @@ def test_new_paths_start_from_carried_flows(params):
                        SolverConfig(gap_tol=1e-5))
     q_rv = net.od_pairs[0].demand_rv
     q_av = net.od_pairs[0].demand_av
-    for g in result.solve.groups:
-        expected = q_rv if g.vehicle_class == RV else q_av
-        assert g.flows.sum() == pytest.approx(expected, rel=1e-9)
+    for (_, cls), flows in result.solve.flows_by_group().items():
+        expected = q_rv if cls == RV else q_av
+        assert flows.sum() == pytest.approx(expected, rel=1e-9)
 
 
 def test_outer_exhaustion_flagged_but_final_solve_runs(params):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from mixflow.costs import ClassParams, evaluate_links
+from mixflow.costs import ClassParams, evaluate_links, free_flow_state
 from mixflow.fixtures import nguyen_network
-from mixflow.network import AV, RV, VEHICLE_CLASSES
-from mixflow.paths import PathSet, build_path, yen_k_shortest
+from mixflow.network import AV, RV
+from mixflow.paths import PathSet, build_path
+from mixflow.pga import generate_paths
 from mixflow.solver import (Assignment, BASELINE, SolverConfig,
-                            SolverError, init_uniform, max_relative_outflow,
+                            SolverError, max_relative_outflow,
                             relative_gap, solve, step_size, swap_direction,
                             swap_volume, total_cost, update_flows)
 from mixflow import costs as cost_model
@@ -16,26 +17,13 @@ from conftest import parallel_network, random_network
 from oracles import logit_shares, naive_swap_direction
 
 
-def one_shot_paths(network, params, k):
-    zeros = np.zeros(network.n_links)
-    state = cost_model.evaluate_links(network, zeros, zeros, params)
-    ps = PathSet()
-    for od_index, od in enumerate(network.od_pairs):
-        for cls in VEHICLE_CLASSES:
-            if od.demand(cls) <= 0:
-                continue
-            for p in yen_k_shortest(network, state.cost(cls), od.origin, od.destination, k):
-                ps.add(od_index, cls, p)
-    return ps
-
-
 def test_init_uniform_splits_demand(params):
     net = parallel_network([(5.0, 800.0)] * 4, demand_av=100.0)
     ps = PathSet()
     for lid in (1, 2, 3, 4):
         ps.add(0, AV, build_path(net, (lid,)))
     asn = Assignment(net, ps, params)
-    flows = init_uniform(asn)
+    flows = asn.uniform_flows()
     assert np.allclose(flows, 25.0)
 
 
@@ -44,7 +32,7 @@ def test_init_uniform_single_path_gets_everything(params):
     ps = PathSet()
     ps.add(0, AV, build_path(net, (1,)))
     asn = Assignment(net, ps, params)
-    assert np.allclose(init_uniform(asn), 42.0)
+    assert np.allclose(asn.uniform_flows(), 42.0)
 
 
 def test_zero_demand_class_is_skipped(params):
@@ -253,7 +241,7 @@ def test_solve_zero_direction_at_three_path_fixed_point(params):
     for lid in (1, 2, 3):
         ps.add(0, AV, build_path(net, (lid,)))
     asn = Assignment(net, ps, params)
-    flows = init_uniform(asn)
+    flows = asn.uniform_flows()
     x_rv, x_av = asn.link_flows(flows)
     state = cost_model.evaluate_links(net, x_rv, x_av, params)
     perceived = asn.perceived_costs(flows, asn.path_costs(state))
@@ -289,10 +277,10 @@ def test_solve_callback_sees_every_update(params):
 
 def test_solve_nguyen_passes_ncp_residual_oracle(params):
     net = nguyen_network(params, seed=0)
-    ps = one_shot_paths(net, params, 8)
+    ps = generate_paths(net, free_flow_state(net, params), 8)
     result = solve(net, ps, params, SolverConfig(gap_tol=1e-4, max_iters=20000))
     assert result.converged
-    report = residual_report(net, ps, params, result)
+    report = diagnostics.certify(net, ps, result.flows_by_group(), params)
     assert report.relative_residual <= 1e-3
     assert report.feasibility_violation <= 1e-6 * sum(
         od.demand_rv + od.demand_av for od in net.od_pairs)
@@ -304,7 +292,7 @@ def test_nguyen_equilibrium_conditions_at_tight_gap(params):
     # instances in the acceptance suite; on this multi-OD instance the rv
     # spread measures ~15*G because near-unloaded paths converge last.
     net = nguyen_network(params, seed=0)
-    ps = one_shot_paths(net, params, 8)
+    ps = generate_paths(net, free_flow_state(net, params), 8)
     gap_tol = 1e-6
     result = solve(net, ps, params, SolverConfig(gap_tol=gap_tol, max_iters=300000))
     assert result.converged
@@ -329,37 +317,11 @@ def test_nguyen_equilibrium_conditions_at_tight_gap(params):
 
 def test_solver_link_flows_match_independent_accumulation(params):
     net = nguyen_network(params, seed=0)
-    ps = one_shot_paths(net, params, 8)
+    ps = generate_paths(net, free_flow_state(net, params), 8)
     result = solve(net, ps, params, SolverConfig(gap_tol=1e-3, max_iters=20000))
-    flows_by_group = {(g.od_index, g.vehicle_class): g.flows for g in result.groups}
-    x_rv, x_av = diagnostics.link_flows_from_paths(ps, flows_by_group, net)
+    x_rv, x_av = diagnostics.link_flows_from_paths(ps, result.flows_by_group(), net)
     assert np.allclose(result.flow.x_rv, x_rv, rtol=1e-9)
     assert np.allclose(result.flow.x_av, x_av, rtol=1e-9)
-
-
-def residual_report(network, path_set, params, result):
-    """Perceived costs rebuilt from scratch, fed to the independent checker."""
-    flows_by_group = {(g.od_index, g.vehicle_class): g.flows for g in result.groups}
-    x_rv, x_av = diagnostics.link_flows_from_paths(path_set, flows_by_group, network)
-    state = cost_model.evaluate_links(network, x_rv, x_av, params)
-    cost_by_id = {cls: {l.id: state.cost(cls)[i] for i, l in enumerate(network.links)}
-                  for cls in VEHICLE_CLASSES}
-    lengths = {l.id: l.length for l in network.links}
-    costs_by_group, demand_by_group = {}, {}
-    for g in result.groups:
-        observed = np.array([cost_model.path_cost(p, cost_by_id[g.vehicle_class])
-                             for p in g.paths])
-        if g.vehicle_class == RV:
-            _, ln_alpha = cost_model.overlap_log_weights(g.paths, lengths)
-            commonality = cost_model.cnl_commonalities(
-                ln_alpha, observed, params.dispersion, params.nesting)
-            perceived = cost_model.perceived_cost_rv(
-                observed, g.flows, g.demand, commonality, params)
-        else:
-            perceived = cost_model.perceived_cost_av(observed)
-        costs_by_group[(g.od_index, g.vehicle_class)] = perceived
-        demand_by_group[(g.od_index, g.vehicle_class)] = g.demand
-    return diagnostics.ncp_residual(flows_by_group, costs_by_group, demand_by_group)
 
 
 def test_conservation_and_nonnegativity_under_fuzz():
@@ -367,7 +329,7 @@ def test_conservation_and_nonnegativity_under_fuzz():
     params = ClassParams()
     for _ in range(10):
         net = random_network(rng)
-        ps = one_shot_paths(net, params, 3)
+        ps = generate_paths(net, free_flow_state(net, params), 3)
 
         def check(n, flows, phi, asn_sums=[]):
             assert flows.min() >= 0.0
