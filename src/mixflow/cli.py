@@ -278,7 +278,8 @@ def cmd_check(rc, flows_file):
         _write(os.path.join(rc.out_dir, "report.csv"),
                ["key,value"] + [f"{k},{v}" for k, v in report.csv_rows()])
     total_demand = sum(od.demand_rv + od.demand_av for od in network.od_pairs)
-    certified = (report.relative_residual <= rc.check_tol
+    certified = (not report.missing_demand
+                 and report.relative_residual <= rc.check_tol
                  and report.feasibility_violation <= rc.check_tol * total_demand)
     return EXIT_OK if certified else EXIT_RESIDUAL
 

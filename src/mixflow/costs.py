@@ -8,6 +8,7 @@ All scalar operations also accept numpy arrays.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,12 +56,6 @@ class ClassParams:
             raise ValueError("av_capacity_ratio must be positive")
         if self.flow_floor <= 0:
             raise ValueError("flow_floor must be positive")
-
-    def vot(self, vehicle_class):
-        return self.vot_rv if vehicle_class == RV else self.vot_av
-
-    def swap_degree(self, vehicle_class):
-        return self.swap_degree_rv if vehicle_class == RV else self.swap_degree_av
 
 
 @dataclass
@@ -143,53 +138,72 @@ def path_cost(path, link_costs):
     return float(sum(link_costs[a] for a in path.links))
 
 
-def overlap_log_weights(paths, link_lengths):
-    """Log of the length-share overlap weights for one rv path group.
+@dataclass(frozen=True)
+class CnlEntries:
+    """Per-(path, member link) entries of consecutive rv path groups, path
+    by path. A nest is one link shared within one group."""
 
-    Returns (link_ids, ln_alpha) where ln_alpha has shape (n_links, n_paths)
-    over the links appearing in at least one path of the group; entries for
-    absent links are -inf.
+    ln_alpha: np.ndarray     # log(link length / path length)
+    path_sizes: np.ndarray   # entries per path
+    nest: np.ndarray         # nest of each entry
+    nest_order: np.ndarray   # entries grouped by nest, in path order within a nest
+    nest_sizes: np.ndarray   # entries per nest
+
+
+def cnl_entries(groups, link_lengths):
+    """The entries of an iterable of rv path groups; `link_lengths` maps
+    link id to length."""
+    alpha, nest, path_sizes = array("d"), array("q"), array("q")
+    n_nests = 0
+    for paths in groups:
+        local = {}
+        for p in paths:
+            path_sizes.append(len(p.links))
+            for a in p.links:
+                alpha.append(link_lengths[a] / p.length)
+                nest.append(local.setdefault(a, n_nests + len(local)))
+        n_nests += len(local)
+    nest = np.array(nest, dtype=np.intp)
+    return CnlEntries(ln_alpha=np.log(alpha), path_sizes=np.array(path_sizes, dtype=np.intp),
+                      nest=nest, nest_order=np.argsort(nest, kind="stable"),
+                      nest_sizes=np.bincount(nest, minlength=n_nests))
+
+
+def _segment_logsumexp(values, sizes):
+    """log(sum(exp(v))) over consecutive segments of `values` (overwritten)
+    of the given nonzero sizes, each shifted by its maximum."""
+    starts = np.cumsum(sizes) - sizes
+    peak = np.maximum.reduceat(values, starts)
+    values -= np.repeat(peak, sizes)
+    np.exp(values, out=values)
+    return peak + np.log(np.add.reduceat(values, starts))
+
+
+def cnl_commonalities(entries, path_costs_vec, theta, u):
+    """Cross-nested commonality of the entries' paths at their observed costs.
+
+    Both log-sum-exps (over each nest, then over each path's nests) shift
+    every segment by its maximum, so whatever theta*cost is, no exponential
+    overflows and every segment sum is at least 1.
     """
-    link_ids = sorted({a for p in paths for a in p.links})
-    pos = {a: i for i, a in enumerate(link_ids)}
-    ln_alpha = np.full((len(link_ids), len(paths)), -np.inf)
-    for k, p in enumerate(paths):
-        for a in p.links:
-            ln_alpha[pos[a], k] = np.log(link_lengths[a] / p.length)
-    return link_ids, ln_alpha
-
-
-def cnl_commonalities(ln_alpha, path_costs_vec, theta, u):
-    """Cross-nested commonality of every path in one group.
-
-    Evaluated fully in the log domain with the group costs recentred at
-    their minimum, so large theta*cost values cannot overflow or underflow
-    the intermediate exponentials.
-    """
-    c = np.asarray(path_costs_vec, dtype=float)
-    c_ref = c.min()
-    inner = (ln_alpha - theta * (c - c_ref)[None, :]) / u
-    inner_max = inner.max(axis=1)
-    finite = inner_max > -np.inf
-    log_nest = np.full(inner_max.shape, -np.inf)
-    if finite.any():
-        rows = inner[finite] - inner_max[finite, None]
-        log_nest[finite] = inner_max[finite] + np.log(np.exp(rows).sum(axis=1))
-    with np.errstate(invalid="ignore"):
-        exponent = ln_alpha / u + (u - 1.0) * log_nest[:, None]
-    exponent = np.where(np.isneginf(ln_alpha), -np.inf, exponent)
-    outer_max = exponent.max(axis=0)
-    h = outer_max + np.log(np.exp(exponent - outer_max[None, :]).sum(axis=0))
-    return h - (u - 1.0) * theta * c_ref / u
+    inner = np.repeat(np.asarray(path_costs_vec, dtype=float) * -theta, entries.path_sizes)
+    inner += entries.ln_alpha
+    inner /= u
+    log_nest = _segment_logsumexp(inner[entries.nest_order], entries.nest_sizes)
+    exponent = np.multiply(log_nest, u - 1.0, out=log_nest)[entries.nest]
+    exponent += entries.ln_alpha / u
+    return _segment_logsumexp(exponent, entries.path_sizes)
 
 
 def perceived_cost_rv(path_cost_vec, flow, demand, commonality, params):
-    """Perceived rv path cost: observed cost plus the nested-logit terms.
+    """Perceived rv path cost: observed cost plus the nested-logit terms;
+    `demand` is the demand of each path's group.
 
     Flows are floored at params.flow_floor inside the log only; equilibrium
     flows are strictly positive but intermediate iterates may touch zero.
     """
-    if demand <= 0:
+    demand = np.asarray(demand, dtype=float)
+    if np.any(demand <= 0):
         raise ValueError("rv perceived cost needs positive group demand")
     scale = params.nesting / params.dispersion
     safe_flow = np.maximum(np.asarray(flow, dtype=float), params.flow_floor)
@@ -197,7 +211,3 @@ def perceived_cost_rv(path_cost_vec, flow, demand, commonality, params):
                   - scale * np.asarray(commonality, dtype=float)
                   + scale * np.log(safe_flow / demand))
 
-
-def perceived_cost_av(path_cost_vec):
-    """Perceived av path cost equals the observed cost (complete information)."""
-    return path_cost_vec

@@ -1,22 +1,20 @@
 """Independent equilibrium verification and flow-comparison metrics.
 
 Everything here recomputes its inputs from first principles (plain loops
-over paths) so it can certify solver output rather than echo it.
-`certify` reprices a path-flow pattern from scratch and feeds the rebuilt
-perceived costs to `ncp_residual`; a demanded (OD, class) group with no
-flows counts its whole demand as infeasible.
+over paths for link flows and path costs) so it can certify solver output
+rather than echo it. `certify` reprices a path-flow pattern from scratch
+and feeds the rebuilt perceived costs to `ncp_residual`; a demanded (OD, class) group with no
+flows is reported missing and counts its whole demand as infeasible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import costs as cost_model
 from .network import AV, RV, VEHICLE_CLASSES
-
-USED_PATH_FRACTION = 1e-6   # f > fraction*q counts a path as used
 
 
 @dataclass
@@ -27,6 +25,7 @@ class EquilibriumReport:
     min_cost: dict                        # (od_index, class) -> lowest perceived cost
     total_cost: float
     relative_residual: float
+    missing_demand: dict = field(default_factory=dict)  # (od_index, class) -> demand, no flows
 
     def to_text(self):
         lines = [
@@ -38,6 +37,8 @@ class EquilibriumReport:
         ]
         for (od_index, cls), value in sorted(self.min_cost.items()):
             lines.append(f"min_cost[{od_index},{cls}] = {value:.6g}")
+        for (od_index, cls), value in sorted(self.missing_demand.items()):
+            lines.append(f"missing_demand[{od_index},{cls}] = {value:.6g}")
         return "\n".join(lines)
 
     def csv_rows(self):
@@ -48,6 +49,8 @@ class EquilibriumReport:
                 ("total_cost", f"{self.total_cost:.6g}")]
         for (od_index, cls), value in sorted(self.min_cost.items()):
             rows.append((f"min_cost_{od_index}_{cls}", f"{value:.6g}"))
+        for (od_index, cls), value in sorted(self.missing_demand.items()):
+            rows.append((f"missing_demand_{od_index}_{cls}", f"{value:.6g}"))
         return rows
 
 
@@ -107,29 +110,27 @@ def certify(network, path_set, flows_by_group, params):
     state = cost_model.evaluate_links(network, x_rv, x_av, params)
     cost_by_id = {cls: {l.id: state.cost(cls)[i] for i, l in enumerate(network.links)}
                   for cls in VEHICLE_CLASSES}
+    costs_by_group = {key: np.array([cost_model.path_cost(p, cost_by_id[key[1]]) for p in paths])
+                      for key, paths in path_set.items() if key in flows_by_group}
+    demand_by_group = {key: network.od_pairs[key[0]].demand(key[1]) for key in costs_by_group}
+    # every rv group in one cross-nested evaluation; av perceived costs are observed
+    rv = [key for key in costs_by_group if key[1] == RV]
+    sizes = [len(costs_by_group[key]) for key in rv]
+    observed = np.fromiter((c for key in rv for c in costs_by_group[key]), float)
+    flows = np.fromiter((f for key in rv for f in flows_by_group[key]), float)
     lengths = {l.id: l.length for l in network.links}
-    costs_by_group = {}
-    demand_by_group = {}
-    for (od_index, cls), paths in path_set.items():
-        flows = flows_by_group.get((od_index, cls))
-        if flows is None:
-            continue
-        observed = np.array([cost_model.path_cost(p, cost_by_id[cls]) for p in paths])
-        demand = network.od_pairs[od_index].demand(cls)
-        if cls == RV:
-            _, ln_alpha = cost_model.overlap_log_weights(paths, lengths)
-            commonality = cost_model.cnl_commonalities(
-                ln_alpha, observed, params.dispersion, params.nesting)
-            perceived = cost_model.perceived_cost_rv(
-                observed, flows, demand, commonality, params)
-        else:
-            perceived = cost_model.perceived_cost_av(observed)
-        costs_by_group[(od_index, cls)] = perceived
-        demand_by_group[(od_index, cls)] = demand
+    commonality = cost_model.cnl_commonalities(
+        cost_model.cnl_entries([path_set.group(*key) for key in rv], lengths),
+        observed, params.dispersion, params.nesting)
+    perceived = cost_model.perceived_cost_rv(
+        observed, flows, np.repeat([demand_by_group[key] for key in rv], sizes),
+        commonality, params)
+    costs_by_group.update(zip(rv, np.split(perceived, np.cumsum(sizes)[:-1])))
     report = ncp_residual(flows_by_group, costs_by_group, demand_by_group)
     for od_index, od in enumerate(network.od_pairs):
         for cls in VEHICLE_CLASSES:
             if od.demand(cls) > 0 and (od_index, cls) not in costs_by_group:
+                report.missing_demand[(od_index, cls)] = od.demand(cls)
                 report.feasibility_violation += od.demand(cls)
     return report
 

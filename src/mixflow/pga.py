@@ -97,13 +97,17 @@ def _carry_over(assignment, previous):
 def pga_solve(network, params, pga_config, solver_config):
     """Run generation/assignment rounds, then the final tight solve."""
     path_set = PathSet()
-    link_state = cost_model.free_flow_state(network, params)
     inner_config = replace(solver_config, gap_tol=pga_config.inner_gap)
     outer = []
     prev_total = None
     outer_converged = False
     result = None
     for m in range(1, pga_config.max_outer + 1):
+        if result is None:
+            link_state = cost_model.free_flow_state(network, params)
+        else:
+            link_state = cost_model.evaluate_links(network, result.flow.x_rv,
+                                                   result.flow.x_av, params)
         tick = time.perf_counter()
         path_set, new_count = merge_path_sets(
             path_set, generate_paths(network, link_state, pga_config.k))
@@ -114,8 +118,6 @@ def pga_solve(network, params, pga_config, solver_config):
         error = float("inf") if prev_total is None else (total - prev_total) / total
         outer.append(OuterRow(m, new_count, total, error,
                               result.iterations, time.perf_counter() - tick))
-        link_state = cost_model.evaluate_links(network, result.flow.x_rv,
-                                               result.flow.x_av, params)
         prev_total = total
         if m >= 2 and abs(error) <= pga_config.outer_tol:
             outer_converged = True

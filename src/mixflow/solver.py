@@ -10,7 +10,7 @@ shrinking; the baseline configuration always takes the damped step.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,7 +95,6 @@ class _Group:
     start: int
     stop: int
     paths: tuple
-    ln_alpha: np.ndarray = field(default=None, repr=False)
 
 
 class Assignment:
@@ -110,12 +109,8 @@ class Assignment:
         self.network = network
         self.params = params
         self.groups = []
-        flat_links = []
-        path_starts = []
-        path_is_rv = []
-        offset = 0
+        blocks = {}   # (group size, is rv) -> group starts
         n_paths = 0
-        lengths = {l.id: l.length for l in network.links}
         for od_index, od in enumerate(network.od_pairs):
             for cls in VEHICLE_CLASSES:
                 demand = od.demand(cls)
@@ -126,35 +121,36 @@ class Assignment:
                     raise ValueError(
                         f"od {od_index} ({od.origin}->{od.destination}) has demand "
                         f"{demand} for class {cls} but no paths")
-                for p in paths:
-                    path_starts.append(offset)
-                    for a in p.links:
-                        flat_links.append(network.link_index[a])
-                    offset += len(p.links)
-                    path_is_rv.append(cls == RV)
-                group = _Group(od_index, cls, demand, n_paths, n_paths + len(paths), paths)
-                if cls == RV:
-                    _, group.ln_alpha = cost_model.overlap_log_weights(paths, lengths)
+                self.groups.append(_Group(od_index, cls, demand, n_paths,
+                                          n_paths + len(paths), paths))
+                blocks.setdefault((len(paths), cls == RV), []).append(n_paths)
                 n_paths += len(paths)
-                self.groups.append(group)
         if n_paths == 0:
             raise ValueError("network has no demand")
         self.n_paths = n_paths
-        self.entry_links = np.asarray(flat_links, dtype=np.intp)
-        self.path_starts = np.asarray(path_starts, dtype=np.intp)
-        entry_path = np.repeat(np.arange(n_paths, dtype=np.intp),
-                               np.diff(np.append(self.path_starts, len(flat_links))))
-        self.path_is_rv = np.asarray(path_is_rv, dtype=bool)
-        entry_is_rv = self.path_is_rv[entry_path]
-        self.rv_entry_links = self.entry_links[entry_is_rv]
-        self.rv_entry_path = entry_path[entry_is_rv]
-        self.av_entry_links = self.entry_links[~entry_is_rv]
-        self.av_entry_path = entry_path[~entry_is_rv]
-        self.entry_is_rv = entry_is_rv
+        # one column per (link, class): link index, plus n_links for av entries
+        n_links = network.n_links
+        path_sizes = np.fromiter((len(p.links) for g in self.groups for p in g.paths),
+                                 np.intp, n_paths)
+        self.path_starts = np.cumsum(path_sizes) - path_sizes
+        self.entry_path = np.repeat(np.arange(n_paths, dtype=np.intp), path_sizes)
+        self.entry_col = np.fromiter(
+            (network.link_index[a] + (n_links if g.vehicle_class != RV else 0)
+             for g in self.groups for p in g.paths for a in p.links),
+            np.intp, len(self.entry_path))
         self.group_starts = np.asarray([g.start for g in self.groups], dtype=np.intp)
         self.group_sizes = np.asarray([g.stop - g.start for g in self.groups], dtype=np.intp)
         self.group_demands = np.asarray([g.demand for g in self.groups])
         self.demand_per_path = np.repeat(self.group_demands, self.group_sizes)
+        self.rv_paths = np.fromiter((k for g in self.groups if g.vehicle_class == RV
+                                     for k in range(g.start, g.stop)), np.intp)
+        lengths = {l.id: l.length for l in network.links}
+        self.cnl_entries = cost_model.cnl_entries(
+            (g.paths for g in self.groups if g.vehicle_class == RV), lengths)
+        # the groups of one size and class as one (groups, size) block of path
+        # indices; single-path groups never swap
+        self.swap_blocks = [(np.add.outer(starts, np.arange(size)), is_rv)
+                            for (size, is_rv), starts in sorted(blocks.items()) if size > 1]
 
     def uniform_flows(self):
         """Each group's demand spread evenly over its paths."""
@@ -162,55 +158,44 @@ class Assignment:
 
     def link_flows(self, flows):
         n = self.network.n_links
-        x_rv = np.bincount(self.rv_entry_links, weights=flows[self.rv_entry_path], minlength=n)
-        x_av = np.bincount(self.av_entry_links, weights=flows[self.av_entry_path], minlength=n)
-        return x_rv, x_av
+        x = np.bincount(self.entry_col, weights=flows[self.entry_path], minlength=2 * n)
+        return x[:n], x[n:]
 
     def path_costs(self, link_state):
-        per_entry = np.where(self.entry_is_rv,
-                             link_state.cost_rv[self.entry_links],
-                             link_state.cost_av[self.entry_links])
+        per_entry = np.concatenate([link_state.cost_rv, link_state.cost_av])[self.entry_col]
         return np.add.reduceat(per_entry, self.path_starts)
 
     def perceived_costs(self, flows, path_cost_vec):
-        perceived = np.array(path_cost_vec, dtype=float)
         params = self.params
-        for g in self.groups:
-            if g.vehicle_class != RV:
-                continue
-            sl = slice(g.start, g.stop)
-            commonality = cost_model.cnl_commonalities(
-                g.ln_alpha, path_cost_vec[sl], params.dispersion, params.nesting)
-            perceived[sl] = cost_model.perceived_cost_rv(
-                path_cost_vec[sl], flows[sl], g.demand, commonality, params)
+        rv = self.rv_paths
+        observed = path_cost_vec[rv]
+        commonality = cost_model.cnl_commonalities(
+            self.cnl_entries, observed, params.dispersion, params.nesting)
+        perceived = np.array(path_cost_vec, dtype=float)
+        perceived[rv] = cost_model.perceived_cost_rv(
+            observed, flows[rv], self.demand_per_path[rv], commonality, params)
         return perceived
 
     def swap_directions(self, flows, perceived, degree_rv, degree_av):
-        direction = np.empty(self.n_paths)
-        for g in self.groups:
-            sl = slice(g.start, g.stop)
-            degree = degree_rv if g.vehicle_class == RV else degree_av
-            direction[sl] = swap_direction(flows[sl], perceived[sl], degree)
+        """Net pairwise flow exchange toward cheaper paths within every group.
+
+        Every ordered pair of a group trades flow proportional to the
+        sender's flow times the positive cost difference raised to the
+        class degree; the net per-path exchange sums to zero over the group.
+        """
+        direction = np.zeros(self.n_paths)
+        for block, is_rv in self.swap_blocks:
+            f, c = flows[block], perceived[block]
+            diff = c[:, :, None] - c[:, None, :]
+            np.maximum(diff, 0.0, out=diff)
+            degree = degree_rv if is_rv else degree_av
+            if degree != 1.0:
+                diff **= degree
+            direction[block] = np.matmul(f[:, None, :], diff)[:, 0, :] - f * diff.sum(axis=2)
         return direction
 
     def group_sums(self, flows):
         return np.add.reduceat(flows, self.group_starts)
-
-
-def swap_direction(flows, perceived, degree):
-    """Net pairwise flow exchange toward cheaper paths within one group.
-
-    Every ordered pair trades flow proportional to the sender's flow times
-    the positive cost difference raised to `degree`; the net per-path
-    exchange sums to zero over the group.
-    """
-    diff = perceived[:, None] - perceived[None, :]
-    np.maximum(diff, 0.0, out=diff)
-    if degree != 1.0:
-        diff **= degree
-    outflow = flows * diff.sum(axis=1)
-    inflow = diff.T @ flows
-    return inflow - outflow
 
 
 def max_relative_outflow(flows, direction, floor):

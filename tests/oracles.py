@@ -5,6 +5,8 @@ data types: enumeration instead of Yen, label-correcting search instead of
 the heap search, direct transliterations instead of log-domain evaluation.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 from mpmath import mp
 
@@ -77,6 +79,14 @@ def overlap_alpha(link, path):
     if link.id not in path.links:
         return 0.0
     return link.length / path.length
+
+
+def alpha_matrix(paths, lengths):
+    """Dense (link, path) overlap weights over the links of `paths` in id
+    order; `lengths` maps link id to length."""
+    link_ids = sorted({a for p in paths for a in p.links})
+    return np.array([[overlap_alpha(SimpleNamespace(id=a, length=lengths[a]), p)
+                      for p in paths] for a in link_ids])
 
 
 def naive_cnl_commonality(alpha, path_costs, theta, u):

@@ -19,7 +19,8 @@ from mixflow.solver import Assignment, SolverConfig, solve, solve_assignment
 from mixflow import costs as cost_model
 
 from conftest import parallel_network, random_network
-from oracles import k_cheapest_paths, logit_shares, mp_cnl_commonality, mp_perceived_cost_rv
+from oracles import (alpha_matrix, k_cheapest_paths, logit_shares, mp_cnl_commonality,
+                     mp_perceived_cost_rv)
 
 _CONVERGED_SOLVES = []
 
@@ -113,8 +114,8 @@ def test_criterion_3_cnl_overlap_effect():
     # extended-precision equilibrium: with equal observed costs the shares
     # are proportional to exp(commonality)
     lengths = {l.id: l.length for l in net.links}
-    _, ln_alpha = cost_model.overlap_log_weights(ps.group(0, RV), lengths)
-    h = mp_cnl_commonality(np.exp(ln_alpha), [25.0, 25.0, 25.0], 0.1, 0.5)
+    alpha = alpha_matrix(ps.group(0, RV), lengths)
+    h = mp_cnl_commonality(alpha, [25.0, 25.0, 25.0], 0.1, 0.5)
     target = np.exp(h[2]) / np.exp(h).sum()
     assert disjoint_share == pytest.approx(target, abs=0.005)
 
@@ -123,7 +124,7 @@ def test_criterion_3_cnl_overlap_effect():
     state = evaluate_links(net, result.flow.x_rv, result.flow.x_av, nested)
     cost_by_id = {l.id: state.cost_rv[i] for i, l in enumerate(net.links)}
     observed = [cost_model.path_cost(p, cost_by_id) for p in ps.group(0, RV)]
-    h_conv = mp_cnl_commonality(np.exp(ln_alpha), observed, 0.1, 0.5)
+    h_conv = mp_cnl_commonality(alpha, observed, 0.1, 0.5)
     perceived = [mp_perceived_cost_rv(observed[k], result.flow.f[k], 900.0,
                                       h_conv[k], 0.1, 0.5) for k in range(3)]
     spread = (max(perceived) - min(perceived)) / abs(min(perceived))

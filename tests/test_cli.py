@@ -258,29 +258,39 @@ def test_check_malformed_row_names_file_and_line(tmp_path, diamond_files, capsys
 
 
 def test_check_rejects_flows_missing_a_demanded_group(tmp_path, capsys):
-    # two disjoint av-only ODs of 80 veh/h; dropping OD 1's rows leaves
-    # every remaining group at equilibrium, but 80 veh/h undelivered
+    # two disjoint av-only ODs; dropping OD 1's rows leaves every remaining
+    # group at equilibrium, but OD 1's demand undelivered. At 0.5 veh/h that
+    # demand is far below check_tol x total demand, and still fails the check
     links = (Link(1, 1, 2, 5.0, 5.0, 800.0, 1600.0),
              Link(2, 1, 2, 6.0, 6.0, 900.0, 1800.0),
              Link(3, 3, 4, 5.0, 5.0, 800.0, 1600.0),
              Link(4, 3, 4, 6.0, 6.0, 900.0, 1800.0))
-    net = Network(nodes=(1, 2, 3, 4), links=links,
-                  od_pairs=(ODPair(1, 2, 0.0, 80.0), ODPair(3, 4, 0.0, 80.0)))
-    net_file, trips_file = tmp_path / "net.tntp", tmp_path / "trips.tntp"
-    write_network(net, net_file, trips_file)
-    common = ["--net", str(net_file), "--trips", str(trips_file),
-              "--set", "penetration=1"]
-    out = tmp_path / "out"
-    assert main(["solve", *common, "--out-dir", str(out), "--gap", "1e-6"]) == 0
-    flows = out / "path_flows.csv"
-    assert main(["check", *common, "--flows", str(flows)]) == 0
-    rows = read(flows).splitlines()
-    partial = tmp_path / "partial.csv"
-    partial.write_text("\n".join(r for r in rows if not r.startswith("1,")) + "\n",
-                       encoding="utf-8")
-    capsys.readouterr()
-    assert main(["check", *common, "--flows", str(partial)]) == 3
-    assert "feasibility_violation = 80" in capsys.readouterr().out
+    for q0, q1 in ((80.0, 80.0), (1000.0, 0.5)):
+        case = tmp_path / f"q{q1:g}"
+        case.mkdir()
+        net = Network(nodes=(1, 2, 3, 4), links=links,
+                      od_pairs=(ODPair(1, 2, 0.0, q0), ODPair(3, 4, 0.0, q1)))
+        net_file, trips_file = case / "net.tntp", case / "trips.tntp"
+        write_network(net, net_file, trips_file)
+        common = ["--net", str(net_file), "--trips", str(trips_file),
+                  "--set", "penetration=1"]
+        out = case / "out"
+        assert main(["solve", *common, "--out-dir", str(out), "--gap", "1e-6"]) == 0
+        flows = out / "path_flows.csv"
+        capsys.readouterr()
+        assert main(["check", *common, "--flows", str(flows)]) == 0
+        assert "missing_demand" not in capsys.readouterr().out
+        rows = read(flows).splitlines()
+        partial = case / "partial.csv"
+        partial.write_text("\n".join(r for r in rows if not r.startswith("1,")) + "\n",
+                           encoding="utf-8")
+        report_dir = case / "report"
+        assert main(["check", *common, "--flows", str(partial),
+                     "--out-dir", str(report_dir)]) == 3
+        text = capsys.readouterr().out
+        assert f"feasibility_violation = {q1:g}" in text
+        assert f"missing_demand[1,av] = {q1:g}" in text
+        assert f"missing_demand_1_av,{q1:g}" in read(report_dir / "report.csv")
 
 
 def test_check_writes_report_csv(tmp_path, diamond_files):

@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from mixflow.costs import (ClassParams, cnl_commonalities, evaluate_links,
+from mixflow.costs import (ClassParams, cnl_commonalities, cnl_entries, evaluate_links,
                            fuel_gallons, link_generalized_cost, link_travel_time,
-                           mixed_capacity, overlap_log_weights, path_cost,
-                           perceived_cost_av, perceived_cost_rv)
+                           mixed_capacity, path_cost, perceived_cost_rv)
 from mixflow.network import Link
 from mixflow.paths import Path, yen_k_shortest
 
 from conftest import random_network
-from oracles import (mp_cnl_commonality, mp_perceived_cost_rv, naive_cnl_commonality,
-                     overlap_alpha)
+from oracles import (alpha_matrix, mp_cnl_commonality, mp_perceived_cost_rv,
+                     naive_cnl_commonality, overlap_alpha)
 
 
 def test_mixed_capacity_pure_rv_boundary():
@@ -138,9 +137,11 @@ def test_overlap_weights_sum_to_one_randomized(params):
         od = net.od_pairs[0]
         paths = yen_k_shortest(net, costs, od.origin, od.destination, 4)
         lengths = {l.id: l.length for l in net.links}
-        _, ln_alpha = overlap_log_weights(paths, lengths)
-        sums = np.exp(ln_alpha).sum(axis=0)
+        entries = cnl_entries([paths], lengths)
+        starts = np.cumsum(entries.path_sizes) - entries.path_sizes
+        sums = np.add.reduceat(np.exp(entries.ln_alpha), starts)
         assert np.allclose(sums, 1.0, atol=1e-12)
+        assert np.allclose(sums, alpha_matrix(paths, lengths).sum(axis=0), atol=1e-12)
 
 
 def _crafted_group():
@@ -151,27 +152,28 @@ def _crafted_group():
     return [p1, p2, p3], lengths
 
 
+def _commonality(paths, lengths, costs, theta, u):
+    return cnl_commonalities(cnl_entries([paths], lengths), costs, theta, u)
+
+
 def test_commonality_zero_at_unit_nesting():
     paths, lengths = _crafted_group()
-    _, ln_alpha = overlap_log_weights(paths, lengths)
-    h = cnl_commonalities(ln_alpha, [3.0, 5.0, 4.0], theta=0.2, u=1.0)
+    h = _commonality(paths, lengths, [3.0, 5.0, 4.0], theta=0.2, u=1.0)
     assert np.allclose(h, 0.0, atol=1e-12)
 
 
 def test_commonality_symmetric_disjoint_paths():
     p1 = Path(links=(1,), nodes=(1, 2), length=2.0)
     p2 = Path(links=(2,), nodes=(1, 2), length=2.0)
-    _, ln_alpha = overlap_log_weights([p1, p2], {1: 2.0, 2: 2.0})
-    h = cnl_commonalities(ln_alpha, [6.0, 6.0], theta=0.1, u=0.5)
+    h = _commonality([p1, p2], {1: 2.0, 2: 2.0}, [6.0, 6.0], theta=0.1, u=0.5)
     assert h[0] == pytest.approx(h[1], rel=1e-12)
 
 
 def test_commonality_matches_extended_precision_oracle():
     paths, lengths = _crafted_group()
-    _, ln_alpha = overlap_log_weights(paths, lengths)
     costs = [7.0, 7.0, 7.0]
-    h = cnl_commonalities(ln_alpha, costs, theta=0.1, u=0.5)
-    expected = mp_cnl_commonality(np.exp(ln_alpha), costs, 0.1, 0.5)
+    h = _commonality(paths, lengths, costs, theta=0.1, u=0.5)
+    expected = mp_cnl_commonality(alpha_matrix(paths, lengths), costs, 0.1, 0.5)
     assert np.allclose(h, expected, rtol=1e-12, atol=1e-12)
     # hand-derived closed form for the equal-cost overlap instance
     assert h[0] == pytest.approx(math.log(0.5 / math.sqrt(2.0) + 0.5) + 0.7, rel=1e-12)
@@ -185,26 +187,24 @@ def test_commonality_log_domain_matches_naive_when_it_fits():
         od = net.od_pairs[0]
         paths = yen_k_shortest(net, net.free_times.copy(), od.origin, od.destination, 5)
         lengths = {l.id: l.length for l in net.links}
-        _, ln_alpha = overlap_log_weights(paths, lengths)
         costs = rng.uniform(5.0, 40.0, size=len(paths))
         theta = float(rng.uniform(0.02, 0.4))
         u = float(rng.uniform(0.2, 1.0))
-        naive = naive_cnl_commonality(np.exp(ln_alpha), costs, theta, u)
+        naive = naive_cnl_commonality(alpha_matrix(paths, lengths), costs, theta, u)
         if not np.isfinite(naive).all():
             continue
-        stable = cnl_commonalities(ln_alpha, costs, theta, u)
+        stable = _commonality(paths, lengths, costs, theta, u)
         assert np.allclose(stable, naive, rtol=1e-9)
 
 
 def test_commonality_survives_costs_that_overflow_naive():
     paths, lengths = _crafted_group()
-    _, ln_alpha = overlap_log_weights(paths, lengths)
     costs = [40000.0, 40010.0, 40005.0]
-    naive = naive_cnl_commonality(np.exp(ln_alpha), costs, theta=0.5, u=0.3)
+    naive = naive_cnl_commonality(alpha_matrix(paths, lengths), costs, theta=0.5, u=0.3)
     assert not np.isfinite(naive).all()
-    stable = cnl_commonalities(ln_alpha, costs, theta=0.5, u=0.3)
+    stable = _commonality(paths, lengths, costs, theta=0.5, u=0.3)
     assert np.isfinite(stable).all()
-    expected = mp_cnl_commonality(np.exp(ln_alpha), costs, 0.5, 0.3)
+    expected = mp_cnl_commonality(alpha_matrix(paths, lengths), costs, 0.5, 0.3)
     assert np.allclose(stable, expected, rtol=1e-9)
 
 
@@ -246,14 +246,6 @@ def test_perceived_cost_rv_floor_guards_zero_flow():
 def test_perceived_cost_rv_requires_demand():
     with pytest.raises(ValueError):
         perceived_cost_rv(10.0, 1.0, 0.0, 0.0, ClassParams())
-
-
-def test_perceived_cost_av_identity_bit_exact():
-    assert perceived_cost_av(0.0) == 0.0
-    assert perceived_cost_av(17.3) == 17.3
-    values = np.array([0.1, 2.0, 3.7e9, 5e-300])
-    out = perceived_cost_av(values)
-    assert out is values
 
 
 def test_evaluate_links_respects_free_flow(params):

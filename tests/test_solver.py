@@ -3,18 +3,19 @@ import pytest
 
 from mixflow.costs import ClassParams, evaluate_links, free_flow_state
 from mixflow.fixtures import nguyen_network
-from mixflow.network import AV, RV
-from mixflow.paths import PathSet, build_path
+from mixflow.network import AV, RV, Link, Network, ODPair
+from mixflow.paths import PathSet, build_path, yen_k_shortest
 from mixflow.pga import generate_paths
 from mixflow.solver import (Assignment, BASELINE, SolverConfig,
                             SolverError, max_relative_outflow,
-                            relative_gap, solve, step_size, swap_direction,
-                            swap_volume, total_cost, update_flows)
+                            relative_gap, solve, step_size, swap_volume,
+                            total_cost, update_flows)
 from mixflow import costs as cost_model
 from mixflow import diagnostics
 
 from conftest import parallel_network, random_network
-from oracles import logit_shares, naive_swap_direction
+from oracles import (alpha_matrix, logit_shares, mp_cnl_commonality, mp_perceived_cost_rv,
+                     naive_cnl_commonality, naive_swap_direction)
 
 
 def test_init_uniform_splits_demand(params):
@@ -51,6 +52,17 @@ def test_missing_paths_for_demanded_group_rejected(params):
     ps.add(0, AV, build_path(net, (1,)))  # rv group left empty
     with pytest.raises(ValueError, match="no paths"):
         Assignment(net, ps, params)
+
+
+def swap_direction(flows, perceived, degree):
+    """Swap direction of one av group of len(flows) parallel links."""
+    net = parallel_network([(5.0, 800.0)] * len(flows), demand_av=1.0)
+    ps = PathSet()
+    for lid in range(1, len(flows) + 1):
+        ps.add(0, AV, build_path(net, (lid,)))
+    asn = Assignment(net, ps, ClassParams())
+    return asn.swap_directions(np.asarray(flows, dtype=float),
+                               np.asarray(perceived, dtype=float), 1.0, degree)
 
 
 def test_swap_direction_frozen_linear():
@@ -338,3 +350,83 @@ def test_conservation_and_nonnegativity_under_fuzz():
                        SolverConfig(gap_tol=1e-12, max_iters=30), callback=check)
         total = sum(od.demand_rv + od.demand_av for od in net.od_pairs)
         assert result.flow.f.sum() == pytest.approx(total, rel=1e-9)
+
+
+def _grid_network(side, od_pairs):
+    """Bidirectional side x side grid with unit-ish link attributes."""
+    def node(r, c):
+        return r * side + c + 1
+
+    arcs = []
+    for r in range(side):
+        for c in range(side):
+            if c + 1 < side:
+                arcs += [(node(r, c), node(r, c + 1)), (node(r, c + 1), node(r, c))]
+            if r + 1 < side:
+                arcs += [(node(r, c), node(r + 1, c)), (node(r + 1, c), node(r, c))]
+    links = tuple(Link(i + 1, a, b, 1.0 + 0.1 * (i % 7), 1.0 + 0.1 * (i % 5), 500.0, 1000.0)
+                  for i, (a, b) in enumerate(arcs))
+    return Network(nodes=tuple(range(1, side * side + 1)), links=links, od_pairs=od_pairs)
+
+
+def _ragged_assignment(rng, params, penetration):
+    """Several ODs on a 4x4 grid, each demanded class with 1 to 15 Yen paths."""
+    od_pairs = []
+    for origin, destination in ((1, 16), (4, 13), (2, 15), (6, 11), (5, 8), (3, 4)):
+        q = float(rng.uniform(100.0, 900.0))
+        od_pairs.append(ODPair(origin, destination, (1 - penetration) * q, penetration * q))
+    net = _grid_network(4, tuple(od_pairs))
+    ps = PathSet()
+    for od_index, od in enumerate(net.od_pairs):
+        for cls in (RV, AV):
+            if od.demand(cls) > 0:
+                k = int(rng.integers(1, 16))
+                for path in yen_k_shortest(net, net.free_times, od.origin, od.destination, k):
+                    ps.add(od_index, cls, path)
+    return Assignment(net, ps, params)
+
+
+@pytest.mark.parametrize("penetration", [0.0, 0.5, 1.0])
+def test_flat_kernels_match_per_group_oracles_fuzz(penetration):
+    rng = np.random.default_rng(34)
+    sizes = set()
+    for trial in range(6):
+        theta, u = float(rng.uniform(0.05, 0.5)), float(rng.uniform(0.2, 1.0))
+        params = ClassParams(dispersion=theta, nesting=u)
+        asn = _ragged_assignment(rng, params, penetration)
+        # odd trials shift every cost so far that exp(-theta * cost) underflows
+        base = 40000.0 if trial % 2 else 0.0
+        observed = base + rng.uniform(5.0, 40.0, size=asn.n_paths)
+        flows = rng.uniform(0.0, 50.0, size=asn.n_paths)
+        flows[rng.random(asn.n_paths) < 0.2] = 0.0
+        degree_rv, degree_av = (float(d) for d in rng.choice([0.5, 0.85, 1.0, 1.3], size=2))
+        with np.errstate(all="raise"):
+            perceived = asn.perceived_costs(flows, observed)
+            phi = asn.swap_directions(flows, perceived, degree_rv, degree_av)
+        lengths = {l.id: l.length for l in asn.network.links}
+        for g in asn.groups:
+            sl = slice(g.start, g.stop)
+            sizes.add(g.stop - g.start)
+            if g.vehicle_class == RV:
+                alpha = alpha_matrix(g.paths, lengths)
+                naive = naive_cnl_commonality(alpha, observed[sl], theta, u)
+                if base:
+                    assert not np.isfinite(naive).all()
+                    h = mp_cnl_commonality(alpha, observed[sl], theta, u)
+                    expected = [mp_perceived_cost_rv(c, max(f, params.flow_floor), g.demand,
+                                                     hk, theta, u)
+                                for c, f, hk in zip(observed[sl], flows[sl], h)]
+                    assert np.allclose(perceived[sl], expected, rtol=1e-12)
+                else:
+                    scale = u / theta
+                    expected = (observed[sl] - scale * naive
+                                + scale * np.log(np.maximum(flows[sl], params.flow_floor)
+                                                 / g.demand))
+                    assert np.allclose(perceived[sl], expected, rtol=1e-9)
+                degree = degree_rv
+            else:
+                assert np.array_equal(perceived[sl], observed[sl])
+                degree = degree_av
+            assert np.allclose(phi[sl], naive_swap_direction(flows[sl], perceived[sl], degree),
+                               rtol=1e-12, atol=1e-9)
+    assert 1 in sizes and max(sizes) >= 12
