@@ -8,11 +8,15 @@ two distinct paths may share a node sequence.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 
 from .network import AV, RV
 
 _CLASS_ORDER = {RV: 0, AV: 1}
+
+# relative margin of the A* stop rule, far above the float error of the bound
+_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -96,76 +100,121 @@ def merge_path_sets(current, generated):
 
 
 def _adjacency(network, link_costs):
+    """Forward adjacency `(to, link id, cost)` and reverse `(from, cost)`."""
     adj = {n: [] for n in network.nodes}
+    radj = {n: [] for n in network.nodes}
     for i, link in enumerate(network.links):
         cost = float(link_costs[i])
-        if cost <= 0:
-            raise ValueError(f"link {link.id} has nonpositive cost {cost}")
+        if not 0 < cost < math.inf:
+            raise ValueError(f"link {link.id} has cost {cost}; "
+                             "expected a positive finite value")
         adj[link.from_node].append((link.to_node, link.id, cost))
-    return adj
+        radj[link.to_node].append((link.from_node, cost))
+    return adj, radj
 
 
-def _shortest(adj, origin, destination, banned_nodes, banned_links):
+def _costs_to(radj, destination):
+    """Cheapest cost from every node that reaches `destination` (reverse
+    Dijkstra); a lower bound on any spur search's remaining cost."""
+    dist = {destination: 0.0}
+    heap = [(0.0, destination)]
+    while heap:
+        cost, node = heapq.heappop(heap)
+        if cost > dist[node]:
+            continue
+        for from_node, step_cost in radj[node]:
+            cand = cost + step_cost
+            if cand < dist.get(from_node, math.inf):
+                dist[from_node] = cand
+                heapq.heappush(heap, (cand, from_node))
+    return dist
+
+
+def _shortest(adj, bound, origin, destination, banned_nodes, banned_links):
     """Cheapest path; cost ties resolve to the lexicographically smallest
     node sequence (then link sequence, for parallel links).
 
-    Per-node labels keep the best (cost, node sequence) seen, so equal-cost
-    prefixes through a node are resolved the same way full paths are: the
-    lexicographic winner at the first differing node wins any completion.
+    Labels `(cost, nodes, links)` pop in A* order, by cost plus `bound`;
+    nodes absent from `bound` cannot reach the destination. Each node keeps
+    its smallest label as a whole tuple, so equal-cost prefixes are resolved
+    the way full paths are. `bound` sums costs in another order than the
+    labels do, but its float error is far below `_SLACK`: once a key exceeds
+    the first destination cost grown by `_SLACK` no remaining label can tie
+    or beat it, and the smallest destination label is the exact answer.
     """
+    push, pop = heapq.heappush, heapq.heappop
     start = (0.0, (origin,), ())
     best = {origin: start}
-    heap = [start]
+    heap = [(bound[origin], start)]
+    stop = math.inf
     while heap:
-        entry = heapq.heappop(heap)
-        cost, nodes, links = entry
+        key, label = pop(heap)
+        if key > stop:
+            break
+        cost, nodes, links = label
         node = nodes[-1]
+        if best[node] is not label:
+            continue
         if node == destination:
-            return entry
-        if best.get(node) != entry:
+            if stop == math.inf:
+                stop = cost * (1.0 + _SLACK)
             continue
         for to_node, link_id, step_cost in adj[node]:
             if to_node in banned_nodes or link_id in banned_links:
                 continue
-            cand = (cost + step_cost, nodes + (to_node,), links + (link_id,))
+            to_bound = bound.get(to_node)
+            if to_bound is None:
+                continue
+            g = cost + step_cost
             cur = best.get(to_node)
-            if cur is None or cand[:2] < cur[:2]:
+            if cur is not None and g > cur[0]:
+                continue
+            cand = (g, nodes + (to_node,), links + (link_id,))
+            if cur is None or cand < cur:
                 best[to_node] = cand
-                heapq.heappush(heap, cand)
-    return None
+                push(heap, (g + to_bound, cand))
+    return best.get(destination)
 
 
 def yen_k_shortest(network, link_costs, origin, destination, k):
     """Up to k cheapest loop-free paths in nondecreasing cost order.
 
-    `link_costs` is indexed like network.links. Deviations are generated
-    from each accepted path by banning, at every spur node, the links that
-    previously accepted paths take out of the shared root.
+    `link_costs` is indexed like network.links and must be positive and
+    finite. Deviations are generated from each accepted path by banning, at
+    every spur node, the links that previously accepted paths take out of
+    the shared root. Spur nodes start at the index where the path left its
+    parent's root (Lawler): an earlier spur would repeat a search whose
+    result has already been seen.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
     for node in (origin, destination):
         if node not in network.node_set:
             raise ValueError(f"node {node} is not in the network")
-    adj = _adjacency(network, link_costs)
+    adj, radj = _adjacency(network, link_costs)
+    bound = _costs_to(radj, destination)
     link_cost_by_id = {network.links[i].id: float(link_costs[i])
                        for i in range(network.n_links)}
-    first = _shortest(adj, origin, destination, frozenset(), frozenset())
-    if first is None:
+    if origin not in bound:
         raise ValueError(f"no path from {origin} to {destination}")
+    first = _shortest(adj, bound, origin, destination, frozenset(), frozenset())
     accepted = [first]
     seen = {first[2]}
     candidates = []
+    deviation = 0
     while len(accepted) < k:
         _, prev_nodes, prev_links = accepted[-1]
         root_cost = 0.0
-        for i in range(len(prev_links)):
+        for i in range(deviation):
+            root_cost += link_cost_by_id[prev_links[i]]
+        for i in range(deviation, len(prev_links)):
             spur_node = prev_nodes[i]
             root_links = prev_links[:i]
             banned_links = {p_links[i] for _, _, p_links in accepted
                             if p_links[:i] == root_links}
             banned_nodes = set(prev_nodes[:i])
-            spur = _shortest(adj, spur_node, destination, banned_nodes, banned_links)
+            spur = _shortest(adj, bound, spur_node, destination,
+                             banned_nodes, banned_links)
             if spur is not None:
                 spur_cost, spur_nodes, spur_links = spur
                 total_links = root_links + spur_links
@@ -173,11 +222,12 @@ def yen_k_shortest(network, link_costs, origin, destination, k):
                     seen.add(total_links)
                     heapq.heappush(candidates, (root_cost + spur_cost,
                                                 prev_nodes[:i] + spur_nodes,
-                                                total_links))
+                                                total_links, i))
             root_cost += link_cost_by_id[prev_links[i]]
         if not candidates:
             break
-        accepted.append(heapq.heappop(candidates))
+        cost, nodes, links, deviation = heapq.heappop(candidates)
+        accepted.append((cost, nodes, links))
     lengths = {l.id: l.length for l in network.links}
     return [Path(links=links, nodes=nodes,
                  length=float(sum(lengths[a] for a in links)))

@@ -124,8 +124,6 @@ def pga_solve(network, params, pga_config, solver_config):
             break
     final_gap = pga_config.final_gap
     final_config = solver_config if final_gap is None else replace(solver_config, gap_tol=final_gap)
-    assignment = Assignment(network, path_set, params)
-    final = solve_assignment(assignment, final_config,
-                             initial_flows=_carry_over(assignment, result))
+    final = solve_assignment(assignment, final_config, initial_flows=result.flow.f)
     return PgaResult(solve=final, path_set=path_set, outer=outer,
                      outer_converged=outer_converged)

@@ -3,7 +3,13 @@
 Nothing here may import from the code paths it is checking beyond plain
 data types: enumeration instead of Yen, label-correcting search instead of
 the heap search, direct transliterations instead of log-domain evaluation.
+`plain_yen` is the Yen search `paths.yen_k_shortest` ran before its spur
+searches were bounded by a reverse shortest-path tree and started at the
+deviation node: a full spur search at every index, plain Dijkstra. It is
+kept as the reference the bounded search must match path for path.
 """
+
+import heapq
 
 from types import SimpleNamespace
 
@@ -73,6 +79,64 @@ def bellman_ford(network, link_costs, origin, destination):
             break
     return best.get(destination)
 
+
+
+def _plain_shortest(adj, origin, destination, banned_nodes, banned_links):
+    """Plain Dijkstra over (cost, node sequence, link sequence) labels."""
+    start = (0.0, (origin,), ())
+    best = {origin: start}
+    heap = [start]
+    while heap:
+        entry = heapq.heappop(heap)
+        cost, nodes, links = entry
+        node = nodes[-1]
+        if node == destination:
+            return entry
+        if best.get(node) != entry:
+            continue
+        for to_node, link_id, step_cost in adj[node]:
+            if to_node in banned_nodes or link_id in banned_links:
+                continue
+            cand = (cost + step_cost, nodes + (to_node,), links + (link_id,))
+            cur = best.get(to_node)
+            if cur is None or cand[:2] < cur[:2]:
+                best[to_node] = cand
+                heapq.heappush(heap, cand)
+    return None
+
+
+def plain_yen(network, link_costs, origin, destination, k):
+    """Up to k (cost, nodes, links) in Yen order: every spur index of every
+    accepted path is searched, each search a plain Dijkstra."""
+    adj = {n: [] for n in network.nodes}
+    for i, link in enumerate(network.links):
+        adj[link.from_node].append((link.to_node, link.id, float(link_costs[i])))
+    cost_by_id = {l.id: float(link_costs[i]) for i, l in enumerate(network.links)}
+    first = _plain_shortest(adj, origin, destination, frozenset(), frozenset())
+    if first is None:
+        return []
+    accepted = [first]
+    seen = {first[2]}
+    candidates = []
+    while len(accepted) < k:
+        _, prev_nodes, prev_links = accepted[-1]
+        root_cost = 0.0
+        for i in range(len(prev_links)):
+            root_links = prev_links[:i]
+            banned_links = {p_links[i] for _, _, p_links in accepted
+                            if p_links[:i] == root_links}
+            spur = _plain_shortest(adj, prev_nodes[i], destination,
+                                   set(prev_nodes[:i]), banned_links)
+            if spur is not None and root_links + spur[2] not in seen:
+                seen.add(root_links + spur[2])
+                heapq.heappush(candidates, (root_cost + spur[0],
+                                            prev_nodes[:i] + spur[1],
+                                            root_links + spur[2]))
+            root_cost += cost_by_id[prev_links[i]]
+        if not candidates:
+            break
+        accepted.append(heapq.heappop(candidates))
+    return accepted
 
 def overlap_alpha(link, path):
     """Length share of `link` within `path`; zero when the link is not a member."""

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from mixflow.network import AV, RV, Link, Network
+from mixflow.costs import ClassParams, free_flow_state
+from mixflow.fixtures import sioux_falls_network
+from mixflow.network import AV, RV, VEHICLE_CLASSES, Link, Network
 from mixflow.paths import (PathSet, build_path, format_path_line, merge_path_sets,
                            yen_k_shortest)
 
 from conftest import diamond_network, random_network
-from oracles import bellman_ford, incidence, k_cheapest_paths
+from oracles import bellman_ford, incidence, k_cheapest_paths, plain_yen
 
 
 def test_build_path_validates_adjacency():
@@ -92,10 +94,111 @@ def test_yen_rejects_bad_inputs():
         yen_k_shortest(net, np.ones(4), 1, 99, 2)
     with pytest.raises(ValueError):
         yen_k_shortest(net, np.zeros(4), 1, 4, 2)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="link 1 has cost"):
+            yen_k_shortest(net, np.array([bad, 1.0, 1.0, 1.0]), 1, 4, 2)
+    with pytest.raises(ValueError, match="link 1 has cost inf"):
+        yen_k_shortest(net, np.full(4, np.inf), 1, 4, 2)
     with pytest.raises(ValueError):
         yen_k_shortest(net, np.ones(4), 1, 4, 0)
     with pytest.raises(ValueError):
         yen_k_shortest(net, np.ones(4), 4, 1, 1)  # no path back
+
+
+def _tie_heavy_network(rng, cyclic, shuffle=False):
+    """A random digraph with about a fifth of its links doubled by parallel
+    copies. Link ids follow list order, as in every loaded network, unless
+    `shuffle` lists the links in random order."""
+    base = random_network(rng, n_nodes=int(rng.integers(4, 9)), cyclic=cyclic)
+    links = list(base.links)
+    for link in base.links:
+        if rng.random() < 0.2:
+            links.append(Link(len(links) + 1, link.from_node, link.to_node,
+                              link.length, link.free_time, link.cap_rv, link.cap_av))
+    if shuffle:
+        links = [links[i] for i in rng.permutation(len(links))]
+    return Network(nodes=base.nodes, links=tuple(links), od_pairs=base.od_pairs)
+
+
+_TIE_COSTS = {
+    "integer": lambda rng, n: rng.integers(1, 5, size=n).astype(float),
+    "tenths": lambda rng, n: rng.integers(1, 30, size=n) * 0.1,
+    "thirds": lambda rng, n: rng.integers(1, 12, size=n) / 3,
+}
+
+
+def test_yen_matches_plain_yen_on_tie_heavy_graphs():
+    """The bounded search returns the reference search's paths exactly.
+
+    Equal path costs abound here. On multiples of 0.1 and 1/3 Yen's
+    forward sums and enumeration's sums can round apart at the ulp, so the
+    enumeration is asserted on integer costs only.
+    """
+    rng = np.random.default_rng(404)
+    kinds = sorted(_TIE_COSTS)
+    for case in range(360):
+        net = _tie_heavy_network(rng, cyclic=bool(case % 2))
+        kind = kinds[case // 2 % len(kinds)]
+        costs = _TIE_COSTS[kind](rng, net.n_links)
+        k = 1 + case % 14
+        od = net.od_pairs[0]
+        expected = plain_yen(net, costs, od.origin, od.destination, k)
+        got = yen_k_shortest(net, costs, od.origin, od.destination, k)
+        assert [p.links for p in got] == [links for _, _, links in expected], (case, kind)
+        assert [p.nodes for p in got] == [nodes for _, nodes, _ in expected], (case, kind)
+        if kind == "integer":
+            enumerated = k_cheapest_paths(net, costs, od.origin, od.destination, k)
+            assert [p.links for p in got] == [links for _, _, links in enumerated]
+
+
+def test_yen_parallel_ties_follow_link_ids_not_list_order():
+    """Equal-cost parallel links resolve to the smaller link sequence even
+    when the network lists them out of id order."""
+    links = (Link(7, 1, 2, 1.0, 1.0, 10.0, 20.0),
+             Link(3, 1, 2, 1.0, 1.0, 10.0, 20.0),
+             Link(5, 2, 3, 1.0, 1.0, 10.0, 20.0))
+    net = Network(nodes=(1, 2, 3), links=links, od_pairs=())
+    paths = yen_k_shortest(net, np.ones(3), 1, 3, 3)
+    assert [p.links for p in paths] == [(3, 5), (7, 5)]
+    rng = np.random.default_rng(405)
+    for case in range(120):
+        net = _tie_heavy_network(rng, cyclic=bool(case % 2), shuffle=True)
+        costs = _TIE_COSTS["integer"](rng, net.n_links)
+        k = 1 + case % 14
+        od = net.od_pairs[0]
+        expected = k_cheapest_paths(net, costs, od.origin, od.destination, k)
+        got = yen_k_shortest(net, costs, od.origin, od.destination, k)
+        assert [p.links for p in got] == [links for _, _, links in expected], case
+
+
+def test_yen_exact_when_bounds_round_above_forward_sums():
+    """Links far below an ulp of the prefix cost: the forward sums of
+    (1,2,3,4,5) stay at 1.0 while its bound at node 3 rounds the key up to
+    1 + ulp, above the destination key 1.0 of (1,2,5). The search must keep
+    popping past the first destination label to return the smaller nodes."""
+    tiny = 0.3 * 2.0 ** -52
+    spec = [(1, 2, 1.0), (2, 3, tiny), (3, 4, tiny), (4, 5, tiny), (2, 5, tiny)]
+    links = tuple(Link(i + 1, a, b, 1.0, 1.0, 10.0, 20.0)
+                  for i, (a, b, _) in enumerate(spec))
+    net = Network(nodes=(1, 2, 3, 4, 5), links=links, od_pairs=())
+    costs = np.array([c for _, _, c in spec])
+    got = yen_k_shortest(net, costs, 1, 5, 2)
+    assert [p.nodes for p in got] == [(1, 2, 3, 4, 5), (1, 2, 5)]
+    assert [p.links for p in got] == [links for _, _, links in plain_yen(net, costs, 1, 5, 2)]
+
+
+def test_yen_matches_plain_yen_on_sioux_falls():
+    """Seed 7 at free flow, k = 10, every 25th OD in both classes."""
+    params = ClassParams()
+    net = sioux_falls_network(params, seed=7)
+    state = free_flow_state(net, params)
+    for od in net.od_pairs[::25]:
+        for cls in VEHICLE_CLASSES:
+            costs = state.cost(cls)
+            expected = plain_yen(net, costs, od.origin, od.destination, 10)
+            got = yen_k_shortest(net, costs, od.origin, od.destination, 10)
+            assert [p.links for p in got] == [links for _, _, links in expected]
+            assert [p.nodes for p in got] == [nodes for _, nodes, _ in expected]
 
 
 def _two_sets(net):
