@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -24,24 +25,15 @@ from .costs import ClassParams
 from .network import RV, VEHICLE_CLASSES, ParseError, ValidationError, load_network
 from .paths import PathSet, build_path, format_path_line, yen_k_shortest
 from .pga import PgaConfig, generate_paths, pga_solve
-from .solver import SolverConfig, SolverError, solve
+from .solver import BASELINE, MODIFIED, SolverConfig, SolverError, solve
 
 CONFIG_ENV = "MIXFLOW_CONFIG"
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_MAX_ITERS = 2
 EXIT_RESIDUAL = 3
-
-_PARAM_KEYS = {"vot_rv", "vot_av", "fuel_price", "dispersion", "nesting",
-               "swap_degree_rv", "swap_degree_av", "penetration",
-               "av_capacity_ratio", "flow_floor"}
-_SOLVER_KEYS = {"gap", "gamma_init", "gamma_growth", "max_iters", "mode", "h_floor"}
-_PGA_KEYS = {"k", "outer_tol", "inner_gap", "final_gap", "max_outer"}
-_RUN_KEYS = {"net", "trips", "out_dir", "seed", "check_tol"}
-_INT_KEYS = {"max_iters", "k", "max_outer", "seed"}
-_STR_KEYS = {"mode", "net", "trips", "out_dir"}
 
 
 @dataclass
@@ -52,8 +44,23 @@ class RunConfig:
     net: str = None
     trips: str = None
     out_dir: str = None       # None = current directory, no check report file
-    seed: int = 0
     check_tol: float = 1e-3   # relative residual bound for `check`
+
+    def __post_init__(self):
+        if not 0 < self.check_tol < math.inf:
+            raise ValueError("check_tol must be positive and finite")
+
+
+_SECTIONS = {"params": ClassParams, "solver": SolverConfig, "pga": PgaConfig}
+_KINDS = {"int": int, "float": float, "str": str}   # field annotation (a string) -> parser
+_ALIASES = {"gap_tol": "gap"}                       # field name -> config key
+
+# config key -> (RunConfig section, or None for RunConfig itself, field, parser)
+CONFIG_KEYS = {
+    _ALIASES.get(f.name, f.name): (section, f.name, _KINDS[f.type])
+    for section, cls in [*_SECTIONS.items(), (None, RunConfig)]
+    for f in fields(cls) if f.type in _KINDS
+}
 
 
 def parse_config_text(text, path="<config>"):
@@ -78,26 +85,17 @@ def build_run_config(config_path, overrides):
             values.update(parse_config_text(fh.read(), path=config_path))
     values.update({k: v for k, v in overrides.items() if v is not None})
 
-    def convert(key, raw):
-        if isinstance(raw, str) and key not in _STR_KEYS:
-            return int(raw) if key in _INT_KEYS else float(raw)
-        return raw
-
-    params_kw, solver_kw, pga_kw, run_kw = {}, {}, {}, {}
+    kwargs = {section: {} for section in (*_SECTIONS, None)}
     for key, raw in values.items():
-        if key in _PARAM_KEYS:
-            params_kw[key] = convert(key, raw)
-        elif key in _SOLVER_KEYS:
-            solver_kw["gap_tol" if key == "gap" else key] = convert(key, raw)
-        elif key in _PGA_KEYS:
-            pga_kw[key] = convert(key, raw)
-        elif key in _RUN_KEYS:
-            run_kw[key] = convert(key, raw)
-        else:
+        if key not in CONFIG_KEYS:
             raise ValueError(f"unknown config key {key!r}")
-    return RunConfig(params=ClassParams(**params_kw),
-                     solver=SolverConfig(**solver_kw),
-                     pga=PgaConfig(**pga_kw), **run_kw)
+        section, name, kind = CONFIG_KEYS[key]
+        try:
+            kwargs[section][name] = kind(raw)
+        except ValueError:
+            raise ValueError(f"config key {key!r} expects {kind.__name__}, got {raw!r}") from None
+    return RunConfig(**{section: cls(**kwargs[section]) for section, cls in _SECTIONS.items()},
+                     **kwargs[None])
 
 
 def _fmt(x):
@@ -178,7 +176,6 @@ def _write_outputs(rc, command, network, final, path_set, wall, pga=None):
         "command": command,
         "net": rc.net,
         "trips": rc.trips,
-        "seed": rc.seed,
         "mode": rc.solver.mode,
         "gap_tol": rc.solver.gap_tol,
         "converged": final.converged, "gap": final.gap,
@@ -248,6 +245,8 @@ def _read_path_flows_csv(path, network):
             if len(parts) != 4:
                 raise ValueError(f"bad row {line!r}")
             od_index, cls, key, flow = int(parts[0]), parts[1], parts[2], float(parts[3])
+            if not math.isfinite(flow):
+                raise ValueError(f"non-finite flow {parts[3]!r}")
             if cls not in VEHICLE_CLASSES:
                 raise ValueError(f"unknown class {cls!r}")
             if not 0 <= od_index < len(network.od_pairs):
@@ -312,17 +311,13 @@ def main(argv=None):
         description="Mixed regular/autonomous traffic assignment solver.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="one-shot path generation + solve")
-    _add_common(p_solve)
-    p_solve.add_argument("--mode", choices=["modified", "baseline"])
-    p_solve.add_argument("--gap", type=float)
-    p_solve.add_argument("--k", type=int, help="free-flow paths per (OD, class)")
-
-    p_pga = sub.add_parser("pga", help="alternating generation/assignment")
-    _add_common(p_pga)
-    p_pga.add_argument("--mode", choices=["modified", "baseline"])
-    p_pga.add_argument("--gap", type=float)
-    p_pga.add_argument("--k", type=int)
+    for name, help_text in (("solve", "one-shot path generation + solve"),
+                            ("pga", "alternating generation/assignment")):
+        p_run = sub.add_parser(name, help=help_text)
+        _add_common(p_run)
+        p_run.add_argument("--mode", choices=[MODIFIED, BASELINE])
+        p_run.add_argument("--gap", type=float)
+        p_run.add_argument("--k", type=int, help="paths per (OD, class) per generation round")
 
     p_ksp = sub.add_parser("ksp", help="dump k shortest free-flow paths")
     _add_common(p_ksp)
@@ -337,14 +332,10 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
-        if args.command == "solve":
+        if args.command in ("solve", "pga"):
             rc = build_run_config(args.config, _overrides(
                 args, [("mode", args.mode), ("gap", args.gap), ("k", args.k)]))
-            return cmd_solve(rc)
-        if args.command == "pga":
-            rc = build_run_config(args.config, _overrides(
-                args, [("mode", args.mode), ("gap", args.gap), ("k", args.k)]))
-            return cmd_pga(rc)
+            return cmd_solve(rc) if args.command == "solve" else cmd_pga(rc)
         if args.command == "ksp":
             rc = build_run_config(args.config, _overrides(args))
             return cmd_ksp(rc, args.origin, args.dest, args.k, args.vehicle_class)

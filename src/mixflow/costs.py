@@ -23,6 +23,8 @@ FUEL_DISTANCE_DIVISOR = 36.44
 FUEL_SPEED_COEF = 14.58
 FUEL_SPEED_POWER = -0.625
 
+FLOW_FLOOR = 1e-9   # veh/h, guards the log of vanishing flows
+
 
 @dataclass(frozen=True)
 class ClassParams:
@@ -37,25 +39,23 @@ class ClassParams:
     swap_degree_av: float = 1.0
     penetration: float = 0.5        # av share of total demand
     av_capacity_ratio: float = 2.0  # cap_av fallback multiplier
-    flow_floor: float = 1e-9        # veh/h, guards log of vanishing flows
 
     def __post_init__(self):
-        if self.dispersion <= 0:
-            raise ValueError("dispersion must be positive")
+        # every check is written so that NaN fails it
+        if not 0 < self.dispersion < np.inf:
+            raise ValueError("dispersion must be positive and finite")
         if not 0 < self.nesting <= 1:
             raise ValueError("nesting must lie in (0, 1]")
-        if not self.vot_rv >= self.vot_av >= 0:
-            raise ValueError("expected vot_rv >= vot_av >= 0")
-        if self.fuel_price < 0:
-            raise ValueError("fuel_price must be nonnegative")
-        if self.swap_degree_rv <= 0 or self.swap_degree_av <= 0:
-            raise ValueError("swap degrees must be positive")
+        if not np.inf > self.vot_rv >= self.vot_av >= 0:
+            raise ValueError("expected finite vot_rv >= vot_av >= 0")
+        if not 0 <= self.fuel_price < np.inf:
+            raise ValueError("fuel_price must be nonnegative and finite")
+        if not (0 < self.swap_degree_rv < np.inf and 0 < self.swap_degree_av < np.inf):
+            raise ValueError("swap_degree_rv and swap_degree_av must be positive and finite")
         if not 0 <= self.penetration <= 1:
             raise ValueError("penetration must lie in [0, 1]")
-        if self.av_capacity_ratio <= 0:
-            raise ValueError("av_capacity_ratio must be positive")
-        if self.flow_floor <= 0:
-            raise ValueError("flow_floor must be positive")
+        if not 0 < self.av_capacity_ratio < np.inf:
+            raise ValueError("av_capacity_ratio must be positive and finite")
 
 
 @dataclass
@@ -199,14 +199,14 @@ def perceived_cost_rv(path_cost_vec, flow, demand, commonality, params):
     """Perceived rv path cost: observed cost plus the nested-logit terms;
     `demand` is the demand of each path's group.
 
-    Flows are floored at params.flow_floor inside the log only; equilibrium
+    Flows are floored at FLOW_FLOOR inside the log only; equilibrium
     flows are strictly positive but intermediate iterates may touch zero.
     """
     demand = np.asarray(demand, dtype=float)
     if np.any(demand <= 0):
         raise ValueError("rv perceived cost needs positive group demand")
     scale = params.nesting / params.dispersion
-    safe_flow = np.maximum(np.asarray(flow, dtype=float), params.flow_floor)
+    safe_flow = np.maximum(np.asarray(flow, dtype=float), FLOW_FLOOR)
     return _value(np.asarray(path_cost_vec, dtype=float)
                   - scale * np.asarray(commonality, dtype=float)
                   + scale * np.log(safe_flow / demand))

@@ -7,6 +7,7 @@ vehicles. Instances are treated as immutable after construction.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -157,14 +158,10 @@ def validate(network):
         for endpoint in (link.from_node, link.to_node):
             if endpoint not in network.node_set:
                 report.add(name, f"endpoint {endpoint} is not a network node")
-        if link.length <= 0:
-            report.add(name, f"nonpositive length {link.length}")
-        if link.free_time <= 0:
-            report.add(name, f"nonpositive free-flow time {link.free_time}")
-        if link.cap_rv <= 0:
-            report.add(name, f"nonpositive rv capacity {link.cap_rv}")
-        if link.cap_av <= 0:
-            report.add(name, f"nonpositive av capacity {link.cap_av}")
+        for label, value in (("length", link.length), ("free-flow time", link.free_time),
+                             ("rv capacity", link.cap_rv), ("av capacity", link.cap_av)):
+            if not 0 < value < math.inf:
+                report.add(name, f"nonpositive or non-finite {label} {value}")
     for node in network.nodes:
         if not isinstance(node, (int, np.integer)) or node <= 0:
             report.add(f"node {node}", "node ids must be positive integers")
@@ -178,8 +175,8 @@ def validate(network):
         if missing:
             report.add(name, f"unknown node(s) {missing}")
             continue
-        if od.demand_rv < 0 or od.demand_av < 0:
-            report.add(name, "negative demand")
+        if not (0 <= od.demand_rv < math.inf and 0 <= od.demand_av < math.inf):
+            report.add(name, f"negative or non-finite demand ({od.demand_rv}, {od.demand_av})")
         if od.demand_rv + od.demand_av <= 0:
             report.add(name, "zero total demand")
         if od.origin not in reachable:
@@ -245,8 +242,10 @@ def parse_net_text(text, path="<net>"):
                 cap_av = float(tokens[av_col])
         except ParseError:
             raise
-        except ValueError:
+        except (ValueError, OverflowError):
             raise ParseError(path, line_no, f"non-numeric link record: {line!r}") from None
+        if not all(math.isfinite(v) for v in (cap, length, free_time, cap_av) if v is not None):
+            raise ParseError(path, line_no, f"non-finite number in link record: {line!r}")
         rows.append((from_node, to_node, cap, length, free_time, cap_av))
     if n_links is not None and n_links != len(rows):
         raise ParseError(path, 0, f"metadata declares {n_links} links, file has {len(rows)}")
@@ -264,7 +263,7 @@ def parse_trips_text(text, path="<trips>"):
         if line.lower().startswith("origin"):
             try:
                 origin = int(float(line.split()[1]))
-            except (IndexError, ValueError):
+            except (IndexError, ValueError, OverflowError):
                 raise ParseError(path, line_no, f"bad origin line: {line!r}") from None
             continue
         if origin is None:
@@ -279,8 +278,11 @@ def parse_trips_text(text, path="<trips>"):
             try:
                 dest = int(float(dest_s))
                 flow = float(flow_s)
-            except ValueError:
+            except (ValueError, OverflowError):
                 raise ParseError(path, line_no, f"non-numeric trips entry: {chunk!r}") from None
+            if not 0 <= flow < math.inf:
+                raise ParseError(path, line_no,
+                                 f"demand must be nonnegative and finite: {chunk!r}")
             demand[(origin, dest)] = demand.get((origin, dest), 0.0) + flow
     return demand
 

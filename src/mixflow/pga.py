@@ -26,20 +26,18 @@ class PgaConfig:
     k: int = 10                   # paths generated per (OD, class) per round
     outer_tol: float = 0.01       # |relative total-cost change| stop threshold
     inner_gap: float = 0.1        # loose gap for per-round solves
-    final_gap: float = None       # tight gap; None falls back to solver config
     max_outer: int = 20
 
     def __post_init__(self):
+        # every check is written so that NaN fails it
         if self.k < 1:
             raise ValueError("k must be at least 1")
-        if self.outer_tol <= 0:
-            raise ValueError("outer_tol must be positive")
-        if self.inner_gap <= 0:
-            raise ValueError("inner_gap must be positive")
+        if not 0 < self.outer_tol < np.inf:
+            raise ValueError("outer_tol must be positive and finite")
+        if not 0 < self.inner_gap < np.inf:
+            raise ValueError("inner_gap must be positive and finite")
         if self.max_outer < 1:
             raise ValueError("max_outer must be at least 1")
-        if self.final_gap is not None and not 0 < self.final_gap <= self.inner_gap:
-            raise ValueError("expected 0 < final_gap <= inner_gap")
 
 
 @dataclass
@@ -95,7 +93,8 @@ def _carry_over(assignment, previous):
 
 
 def pga_solve(network, params, pga_config, solver_config):
-    """Run generation/assignment rounds, then the final tight solve."""
+    """Run generation/assignment rounds at pga_config.inner_gap, then the final
+    solve at solver_config.gap_tol."""
     path_set = PathSet()
     inner_config = replace(solver_config, gap_tol=pga_config.inner_gap)
     outer = []
@@ -122,8 +121,6 @@ def pga_solve(network, params, pga_config, solver_config):
         if m >= 2 and abs(error) <= pga_config.outer_tol:
             outer_converged = True
             break
-    final_gap = pga_config.final_gap
-    final_config = solver_config if final_gap is None else replace(solver_config, gap_tol=final_gap)
-    final = solve_assignment(assignment, final_config, initial_flows=result.flow.f)
+    final = solve_assignment(assignment, solver_config, initial_flows=result.flow.f)
     return PgaResult(solve=final, path_set=path_set, outer=outer,
                      outer_converged=outer_converged)

@@ -20,6 +20,8 @@ from .network import RV, VEHICLE_CLASSES
 MODIFIED = "modified"
 BASELINE = "baseline"
 
+H_FLOOR = 1e-10   # outflow-rate floor at (near-)equilibrium
+
 
 class SolverError(RuntimeError):
     """Numerical failure inside the solver loop (with iteration context)."""
@@ -32,21 +34,19 @@ class SolverConfig:
     gamma_growth: float = 1e-4     # additive damping increment per iteration
     max_iters: int = 10000
     mode: str = MODIFIED
-    h_floor: float = 1e-10         # outflow-rate floor at (near-)equilibrium
 
     def __post_init__(self):
-        if self.gap_tol <= 0:
-            raise ValueError("gap_tol must be positive")
-        if self.gamma_init <= 0:
-            raise ValueError("gamma_init must be positive")
-        if self.gamma_growth < 0:
-            raise ValueError("gamma_growth must be nonnegative")
+        # every check is written so that NaN fails it
+        if not 0 < self.gap_tol < np.inf:
+            raise ValueError("gap_tol must be positive and finite")
+        if not 0 < self.gamma_init < np.inf:
+            raise ValueError("gamma_init must be positive and finite")
+        if not 0 <= self.gamma_growth < np.inf:
+            raise ValueError("gamma_growth must be nonnegative and finite")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if self.mode not in (MODIFIED, BASELINE):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.h_floor <= 0:
-            raise ValueError("h_floor must be positive")
 
 
 @dataclass
@@ -75,7 +75,6 @@ class SolveResult:
     converged: bool
     gap: float
     total_cost: float
-    wall_seconds: float
     groups: list         # the assignment's groups; group g owns flow.f[g.start:g.stop]
 
     @property
@@ -286,7 +285,6 @@ def solve_assignment(assignment, config, initial_flows=None, callback=None):
     damping = None
     prev_volume = None
     converged = False
-    started = time.perf_counter()
     iteration = 0
     while iteration < config.max_iters:
         iteration += 1
@@ -300,7 +298,7 @@ def solve_assignment(assignment, config, initial_flows=None, callback=None):
             raise SolverError(f"non-finite perceived cost at iteration {iteration}, "
                               f"path index {k}")
         direction = assignment.swap_directions(flows, perceived, degree_rv, degree_av)
-        drain = max_relative_outflow(flows, direction, config.h_floor)
+        drain = max_relative_outflow(flows, direction, H_FLOOR)
         volume = swap_volume(direction)
         step, damping = step_size(iteration, drain, volume, prev_volume, damping, config)
         gap = relative_gap(assignment, flows, perceived)
@@ -326,7 +324,6 @@ def solve_assignment(assignment, config, initial_flows=None, callback=None):
         converged=converged,
         gap=last.gap,
         total_cost=last.total_cost,
-        wall_seconds=time.perf_counter() - started,
         groups=assignment.groups,
     )
 

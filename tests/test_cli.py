@@ -1,10 +1,11 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from mixflow.cli import main, parse_config_text, build_run_config
+from mixflow.cli import CONFIG_KEYS, main, parse_config_text, build_run_config
 from mixflow.costs import ClassParams
 from mixflow.fixtures import nguyen_network
 from mixflow.network import Link, Network, ODPair, ParseError, write_network
@@ -43,10 +44,65 @@ def test_config_file_parsing():
 
 
 def test_build_run_config_rejects_unknown_keys():
-    # threads and lambda2 were accepted but did nothing; they are gone
-    for key in ("not_a_key", "threads", "lambda2"):
+    # threads, lambda2 and seed did nothing or were only recorded; flow_floor,
+    # h_floor and final_gap were never set to another value. All are gone
+    for key in ("not_a_key", "threads", "lambda2", "seed", "flow_floor", "h_floor",
+                "final_gap", "gap_tol"):
         with pytest.raises(ValueError, match="unknown config key"):
             build_run_config(None, {key: "1"})
+
+
+# every config key with a valid non-default value: (text, expected parsed value)
+KEY_SAMPLES = {
+    "vot_rv": ("2.5", 2.5), "vot_av": ("0.25", 0.25), "fuel_price": ("4", 4.0),
+    "dispersion": ("0.2", 0.2), "nesting": ("0.75", 0.75),
+    "swap_degree_rv": ("0.9", 0.9), "swap_degree_av": ("1.5", 1.5),
+    "penetration": ("0.3", 0.3), "av_capacity_ratio": ("1.5", 1.5),
+    "gap": ("1e-3", 1e-3), "gamma_init": ("8", 8.0), "gamma_growth": ("2e-3", 2e-3),
+    "max_iters": ("77", 77), "mode": ("baseline", "baseline"),
+    "k": ("5", 5), "outer_tol": ("0.05", 0.05), "inner_gap": ("0.2", 0.2),
+    "max_outer": ("3", 3),
+    "net": ("n.tntp", "n.tntp"), "trips": ("t.tntp", "t.tntp"), "out_dir": ("o", "o"),
+    "check_tol": ("0.01", 0.01),
+}
+
+
+def test_every_config_key_reaches_its_field_with_its_type():
+    assert len(CONFIG_KEYS) == 22
+    assert set(CONFIG_KEYS) == set(KEY_SAMPLES)
+    rc = build_run_config(None, {key: text for key, (text, _) in KEY_SAMPLES.items()})
+    for key, (_, expected) in KEY_SAMPLES.items():
+        name = "gap_tol" if key == "gap" else key
+        owner = next(o for o in (rc.params, rc.solver, rc.pga, rc) if hasattr(o, name))
+        value = getattr(owner, name)
+        assert type(value) is type(expected), key
+        assert value == expected, key
+    for key, text in (("k", "5.0"), ("max_iters", "many"), ("gap", "tight")):
+        with pytest.raises(ValueError, match=f"config key '{key}' expects"):
+            build_run_config(None, {key: text})
+
+
+@pytest.mark.parametrize("key", sorted(k for k, (_, _, kind) in CONFIG_KEYS.items()
+                                       if kind is float))
+def test_non_finite_config_values_exit_one(diamond_files, capsys, tmp_path, key):
+    net_file, trips_file = diamond_files
+    for value in ("nan", "inf", "-inf"):
+        code = main(["solve", "--net", net_file, "--trips", trips_file,
+                     "--out-dir", str(tmp_path / "out"), "--set", f"{key}={value}"])
+        assert code == 1, (key, value)
+        err = capsys.readouterr().err
+        assert err.startswith("mixflow solve:") and key in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_readme_config_table_lists_every_key():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("### Configuration", 1)[1].split("\n### ", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    documented = [key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[1])]
+    assert len(documented) == len(set(documented))
+    assert set(documented) == set(CONFIG_KEYS)
 
 
 def test_config_file_plus_override(tmp_path):
@@ -64,7 +120,8 @@ def test_solve_writes_outputs_and_converges(tmp_path, nguyen_files):
                  "--out-dir", str(out), "--k", "6"])
     assert code == 0
     summary = json.loads(read(out / "summary.json"))
-    assert summary["schema_version"] == 2
+    assert summary["schema_version"] == 3
+    assert "seed" not in summary
     assert summary["converged"] is True
     assert summary["gap"] <= summary["gap_tol"]
     link_lines = read(out / "link_flows.csv").splitlines()
@@ -243,6 +300,9 @@ def test_check_rejects_duplicate_rows(tmp_path, diamond_files, capsys):
     ("0,av,1-4,30", "links 1 and 4 are not adjacent", []),
     ("0,av,1,30", "does not connect od 0", []),
     ("0,av,3-4,30", "duplicate row", []),
+    ("0,av,1-2,nan", "non-finite flow", []),
+    ("0,av,1-2,inf", "non-finite flow", []),
+    ("0,av,1-2,-inf", "non-finite flow", []),
 ])
 def test_check_malformed_row_names_file_and_line(tmp_path, diamond_files, capsys,
                                                  row, message, settings):
@@ -254,6 +314,37 @@ def test_check_malformed_row_names_file_and_line(tmp_path, diamond_files, capsys
     assert code == 1
     err = capsys.readouterr().err
     assert f"{bad}:3:" in err
+    assert message in err
+
+
+NET_TEXT = "<NUMBER OF NODES> 2\n<NUMBER OF LINKS> 1\n<END OF METADATA>\n1 2 1000 1 1 ;\n"
+TRIPS_TEXT = "<END OF METADATA>\nOrigin 1\n 2 : 10;\n"
+
+
+@pytest.mark.parametrize("kind, old, new, line_no, message", [
+    ("net", "1 2 1000 1 1", "1 2 nan 1 1", 4, "non-finite number"),
+    ("net", "1 2 1000 1 1", "1 2 inf 1 1", 4, "non-finite number"),
+    ("net", "1 2 1000 1 1", "1 2 1000 nan 1", 4, "non-finite number"),
+    ("net", "1 2 1000 1 1", "1 2 1000 1 -inf", 4, "non-finite number"),
+    ("net", "1 2 1000 1 1", "1 inf 1000 1 1", 4, "non-numeric link record"),
+    ("trips", "2 : 10", "2 : nan", 3, "nonnegative and finite"),
+    ("trips", "2 : 10", "2 : inf", 3, "nonnegative and finite"),
+    ("trips", "2 : 10", "2 : 10; 2 : -500.0", 3, "nonnegative and finite"),
+    ("trips", "Origin 1", "Origin inf", 2, "bad origin line"),
+])
+def test_malformed_number_in_input_names_file_and_line(tmp_path, capsys, kind, old, new,
+                                                       line_no, message):
+    texts = {"net": NET_TEXT, "trips": TRIPS_TEXT}
+    texts[kind] = texts[kind].replace(old, new)
+    files = {}
+    for name, text in texts.items():
+        files[name] = tmp_path / f"{name}.tntp"
+        files[name].write_text(text, encoding="utf-8")
+    code = main(["solve", "--net", str(files["net"]), "--trips", str(files["trips"]),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{files[kind]}:{line_no}:" in err
     assert message in err
 
 

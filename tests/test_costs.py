@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mixflow.costs import (ClassParams, cnl_commonalities, cnl_entries, evaluate_links,
+from mixflow.costs import (FLOW_FLOOR, ClassParams, cnl_commonalities, cnl_entries, evaluate_links,
                            fuel_gallons, link_generalized_cost, link_travel_time,
                            mixed_capacity, path_cost, perceived_cost_rv)
 from mixflow.network import Link
@@ -239,7 +239,7 @@ def test_perceived_cost_rv_floor_guards_zero_flow():
     params = ClassParams()
     value = perceived_cost_rv(10.0, 0.0, 100.0, 0.0, params)
     assert np.isfinite(value)
-    expected = 10.0 + params.nesting / params.dispersion * math.log(params.flow_floor / 100.0)
+    expected = 10.0 + params.nesting / params.dispersion * math.log(FLOW_FLOOR / 100.0)
     assert value == pytest.approx(expected)
 
 

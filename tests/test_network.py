@@ -149,3 +149,19 @@ def test_reachability_search():
                   od_pairs=())
     assert net.reachable_from(1) == {1, 2}
     assert net.reachable_from(3) == {3}
+
+
+def test_validate_reports_non_finite_numbers():
+    nan, inf = float("nan"), float("inf")
+    net = Network(nodes=(1, 2),
+                  links=(Link(1, 1, 2, nan, 1.0, 10.0, 20.0),
+                         Link(2, 1, 2, 1.0, inf, 10.0, 20.0),
+                         Link(3, 1, 2, 1.0, 1.0, inf, nan)),
+                  od_pairs=(ODPair(1, 2, nan, 5.0), ODPair(2, 1, 5.0, inf)))
+    messages = [(i.entity, i.message) for i in validate(net).issues]
+    assert ("link 1", "nonpositive or non-finite length nan") in messages
+    assert ("link 2", "nonpositive or non-finite free-flow time inf") in messages
+    assert ("link 3", "nonpositive or non-finite rv capacity inf") in messages
+    assert ("link 3", "nonpositive or non-finite av capacity nan") in messages
+    assert ("od 1->2", "negative or non-finite demand (nan, 5.0)") in messages
+    assert ("od 2->1", "negative or non-finite demand (5.0, inf)") in messages

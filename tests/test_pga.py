@@ -13,8 +13,6 @@ def test_pga_config_validation():
         PgaConfig(k=0)
     with pytest.raises(ValueError):
         PgaConfig(outer_tol=0.0)
-    with pytest.raises(ValueError):
-        PgaConfig(inner_gap=0.01, final_gap=0.1)
 
 
 def test_path_set_saturates_on_small_network(params):
@@ -87,10 +85,11 @@ def test_outer_exhaustion_flagged_but_final_solve_runs(params):
 
 
 def test_final_gap_override(params):
+    # the final solve runs at the solver's gap, not at the loose inner_gap
     net = diamond_network()
     result = pga_solve(net, params,
-                       PgaConfig(k=5, outer_tol=0.01, inner_gap=0.1, final_gap=1e-6),
-                       SolverConfig(gap_tol=1e-3))
+                       PgaConfig(k=5, outer_tol=0.01, inner_gap=0.1),
+                       SolverConfig(gap_tol=1e-6))
     assert result.solve.converged
     assert result.solve.gap <= 1e-6
 
@@ -104,8 +103,7 @@ def test_sioux_falls_dev_shrinks_with_k(params):
     flows = {}
     for k in (4, 7, 10):
         res = pga_solve(net, params,
-                        PgaConfig(k=k, outer_tol=0.01, inner_gap=0.1,
-                                  final_gap=0.01, max_outer=5),
+                        PgaConfig(k=k, outer_tol=0.01, inner_gap=0.1, max_outer=5),
                         SolverConfig(gap_tol=0.01, max_iters=3000))
         assert res.solve.converged
         flows[k] = res.solve.flow

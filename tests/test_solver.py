@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mixflow.costs import ClassParams, evaluate_links, free_flow_state
+from mixflow.costs import FLOW_FLOOR, ClassParams, evaluate_links, free_flow_state
 from mixflow.fixtures import nguyen_network
 from mixflow.network import AV, RV, Link, Network, ODPair
 from mixflow.paths import PathSet, build_path, yen_k_shortest
@@ -322,7 +322,7 @@ def test_nguyen_equilibrium_conditions_at_tight_gap(params):
             assert c[used].max() - c_min <= 10.0 * gap_tol * c_min
         else:
             c = perceived[sl]
-            used = flows > params.flow_floor
+            used = flows > FLOW_FLOOR
             spread = (c[used].max() - c[used].min()) / abs(c[used].min())
             assert spread <= 20.0 * gap_tol
 
@@ -413,14 +413,14 @@ def test_flat_kernels_match_per_group_oracles_fuzz(penetration):
                 if base:
                     assert not np.isfinite(naive).all()
                     h = mp_cnl_commonality(alpha, observed[sl], theta, u)
-                    expected = [mp_perceived_cost_rv(c, max(f, params.flow_floor), g.demand,
+                    expected = [mp_perceived_cost_rv(c, max(f, FLOW_FLOOR), g.demand,
                                                      hk, theta, u)
                                 for c, f, hk in zip(observed[sl], flows[sl], h)]
                     assert np.allclose(perceived[sl], expected, rtol=1e-12)
                 else:
                     scale = u / theta
                     expected = (observed[sl] - scale * naive
-                                + scale * np.log(np.maximum(flows[sl], params.flow_floor)
+                                + scale * np.log(np.maximum(flows[sl], FLOW_FLOOR)
                                                  / g.demand))
                     assert np.allclose(perceived[sl], expected, rtol=1e-9)
                 degree = degree_rv
