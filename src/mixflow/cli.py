@@ -121,7 +121,8 @@ def write_path_flows_csv(path, result):
     lines = ["od,class,path_key,flow"]
     for g in result.groups:
         for p, flow in zip(g.paths, result.flow.f[g.start:g.stop]):
-            lines.append(f"{g.od_index},{g.vehicle_class},{_path_key(p)},{_fmt(flow)}")
+            # round-trip precision, so `check` certifies the flows the solver certified
+            lines.append(f"{g.od_index},{g.vehicle_class},{_path_key(p)},{float(flow)!r}")
     _write(path, lines)
 
 

@@ -3,7 +3,8 @@
 Covers the flow-share mixed capacity, BPR travel time, speed-based fuel
 burn, per-class generalized link cost, additive path cost, and the
 cross-nested-logit perceived path cost with its overlap commonality term.
-All scalar operations also accept numpy arrays.
+The BPR, fuel and dollar-cost formulas are ufunc arithmetic that `evaluate_links`
+runs on arrays; `np.power`, not `**`, gives one link the array loop's bits.
 """
 
 from __future__ import annotations
@@ -60,13 +61,10 @@ class ClassParams:
 
 @dataclass
 class LinkState:
-    """Per-link quantities at one flow vector (all fields are arrays)."""
+    """Per-link quantities at one flow vector."""
 
-    x_rv: np.ndarray
-    x_av: np.ndarray
     mixed_cap: np.ndarray
     minutes: np.ndarray
-    gallons: np.ndarray
     cost_rv: np.ndarray
     cost_av: np.ndarray
 
@@ -74,57 +72,42 @@ class LinkState:
         return self.cost_rv if vehicle_class == RV else self.cost_av
 
 
-def _value(a):
-    return float(a) if np.ndim(a) == 0 else a
-
-
 def mixed_capacity(x_rv, x_av, cap_rv, cap_av):
-    """Flow-share-weighted harmonic mean of the two class capacities.
+    """Flow-share-weighted harmonic mean of the two class capacities of one link.
 
     At zero total flow the ratio is indeterminate; the all-rv convention
     (return cap_rv) is used, which never affects equilibrium flows.
     """
-    x_rv, x_av = np.asarray(x_rv, dtype=float), np.asarray(x_av, dtype=float)
     total = x_rv + x_av
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cap = total / (x_rv / cap_rv + x_av / cap_av)
-    return _value(np.where(total > 0, cap, cap_rv))
+    return total / (x_rv / cap_rv + x_av / cap_av) if total > 0 else cap_rv
 
 
 def link_travel_time(x_rv, x_av, free_time, capacity):
     """BPR travel time in minutes at the given per-class flows."""
-    ratio = (np.asarray(x_rv, dtype=float) + np.asarray(x_av, dtype=float)) / capacity
-    return _value(free_time * (1.0 + BPR_COEF * ratio**BPR_POWER))
+    return free_time * (1.0 + BPR_COEF * np.power((x_rv + x_av) / capacity, BPR_POWER))
 
 
 def fuel_gallons(length, minutes):
     """Fuel burned traversing a link of `length` miles in `minutes` minutes."""
-    length = np.asarray(length, dtype=float)
-    mph = 60.0 * length / np.asarray(minutes, dtype=float)
-    return _value(length / FUEL_DISTANCE_DIVISOR * FUEL_SPEED_COEF * mph**FUEL_SPEED_POWER)
+    mph = 60.0 * length / minutes
+    return length / FUEL_DISTANCE_DIVISOR * FUEL_SPEED_COEF * np.power(mph, FUEL_SPEED_POWER)
 
 
 def link_generalized_cost(minutes, gallons, vot, fuel_price):
     """Dollar cost of a link: time valued at `vot` plus fuel at `fuel_price`."""
-    return _value(np.asarray(minutes, dtype=float) * vot + fuel_price * np.asarray(gallons, dtype=float))
+    return minutes * vot + fuel_price * gallons
 
 
 def evaluate_links(network, x_rv, x_av, params):
-    """Evaluate every per-link quantity at one link-flow vector."""
-    x_rv = np.asarray(x_rv, dtype=float)
-    x_av = np.asarray(x_av, dtype=float)
-    cap = mixed_capacity(x_rv, x_av, network.caps_rv, network.caps_av)
+    """Evaluate every per-link quantity at one pair of link-flow arrays."""
+    total = x_rv + x_av
+    cap = np.divide(total, x_rv / network.caps_rv + x_av / network.caps_av,
+                    out=network.caps_rv.copy(), where=total > 0)
     minutes = link_travel_time(x_rv, x_av, network.free_times, cap)
     gallons = fuel_gallons(network.lengths, minutes)
-    return LinkState(
-        x_rv=x_rv,
-        x_av=x_av,
-        mixed_cap=np.atleast_1d(cap),
-        minutes=np.atleast_1d(minutes),
-        gallons=np.atleast_1d(gallons),
-        cost_rv=np.atleast_1d(link_generalized_cost(minutes, gallons, params.vot_rv, params.fuel_price)),
-        cost_av=np.atleast_1d(link_generalized_cost(minutes, gallons, params.vot_av, params.fuel_price)),
-    )
+    return LinkState(cap, minutes,
+                     link_generalized_cost(minutes, gallons, params.vot_rv, params.fuel_price),
+                     link_generalized_cost(minutes, gallons, params.vot_av, params.fuel_price))
 
 
 def free_flow_state(network, params):
@@ -141,13 +124,17 @@ def path_cost(path, link_costs):
 @dataclass(frozen=True)
 class CnlEntries:
     """Per-(path, member link) entries of consecutive rv path groups, path
-    by path. A nest is one link shared within one group."""
+    by path. A nest is one link shared within one group; the nest_* arrays
+    list the entries grouped by nest, in path order within a nest."""
 
-    ln_alpha: np.ndarray     # log(link length / path length)
-    path_sizes: np.ndarray   # entries per path
-    nest: np.ndarray         # nest of each entry
-    nest_order: np.ndarray   # entries grouped by nest, in path order within a nest
-    nest_sizes: np.ndarray   # entries per nest
+    ln_alpha: np.ndarray       # log(link length / path length)
+    path_sizes: np.ndarray     # entries per path
+    path_starts: np.ndarray    # first entry of each path
+    nest: np.ndarray           # nest of each entry
+    nest_path: np.ndarray      # path of each entry, in nest order
+    nest_ln_alpha: np.ndarray  # ln_alpha in nest order
+    nest_sizes: np.ndarray     # entries per nest
+    nest_starts: np.ndarray    # first entry of each nest, in nest order
 
 
 def cnl_entries(groups, link_lengths):
@@ -163,16 +150,17 @@ def cnl_entries(groups, link_lengths):
                 alpha.append(link_lengths[a] / p.length)
                 nest.append(local.setdefault(a, n_nests + len(local)))
         n_nests += len(local)
-    nest = np.array(nest, dtype=np.intp)
-    return CnlEntries(ln_alpha=np.log(alpha), path_sizes=np.array(path_sizes, dtype=np.intp),
-                      nest=nest, nest_order=np.argsort(nest, kind="stable"),
-                      nest_sizes=np.bincount(nest, minlength=n_nests))
+    nest, path_sizes = np.array(nest, dtype=np.intp), np.array(path_sizes, dtype=np.intp)
+    nest_sizes = np.bincount(nest, minlength=n_nests)
+    ln_alpha, order = np.log(alpha), np.argsort(nest, kind="stable")
+    return CnlEntries(ln_alpha, path_sizes, np.cumsum(path_sizes) - path_sizes, nest,
+                      np.repeat(np.arange(len(path_sizes)), path_sizes)[order], ln_alpha[order],
+                      nest_sizes, np.cumsum(nest_sizes) - nest_sizes)
 
 
-def _segment_logsumexp(values, sizes):
+def _segment_logsumexp(values, starts, sizes):
     """log(sum(exp(v))) over consecutive segments of `values` (overwritten)
-    of the given nonzero sizes, each shifted by its maximum."""
-    starts = np.cumsum(sizes) - sizes
+    with the given starts and nonzero sizes, each shifted by its maximum."""
     peak = np.maximum.reduceat(values, starts)
     values -= np.repeat(peak, sizes)
     np.exp(values, out=values)
@@ -186,13 +174,13 @@ def cnl_commonalities(entries, path_costs_vec, theta, u):
     every segment by its maximum, so whatever theta*cost is, no exponential
     overflows and every segment sum is at least 1.
     """
-    inner = np.repeat(np.asarray(path_costs_vec, dtype=float) * -theta, entries.path_sizes)
-    inner += entries.ln_alpha
+    inner = np.asarray(path_costs_vec, dtype=float)[entries.nest_path] * -theta
+    inner += entries.nest_ln_alpha
     inner /= u
-    log_nest = _segment_logsumexp(inner[entries.nest_order], entries.nest_sizes)
+    log_nest = _segment_logsumexp(inner, entries.nest_starts, entries.nest_sizes)
     exponent = np.multiply(log_nest, u - 1.0, out=log_nest)[entries.nest]
     exponent += entries.ln_alpha / u
-    return _segment_logsumexp(exponent, entries.path_sizes)
+    return _segment_logsumexp(exponent, entries.path_starts, entries.path_sizes)
 
 
 def perceived_cost_rv(path_cost_vec, flow, demand, commonality, params):
@@ -202,12 +190,8 @@ def perceived_cost_rv(path_cost_vec, flow, demand, commonality, params):
     Flows are floored at FLOW_FLOOR inside the log only; equilibrium
     flows are strictly positive but intermediate iterates may touch zero.
     """
-    demand = np.asarray(demand, dtype=float)
     if np.any(demand <= 0):
         raise ValueError("rv perceived cost needs positive group demand")
     scale = params.nesting / params.dispersion
-    safe_flow = np.maximum(np.asarray(flow, dtype=float), FLOW_FLOOR)
-    return _value(np.asarray(path_cost_vec, dtype=float)
-                  - scale * np.asarray(commonality, dtype=float)
-                  + scale * np.log(safe_flow / demand))
-
+    return (path_cost_vec - scale * commonality
+            + scale * np.log(np.maximum(flow, FLOW_FLOOR) / demand))

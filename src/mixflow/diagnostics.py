@@ -27,31 +27,21 @@ class EquilibriumReport:
     relative_residual: float
     missing_demand: dict = field(default_factory=dict)  # (od_index, class) -> demand, no flows
 
+    def _entries(self):
+        """(text key, csv key, value) of every reported number."""
+        names = ("ncp_residual", "relative_residual", "max_complementarity_violation",
+                 "feasibility_violation", "total_cost")
+        rows = [(name, name, getattr(self, name)) for name in names]
+        for label, table in (("min_cost", self.min_cost), ("missing_demand", self.missing_demand)):
+            rows += [(f"{label}[{od},{cls}]", f"{label}_{od}_{cls}", value)
+                     for (od, cls), value in sorted(table.items())]
+        return rows
+
     def to_text(self):
-        lines = [
-            f"ncp_residual = {self.ncp_residual:.6g}",
-            f"relative_residual = {self.relative_residual:.6g}",
-            f"max_complementarity_violation = {self.max_complementarity_violation:.6g}",
-            f"feasibility_violation = {self.feasibility_violation:.6g}",
-            f"total_cost = {self.total_cost:.6g}",
-        ]
-        for (od_index, cls), value in sorted(self.min_cost.items()):
-            lines.append(f"min_cost[{od_index},{cls}] = {value:.6g}")
-        for (od_index, cls), value in sorted(self.missing_demand.items()):
-            lines.append(f"missing_demand[{od_index},{cls}] = {value:.6g}")
-        return "\n".join(lines)
+        return "\n".join(f"{key} = {value:.6g}" for key, _, value in self._entries())
 
     def csv_rows(self):
-        rows = [("ncp_residual", f"{self.ncp_residual:.6g}"),
-                ("relative_residual", f"{self.relative_residual:.6g}"),
-                ("max_complementarity_violation", f"{self.max_complementarity_violation:.6g}"),
-                ("feasibility_violation", f"{self.feasibility_violation:.6g}"),
-                ("total_cost", f"{self.total_cost:.6g}")]
-        for (od_index, cls), value in sorted(self.min_cost.items()):
-            rows.append((f"min_cost_{od_index}_{cls}", f"{value:.6g}"))
-        for (od_index, cls), value in sorted(self.missing_demand.items()):
-            rows.append((f"missing_demand_{od_index}_{cls}", f"{value:.6g}"))
-        return rows
+        return [(key, f"{value:.6g}") for _, key, value in self._entries()]
 
 
 def link_flows_from_paths(path_set, flows_by_group, network):

@@ -198,7 +198,7 @@ def parse_net_text(text, path="<net>"):
     naming the columns; trailing unnamed fields are ignored.
     """
     n_nodes = None
-    n_links = None
+    n_links = links_line = None
     av_col = None
     rows = []
     in_body = False
@@ -217,7 +217,7 @@ def parse_net_text(text, path="<net>"):
                 if upper.startswith("<NUMBER OF NODES>"):
                     n_nodes = int(_meta_value(line))
                 elif upper.startswith("<NUMBER OF LINKS>"):
-                    n_links = int(_meta_value(line))
+                    n_links, links_line = int(_meta_value(line)), line_no
                 elif upper.startswith("<END OF METADATA>"):
                     in_body = True
             except ValueError:
@@ -229,26 +229,21 @@ def parse_net_text(text, path="<net>"):
         tokens = [t for t in line.replace(";", " ").split() if t]
         if len(tokens) < 5:
             raise ParseError(path, line_no, f"expected at least 5 fields, got {len(tokens)}")
+        if av_col is not None and av_col >= len(tokens):
+            raise ParseError(path, line_no, "missing capacity_av field")
         try:
-            from_node = int(float(tokens[0]))
-            to_node = int(float(tokens[1]))
-            cap = float(tokens[2])
-            length = float(tokens[3])
-            free_time = float(tokens[4])
-            cap_av = None
-            if av_col is not None:
-                if av_col >= len(tokens):
-                    raise ParseError(path, line_no, "missing capacity_av field")
-                cap_av = float(tokens[av_col])
-        except ParseError:
-            raise
-        except (ValueError, OverflowError):
-            raise ParseError(path, line_no, f"non-numeric link record: {line!r}") from None
+            from_node, to_node = int(tokens[0]), int(tokens[1])
+            cap, length, free_time = (float(t) for t in tokens[2:5])
+            cap_av = None if av_col is None else float(tokens[av_col])
+        except ValueError:
+            raise ParseError(path, line_no,
+                             f"non-numeric link record or node id: {line!r}") from None
         if not all(math.isfinite(v) for v in (cap, length, free_time, cap_av) if v is not None):
             raise ParseError(path, line_no, f"non-finite number in link record: {line!r}")
         rows.append((from_node, to_node, cap, length, free_time, cap_av))
     if n_links is not None and n_links != len(rows):
-        raise ParseError(path, 0, f"metadata declares {n_links} links, file has {len(rows)}")
+        raise ParseError(path, links_line,
+                         f"metadata declares {n_links} links, file has {len(rows)}")
     return n_nodes, rows
 
 
@@ -262,8 +257,8 @@ def parse_trips_text(text, path="<trips>"):
             continue
         if line.lower().startswith("origin"):
             try:
-                origin = int(float(line.split()[1]))
-            except (IndexError, ValueError, OverflowError):
+                origin = int(line.split()[1])
+            except (IndexError, ValueError):
                 raise ParseError(path, line_no, f"bad origin line: {line!r}") from None
             continue
         if origin is None:
@@ -276,10 +271,11 @@ def parse_trips_text(text, path="<trips>"):
                 raise ParseError(path, line_no, f"bad trips entry: {chunk!r}")
             dest_s, flow_s = chunk.split(":", 1)
             try:
-                dest = int(float(dest_s))
+                dest = int(dest_s)
                 flow = float(flow_s)
-            except (ValueError, OverflowError):
-                raise ParseError(path, line_no, f"non-numeric trips entry: {chunk!r}") from None
+            except ValueError:
+                raise ParseError(path, line_no,
+                                 f"non-numeric trips entry or node id: {chunk!r}") from None
             if not 0 <= flow < math.inf:
                 raise ParseError(path, line_no,
                                  f"demand must be nonnegative and finite: {chunk!r}")

@@ -57,10 +57,6 @@ class PgaResult:
     outer: list
     outer_converged: bool
 
-    @property
-    def flow(self):
-        return self.solve.flow
-
 
 def generate_paths(network, link_state, k):
     """Up to k Yen paths for every demanded (OD, class) at the link state's

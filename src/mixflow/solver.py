@@ -22,6 +22,11 @@ BASELINE = "baseline"
 
 H_FLOOR = 1e-10   # outflow-rate floor at (near-)equilibrium
 
+# Padding cells one merged swap block may carry. Timed on a 2-vCPU host with
+# numpy 2.4, a block costs 9-13 us per iteration whatever its size and a cell
+# 17-25 ns, so merging pays while it pads fewer than about 500 cells.
+MERGE_PAD_CELLS = 500
+
 
 class SolverError(RuntimeError):
     """Numerical failure inside the solver loop (with iteration context)."""
@@ -143,13 +148,12 @@ class Assignment:
         self.demand_per_path = np.repeat(self.group_demands, self.group_sizes)
         self.rv_paths = np.fromiter((k for g in self.groups if g.vehicle_class == RV
                                      for k in range(g.start, g.stop)), np.intp)
+        self.rv_demand = self.demand_per_path[self.rv_paths]
+        self.drift_limit = 1e-9 * self.group_demands
         lengths = {l.id: l.length for l in network.links}
         self.cnl_entries = cost_model.cnl_entries(
             (g.paths for g in self.groups if g.vehicle_class == RV), lengths)
-        # the groups of one size and class as one (groups, size) block of path
-        # indices; single-path groups never swap
-        self.swap_blocks = [(np.add.outer(starts, np.arange(size)), is_rv)
-                            for (size, is_rv), starts in sorted(blocks.items()) if size > 1]
+        self.swap_blocks = _swap_blocks(blocks, n_paths)
 
     def uniform_flows(self):
         """Each group's demand spread evenly over its paths."""
@@ -170,9 +174,9 @@ class Assignment:
         observed = path_cost_vec[rv]
         commonality = cost_model.cnl_commonalities(
             self.cnl_entries, observed, params.dispersion, params.nesting)
-        perceived = np.array(path_cost_vec, dtype=float)
+        perceived = path_cost_vec.copy()
         perceived[rv] = cost_model.perceived_cost_rv(
-            observed, flows[rv], self.demand_per_path[rv], commonality, params)
+            observed, flows[rv], self.rv_demand, commonality, params)
         return perceived
 
     def swap_directions(self, flows, perceived, degree_rv, degree_av):
@@ -181,29 +185,58 @@ class Assignment:
         Every ordered pair of a group trades flow proportional to the
         sender's flow times the positive cost difference raised to the
         class degree; the net per-path exchange sums to zero over the group.
+        Pad slots index n_paths: gathers clip them to the last path, the pair
+        mask zeroes their pairs, and the scatter writes them to a spare slot.
         """
-        direction = np.zeros(self.n_paths)
-        for block, is_rv in self.swap_blocks:
-            f, c = flows[block], perceived[block]
+        direction = np.zeros(self.n_paths + 1)
+        for block, pairs, is_rv in self.swap_blocks:
+            f, c = flows.take(block, mode="clip"), perceived.take(block, mode="clip")
             diff = c[:, :, None] - c[:, None, :]
             np.maximum(diff, 0.0, out=diff)
+            if pairs is not None:
+                diff *= pairs
             degree = degree_rv if is_rv else degree_av
             if degree != 1.0:
                 diff **= degree
             direction[block] = np.matmul(f[:, None, :], diff)[:, 0, :] - f * diff.sum(axis=2)
-        return direction
+        return direction[:-1]
 
     def group_sums(self, flows):
         return np.add.reduceat(flows, self.group_starts)
 
 
+def _swap_blocks(blocks, n_paths):
+    """(path indices, pair mask or None, is_rv) per swap block; `blocks` maps
+    (group size, is rv) to group starts. Per class, blocks taken smallest
+    (groups x size^2 cells) first merge into one block padded to their largest
+    size while it pads fewer than MERGE_PAD_CELLS cells. One-path groups never swap.
+    """
+    out = []
+    for is_rv in (True, False):
+        todo = sorted((len(starts) * size * size, size, starts)
+                      for (size, rv), starts in blocks.items() if rv == is_rv and size > 1)
+        merged = todo[:1]
+        for block in todo[1:]:
+            width = max(size for _, size, _ in merged + [block])
+            if sum(len(s) * width**2 - c for c, _, s in merged + [block]) >= MERGE_PAD_CELLS:
+                break
+            merged.append(block)
+        for part in ([merged] if merged else []) + [[block] for block in todo[len(merged):]]:
+            starts = np.concatenate([starts for _, _, starts in part])
+            sizes = np.repeat([size for _, size, _ in part], [len(s) for _, _, s in part])
+            slot = np.arange(sizes.max())
+            real = slot < sizes[:, None]
+            pairs = None if real.all() else (real[:, :, None] & real[:, None, :]).astype(float)
+            out.append((np.where(real, starts[:, None] + slot, n_paths), pairs, is_rv))
+    return out
+
+
 def max_relative_outflow(flows, direction, floor):
-    """Largest drain rate -direction/flow over entries with flow and nonpositive
-    direction; floored so the step divides safely at (near-)equilibrium."""
-    mask = (flows > 0) & (direction <= 0)
-    if not mask.any():
-        return floor
-    rate = float(np.max(-direction[mask] / flows[mask]))
+    """Largest drain rate -direction/flow over paths with negative direction,
+    floored so the step divides safely at (near-)equilibrium. A path without
+    flow never gets a negative swap direction, so no divisor is zero."""
+    rates = np.divide(direction, flows, out=np.zeros_like(flows), where=direction < 0)
+    rate = -float(rates.min())
     return rate if rate > floor else floor
 
 
@@ -232,18 +265,17 @@ def step_size(iteration, drain, volume, prev_volume, prev_damping, config):
 def update_flows(flows, direction, step, demand_per_path):
     """Apply one swap step; clamps sub-ulp negatives, rejects real ones."""
     new = flows + step * direction
-    bad = new < -1e-9 * demand_per_path
-    if bad.any():
+    if new.min() < 0.0 and (bad := new < -1e-9 * demand_per_path).any():
         k = int(np.argmax(bad))
         raise SolverError(f"step produced negative flow {new[k]} at path {k}; "
                           "step size exceeded the feasibility bound")
-    return np.maximum(new, 0.0)
+    return np.maximum(new, 0.0, out=new)
 
 
-def relative_gap(assignment, flows, perceived):
+def relative_gap(assignment, flows, perceived, total=None):
     """Demand-weighted excess perceived cost over each group minimum,
-    normalized by total perceived cost."""
-    denominator = float(flows @ perceived)
+    normalized by total perceived cost (`total`, when the caller has it)."""
+    denominator = total_cost(flows, perceived) if total is None else total
     if denominator == 0.0:
         raise ValueError("zero total perceived cost; no demand to measure")
     group_min = np.minimum.reduceat(perceived, assignment.group_starts)
@@ -293,7 +325,9 @@ def solve_assignment(assignment, config, initial_flows=None, callback=None):
         link_state = cost_model.evaluate_links(assignment.network, x_rv, x_av, params)
         observed = assignment.path_costs(link_state)
         perceived = assignment.perceived_costs(flows, observed)
-        if not np.isfinite(perceived).all():
+        total = total_cost(flows, perceived)
+        # a non-finite perceived cost makes the total non-finite
+        if not abs(total) < np.inf and not np.isfinite(perceived).all():
             k = int(np.argmax(~np.isfinite(perceived)))
             raise SolverError(f"non-finite perceived cost at iteration {iteration}, "
                               f"path index {k}")
@@ -301,9 +335,9 @@ def solve_assignment(assignment, config, initial_flows=None, callback=None):
         drain = max_relative_outflow(flows, direction, H_FLOOR)
         volume = swap_volume(direction)
         step, damping = step_size(iteration, drain, volume, prev_volume, damping, config)
-        gap = relative_gap(assignment, flows, perceived)
-        trace.append(TraceRow(iteration, gap, volume, total_cost(flows, perceived),
-                              step, damping, (time.perf_counter() - tick) * 1e3))
+        gap = relative_gap(assignment, flows, perceived, total)
+        trace.append(TraceRow(iteration, gap, volume, total, step, damping,
+                              (time.perf_counter() - tick) * 1e3))
         # a negative gap means the cost normalization is out of domain
         # (negative total perceived cost); never treat it as converged
         if 0.0 <= gap <= config.gap_tol:
@@ -330,9 +364,8 @@ def solve_assignment(assignment, config, initial_flows=None, callback=None):
 
 def _check_conservation(assignment, flows, iteration):
     drift = np.abs(assignment.group_sums(flows) - assignment.group_demands)
-    limit = 1e-9 * assignment.group_demands
-    if np.any(drift > limit):
-        k = int(np.argmax(drift - limit))
+    if (drift > assignment.drift_limit).any():
+        k = int(np.argmax(drift - assignment.drift_limit))
         g = assignment.groups[k]
         raise SolverError(f"demand conservation drift {drift[k]:.3e} in od {g.od_index} "
                           f"class {g.vehicle_class} at iteration {iteration}")

@@ -7,7 +7,7 @@ import pytest
 
 from mixflow.cli import CONFIG_KEYS, main, parse_config_text, build_run_config
 from mixflow.costs import ClassParams
-from mixflow.fixtures import nguyen_network
+from mixflow.fixtures import nguyen_network, sioux_falls_network
 from mixflow.network import Link, Network, ODPair, ParseError, write_network
 
 from conftest import diamond_network
@@ -331,6 +331,10 @@ TRIPS_TEXT = "<END OF METADATA>\nOrigin 1\n 2 : 10;\n"
     ("trips", "2 : 10", "2 : inf", 3, "nonnegative and finite"),
     ("trips", "2 : 10", "2 : 10; 2 : -500.0", 3, "nonnegative and finite"),
     ("trips", "Origin 1", "Origin inf", 2, "bad origin line"),
+    ("net", "1 2 1000 1 1", "1.7 2 1000 1 1", 4, "non-numeric link record or node id"),
+    ("net", "1 2 1000 1 1", "1 2.0 1000 1 1", 4, "non-numeric link record or node id"),
+    ("trips", "Origin 1", "Origin 1.9", 2, "bad origin line"),
+    ("trips", "2 : 10", "2.2 : 10", 3, "non-numeric trips entry or node id"),
 ])
 def test_malformed_number_in_input_names_file_and_line(tmp_path, capsys, kind, old, new,
                                                        line_no, message):
@@ -346,6 +350,37 @@ def test_malformed_number_in_input_names_file_and_line(tmp_path, capsys, kind, o
     err = capsys.readouterr().err
     assert f"{files[kind]}:{line_no}:" in err
     assert message in err
+
+
+@pytest.mark.parametrize("fixture, seed, mode, k, gap", [
+    (nguyen_network, 0, "modified", 8, 1e-4), (nguyen_network, 0, "baseline", 8, 1e-4),
+    (nguyen_network, 3, "modified", 8, 1e-4), (nguyen_network, 3, "baseline", 8, 1e-4),
+    (sioux_falls_network, 7, "modified", 10, 5e-3),
+], ids=["nguyen0-modified", "nguyen0-baseline", "nguyen3-modified", "nguyen3-baseline",
+        "sioux_falls7"])
+def test_converged_solve_passes_its_own_check(tmp_path, fixture, seed, mode, k, gap):
+    # path_flows.csv must carry the flows the solver certified: at 6 digits
+    # nguyen seed 3 baseline read a residual of 1.00053e-4 > gap
+    net_file, trips_file = tmp_path / "net.tntp", tmp_path / "trips.tntp"
+    write_network(fixture(ClassParams(), seed=seed), net_file, trips_file)
+    common = ["--net", str(net_file), "--trips", str(trips_file)]
+    out = tmp_path / "out"
+    assert main(["solve", *common, "--out-dir", str(out), "--mode", mode, "--k", str(k),
+                 "--gap", str(gap)]) == 0
+    assert main(["check", *common, "--flows", str(out / "path_flows.csv"),
+                 "--set", f"check_tol={gap}", "--out-dir", str(tmp_path / "check")]) == 0
+
+
+def test_link_count_mismatch_names_metadata_line(tmp_path, capsys):
+    net_file = tmp_path / "net.tntp"
+    net_file.write_text(NET_TEXT.replace("<NUMBER OF LINKS> 1", "<NUMBER OF LINKS> 2"),
+                        encoding="utf-8")
+    trips_file = tmp_path / "trips.tntp"
+    trips_file.write_text(TRIPS_TEXT, encoding="utf-8")
+    code = main(["solve", "--net", str(net_file), "--trips", str(trips_file),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert f"{net_file}:2: metadata declares 2 links, file has 1" in capsys.readouterr().err
 
 
 def test_check_rejects_flows_missing_a_demanded_group(tmp_path, capsys):

@@ -257,6 +257,29 @@ def test_evaluate_links_respects_free_flow(params):
     assert np.all(state.cost_rv >= state.cost_av)
 
 
+def test_evaluate_links_equals_scalar_helpers_bit_for_bit(params):
+    rng = np.random.default_rng(17)
+    net = random_network(rng)
+    n = net.n_links
+    for _ in range(5):
+        x_rv, x_av = rng.uniform(0.0, 3000.0, size=(2, n))
+        x_rv[rng.random(n) < 0.3] = 0.0
+        x_av[rng.random(n) < 0.3] = 0.0
+        x_rv[0] = x_av[0] = 0.0
+        state = evaluate_links(net, x_rv, x_av, params)
+        for i, link in enumerate(net.links):
+            q_rv, q_av = float(x_rv[i]), float(x_av[i])
+            cap = mixed_capacity(q_rv, q_av, link.cap_rv, link.cap_av)
+            minutes = link_travel_time(q_rv, q_av, link.free_time, cap)
+            gallons = fuel_gallons(link.length, minutes)
+            assert state.mixed_cap[i] == cap
+            assert state.minutes[i] == minutes
+            assert state.cost_rv[i] == link_generalized_cost(minutes, gallons, params.vot_rv,
+                                                             params.fuel_price)
+            assert state.cost_av[i] == link_generalized_cost(minutes, gallons, params.vot_av,
+                                                             params.fuel_price)
+
+
 def test_class_params_validation():
     with pytest.raises(ValueError):
         ClassParams(dispersion=0.0)

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 
 from mixflow.costs import FLOW_FLOOR, ClassParams, evaluate_links, free_flow_state
-from mixflow.fixtures import nguyen_network
+from mixflow.fixtures import nguyen_network, sioux_falls_network
 from mixflow.network import AV, RV, Link, Network, ODPair
 from mixflow.paths import PathSet, build_path, yen_k_shortest
 from mixflow.pga import generate_paths
-from mixflow.solver import (Assignment, BASELINE, SolverConfig,
+from mixflow.solver import (Assignment, BASELINE, MERGE_PAD_CELLS, SolverConfig,
                             SolverError, max_relative_outflow,
                             relative_gap, solve, step_size, swap_volume,
                             total_cost, update_flows)
@@ -390,6 +390,7 @@ def _ragged_assignment(rng, params, penetration):
 def test_flat_kernels_match_per_group_oracles_fuzz(penetration):
     rng = np.random.default_rng(34)
     sizes = set()
+    padded = False
     for trial in range(6):
         theta, u = float(rng.uniform(0.05, 0.5)), float(rng.uniform(0.2, 1.0))
         params = ClassParams(dispersion=theta, nesting=u)
@@ -400,6 +401,7 @@ def test_flat_kernels_match_per_group_oracles_fuzz(penetration):
         flows = rng.uniform(0.0, 50.0, size=asn.n_paths)
         flows[rng.random(asn.n_paths) < 0.2] = 0.0
         degree_rv, degree_av = (float(d) for d in rng.choice([0.5, 0.85, 1.0, 1.3], size=2))
+        padded |= any(pairs is not None for _, pairs, _ in asn.swap_blocks)
         with np.errstate(all="raise"):
             perceived = asn.perceived_costs(flows, observed)
             phi = asn.swap_directions(flows, perceived, degree_rv, degree_av)
@@ -430,3 +432,57 @@ def test_flat_kernels_match_per_group_oracles_fuzz(penetration):
             assert np.allclose(phi[sl], naive_swap_direction(flows[sl], perceived[sl], degree),
                                rtol=1e-12, atol=1e-9)
     assert 1 in sizes and max(sizes) >= 12
+    assert padded   # merged blocks are checked against the oracle too
+
+
+def _block_groups(asn):
+    """Per swap block: the sizes of its groups, and whether it is padded."""
+    size_of = {g.start: g.stop - g.start for g in asn.groups}
+    return [(sorted(size_of[int(row[0])] for row in block), pairs is not None, is_rv)
+            for block, pairs, is_rv in asn.swap_blocks]
+
+
+def test_swap_blocks_partition_and_bounded_padding(params):
+    net = nguyen_network(params, seed=0)
+    asn = Assignment(net, generate_paths(net, free_flow_state(net, params), 8), params)
+    # sizes 5, 6, 6 and 8 per class merge into one block each
+    assert _block_groups(asn) == [([5, 6, 6, 8], True, True), ([5, 6, 6, 8], True, False)]
+    net = sioux_falls_network(params, seed=7)
+    asn = Assignment(net, generate_paths(net, free_flow_state(net, params), 10), params)
+    assert [(b.shape, pairs, is_rv) for b, pairs, is_rv in asn.swap_blocks] == [
+        ((528, 10), None, True), ((528, 10), None, False)]
+    # 30 av groups of each size 1..8: sizes 2 and 3 merge (150 padded cells);
+    # adding size 4 would pad 570, so sizes 4..8 stay unpadded
+    links, od_pairs = [], []
+    for i, size in enumerate(s for s in range(1, 9) for _ in range(30)):
+        od_pairs.append(ODPair(2 * i + 1, 2 * i + 2, 0.0, 10.0))
+        links += [Link(len(links) + k + 1, 2 * i + 1, 2 * i + 2, 5.0 + k, 5.0 + k, 800.0,
+                       1600.0) for k in range(size)]
+    net = Network(nodes=tuple(range(1, 2 * len(od_pairs) + 1)), links=tuple(links),
+                  od_pairs=tuple(od_pairs))
+    ps = PathSet()
+    for link in links:
+        ps.add(link.from_node // 2, AV, build_path(net, (link.id,)))
+    asn = Assignment(net, ps, params)
+    assert _block_groups(asn) == [([2] * 30 + [3] * 30, True, False)] + [
+        ([size] * 30, False, False) for size in range(4, 9)]
+    for block, pairs, _ in asn.swap_blocks:
+        if pairs is not None:
+            assert pairs.size - pairs.sum() < MERGE_PAD_CELLS
+    # every path of a multi-path group sits in exactly one block slot
+    slots = np.concatenate([b[b < asn.n_paths] for b, _, _ in asn.swap_blocks])
+    assert sorted(slots) == [k for g in asn.groups if g.stop - g.start > 1
+                             for k in range(g.start, g.stop)]
+
+
+def test_nguyen_baseline_iteration_counts_are_pinned(params):
+    expected = [1177, 1610, 2034, 1519, 739, 804, 1564, 1027]
+    counts = []
+    for seed in range(8):
+        net = nguyen_network(params, seed=seed)
+        ps = generate_paths(net, free_flow_state(net, params), 8)
+        result = solve(net, ps, params, SolverConfig(gap_tol=1e-4, max_iters=5000,
+                                                     mode=BASELINE))
+        assert result.converged
+        counts.append(result.iterations)
+    assert counts == expected
