@@ -191,6 +191,8 @@ def yen_k_shortest(network, link_costs, origin, destination, k):
     for node in (origin, destination):
         if node not in network.node_set:
             raise ValueError(f"node {node} is not in the network")
+    if origin == destination:
+        raise ValueError(f"origin {origin} equals destination {destination}")
     adj, radj = _adjacency(network, link_costs)
     bound = _costs_to(radj, destination)
     link_cost_by_id = {network.links[i].id: float(link_costs[i])

@@ -22,11 +22,6 @@ BASELINE = "baseline"
 
 H_FLOOR = 1e-10   # outflow-rate floor at (near-)equilibrium
 
-# Padding cells one merged swap block may carry. Timed on a 2-vCPU host with
-# numpy 2.4, a block costs 9-13 us per iteration whatever its size and a cell
-# 17-25 ns, so merging pays while it pads fewer than about 500 cells.
-MERGE_PAD_CELLS = 500
-
 
 class SolverError(RuntimeError):
     """Numerical failure inside the solver loop (with iteration context)."""
@@ -113,7 +108,6 @@ class Assignment:
         self.network = network
         self.params = params
         self.groups = []
-        blocks = {}   # (group size, is rv) -> group starts
         n_paths = 0
         for od_index, od in enumerate(network.od_pairs):
             for cls in VEHICLE_CLASSES:
@@ -127,7 +121,6 @@ class Assignment:
                         f"{demand} for class {cls} but no paths")
                 self.groups.append(_Group(od_index, cls, demand, n_paths,
                                           n_paths + len(paths), paths))
-                blocks.setdefault((len(paths), cls == RV), []).append(n_paths)
                 n_paths += len(paths)
         if n_paths == 0:
             raise ValueError("network has no demand")
@@ -146,14 +139,22 @@ class Assignment:
         self.group_sizes = np.asarray([g.stop - g.start for g in self.groups], dtype=np.intp)
         self.group_demands = np.asarray([g.demand for g in self.groups])
         self.demand_per_path = np.repeat(self.group_demands, self.group_sizes)
-        self.rv_paths = np.fromiter((k for g in self.groups if g.vehicle_class == RV
-                                     for k in range(g.start, g.stop)), np.intp)
+        path_rv = np.repeat([g.vehicle_class == RV for g in self.groups], self.group_sizes)
+        self.rv_paths = np.flatnonzero(path_rv)
         self.rv_demand = self.demand_per_path[self.rv_paths]
         self.drift_limit = 1e-9 * self.group_demands
         lengths = {l.id: l.length for l in network.links}
         self.cnl_entries = cost_model.cnl_entries(
             (g.paths for g in self.groups if g.vehicle_class == RV), lengths)
-        self.swap_blocks = _swap_blocks(blocks, n_paths)
+        # every within-group pair (lo, hi) with lo < hi once, rv pairs first:
+        # path k pairs with each later path of its group
+        order = np.argsort(~path_rv, kind="stable")
+        group_stops = self.group_starts + self.group_sizes
+        later = (np.repeat(group_stops, self.group_sizes) - 1 - np.arange(n_paths))[order]
+        self.pair_lo = np.repeat(order, later)
+        self.pair_hi = (self.pair_lo + 1 + np.arange(self.pair_lo.size)
+                        - np.repeat(np.cumsum(later) - later, later))
+        self.n_rv_pairs = int(later[:self.rv_paths.size].sum())
 
     def uniform_flows(self):
         """Each group's demand spread evenly over its paths."""
@@ -182,53 +183,22 @@ class Assignment:
     def swap_directions(self, flows, perceived, degree_rv, degree_av):
         """Net pairwise flow exchange toward cheaper paths within every group.
 
-        Every ordered pair of a group trades flow proportional to the
-        sender's flow times the positive cost difference raised to the
-        class degree; the net per-path exchange sums to zero over the group.
-        Pad slots index n_paths: gathers clip them to the last path, the pair
-        mask zeroes their pairs, and the scatter writes them to a spare slot.
+        In each pair the dearer path sends its flow times the cost difference
+        raised to the class degree to the cheaper one, so a path without flow
+        never gets a negative direction and each group's exchange sums to zero.
         """
-        direction = np.zeros(self.n_paths + 1)
-        for block, pairs, is_rv in self.swap_blocks:
-            f, c = flows.take(block, mode="clip"), perceived.take(block, mode="clip")
-            diff = c[:, :, None] - c[:, None, :]
-            np.maximum(diff, 0.0, out=diff)
-            if pairs is not None:
-                diff *= pairs
-            degree = degree_rv if is_rv else degree_av
+        lo, hi, n_rv = self.pair_lo, self.pair_hi, self.n_rv_pairs
+        rate = perceived[lo] - perceived[hi]
+        lo_sends = rate > 0.0
+        np.abs(rate, out=rate)
+        for part, degree in ((rate[:n_rv], degree_rv), (rate[n_rv:], degree_av)):
             if degree != 1.0:
-                diff **= degree
-            direction[block] = np.matmul(f[:, None, :], diff)[:, 0, :] - f * diff.sum(axis=2)
-        return direction[:-1]
+                np.power(part, degree, out=part)
+        rate *= np.where(lo_sends, flows[lo], -flows[hi])   # flow moved from lo to hi
+        return np.bincount(hi, rate, self.n_paths) - np.bincount(lo, rate, self.n_paths)
 
     def group_sums(self, flows):
         return np.add.reduceat(flows, self.group_starts)
-
-
-def _swap_blocks(blocks, n_paths):
-    """(path indices, pair mask or None, is_rv) per swap block; `blocks` maps
-    (group size, is rv) to group starts. Per class, blocks taken smallest
-    (groups x size^2 cells) first merge into one block padded to their largest
-    size while it pads fewer than MERGE_PAD_CELLS cells. One-path groups never swap.
-    """
-    out = []
-    for is_rv in (True, False):
-        todo = sorted((len(starts) * size * size, size, starts)
-                      for (size, rv), starts in blocks.items() if rv == is_rv and size > 1)
-        merged = todo[:1]
-        for block in todo[1:]:
-            width = max(size for _, size, _ in merged + [block])
-            if sum(len(s) * width**2 - c for c, _, s in merged + [block]) >= MERGE_PAD_CELLS:
-                break
-            merged.append(block)
-        for part in ([merged] if merged else []) + [[block] for block in todo[len(merged):]]:
-            starts = np.concatenate([starts for _, _, starts in part])
-            sizes = np.repeat([size for _, size, _ in part], [len(s) for _, _, s in part])
-            slot = np.arange(sizes.max())
-            real = slot < sizes[:, None]
-            pairs = None if real.all() else (real[:, :, None] & real[:, None, :]).astype(float)
-            out.append((np.where(real, starts[:, None] + slot, n_paths), pairs, is_rv))
-    return out
 
 
 def max_relative_outflow(flows, direction, floor):

@@ -236,6 +236,15 @@ def test_ksp_unreachable_destination(diamond_files, capsys):
     assert "no path" in capsys.readouterr().err
 
 
+def test_ksp_rejects_origin_equal_to_destination(nguyen_files, capsys):
+    net_file, _ = nguyen_files
+    code = main(["ksp", "--net", net_file, "--origin", "1", "--dest", "1", "--k", "3"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "origin 1 equals destination 1" in captured.err
+
+
 def test_check_accepts_solver_output(tmp_path, diamond_files, capsys):
     net_file, trips_file = diamond_files
     out = tmp_path / "out"
@@ -350,6 +359,81 @@ def test_malformed_number_in_input_names_file_and_line(tmp_path, capsys, kind, o
     err = capsys.readouterr().err
     assert f"{files[kind]}:{line_no}:" in err
     assert message in err
+
+
+def _corrupt_link_record(rng, line):
+    tokens = line.split()
+    kind = str(rng.choice(["drop field", "node id", "number"]))
+    if kind == "drop field":
+        del tokens[int(rng.integers(0, 6))]
+    elif kind == "node id":
+        i = int(rng.integers(0, 2))
+        tokens[i] = str(rng.choice([f"{tokens[i]}.5", f"n{tokens[i]}", "one"]))
+    else:
+        tokens[int(rng.integers(2, 6))] = str(rng.choice(["nan", "inf", "-inf", "1e400",
+                                                          "abc"]))
+    return kind, " ".join(tokens)
+
+
+def _corrupt_trips_line(rng, line):
+    if line.startswith("Origin"):
+        return "origin", str(rng.choice(["Origin", "Origin 1.5", "Origin x", "Origin nan"]))
+    dest, flow = line.rstrip(";").split(" : ")
+    kind = str(rng.choice(["no colon", "drop field", "node id", "number"]))
+    if kind == "no colon":
+        return kind, f"{dest} {flow};"
+    if kind == "drop field":
+        return kind, str(rng.choice([f"{dest} :;", f": {flow};"]))
+    if kind == "node id":
+        return kind, f"{rng.choice([f'{dest}.5', f'x{dest}'])} : {flow};"
+    number = str(rng.choice(["nan", "inf", "-inf", f"-{flow}", "1e400", "abc"]))
+    return kind, f"{dest} : {number};"
+
+
+def _corrupt_config_line(rng, line):
+    key, value = line.split(" = ")
+    kind = str(rng.choice(["no equals", "empty key", "empty value"]))
+    return kind, {"no equals": f"{key} {value}", "empty key": f"= {value}",
+                  "empty value": f"{key} ="}[kind]
+
+
+FUZZ_CORRUPTIONS = {
+    "net": (_corrupt_link_record, lambda line: line[:1].isdigit(),
+            {"drop field", "node id", "number"}),
+    "trips": (_corrupt_trips_line, lambda line: line[:1].isdigit() or line.startswith("Origin"),
+              {"origin", "no colon", "drop field", "node id", "number"}),
+    "config": (_corrupt_config_line, lambda line: " = " in line,
+               {"no equals", "empty key", "empty value"}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FUZZ_CORRUPTIONS))
+def test_malformed_input_fuzz_names_file_and_line(tmp_path, capsys, kind):
+    """Seeded corruptions of one line of the Nguyen net, trips or config file,
+    each invalid by construction, exit 1 with `<file>:<line>:` naming that line."""
+    corrupt, eligible, all_kinds = FUZZ_CORRUPTIONS[kind]
+    net = nguyen_network(ClassParams(), seed=0)
+    files = {name: tmp_path / f"{name}.txt" for name in ("net", "trips", "config")}
+    write_network(net, files["net"], files["trips"])
+    files["config"].write_text(
+        f"# nguyen\nnet = {files['net']}\ntrips = {files['trips']}\n"
+        f"out_dir = {tmp_path / 'out'}\nmode = baseline\ngap = 1e-3\nk = 4\n"
+        "dispersion = 0.2\nmax_iters = 50\n", encoding="utf-8")
+    lines = read(files[kind]).splitlines()
+    candidates = [i for i, line in enumerate(lines) if eligible(line.strip())]
+    rng = np.random.default_rng(2024)
+    seen = set()
+    for _ in range(20):
+        i = int(rng.choice(candidates))
+        corruption, bad_line = corrupt(rng, lines[i].strip())
+        seen.add(corruption)
+        files[kind].write_text("\n".join(lines[:i] + [bad_line] + lines[i + 1:]) + "\n",
+                               encoding="utf-8")
+        code = main(["solve", "--config", str(files["config"])])
+        err = capsys.readouterr().err
+        assert code == 1, (corruption, bad_line)
+        assert err.startswith(f"mixflow solve: {files[kind]}:{i + 1}: "), (corruption, err)
+    assert seen == all_kinds
 
 
 @pytest.mark.parametrize("fixture, seed, mode, k, gap", [

@@ -103,6 +103,8 @@ def test_yen_rejects_bad_inputs():
         yen_k_shortest(net, np.ones(4), 1, 4, 0)
     with pytest.raises(ValueError):
         yen_k_shortest(net, np.ones(4), 4, 1, 1)  # no path back
+    with pytest.raises(ValueError, match="origin 1 equals destination 1"):
+        yen_k_shortest(net, np.ones(4), 1, 1, 3)
 
 
 def _tie_heavy_network(rng, cyclic, shuffle=False):

@@ -6,7 +6,7 @@ from mixflow.fixtures import nguyen_network, sioux_falls_network
 from mixflow.network import AV, RV, Link, Network, ODPair
 from mixflow.paths import PathSet, build_path, yen_k_shortest
 from mixflow.pga import generate_paths
-from mixflow.solver import (Assignment, BASELINE, MERGE_PAD_CELLS, SolverConfig,
+from mixflow.solver import (Assignment, BASELINE, SolverConfig,
                             SolverError, max_relative_outflow,
                             relative_gap, solve, step_size, swap_volume,
                             total_cost, update_flows)
@@ -390,7 +390,6 @@ def _ragged_assignment(rng, params, penetration):
 def test_flat_kernels_match_per_group_oracles_fuzz(penetration):
     rng = np.random.default_rng(34)
     sizes = set()
-    padded = False
     for trial in range(6):
         theta, u = float(rng.uniform(0.05, 0.5)), float(rng.uniform(0.2, 1.0))
         params = ClassParams(dispersion=theta, nesting=u)
@@ -401,7 +400,6 @@ def test_flat_kernels_match_per_group_oracles_fuzz(penetration):
         flows = rng.uniform(0.0, 50.0, size=asn.n_paths)
         flows[rng.random(asn.n_paths) < 0.2] = 0.0
         degree_rv, degree_av = (float(d) for d in rng.choice([0.5, 0.85, 1.0, 1.3], size=2))
-        padded |= any(pairs is not None for _, pairs, _ in asn.swap_blocks)
         with np.errstate(all="raise"):
             perceived = asn.perceived_costs(flows, observed)
             phi = asn.swap_directions(flows, perceived, degree_rv, degree_av)
@@ -431,28 +429,24 @@ def test_flat_kernels_match_per_group_oracles_fuzz(penetration):
                 degree = degree_av
             assert np.allclose(phi[sl], naive_swap_direction(flows[sl], perceived[sl], degree),
                                rtol=1e-12, atol=1e-9)
+            # what max_relative_outflow relies on: no path drains more than it has
+            assert abs(phi[sl].sum()) <= 1e-9 * np.abs(phi[sl]).sum()
+        assert (phi[flows == 0] >= 0).all()
     assert 1 in sizes and max(sizes) >= 12
-    assert padded   # merged blocks are checked against the oracle too
 
 
-def _block_groups(asn):
-    """Per swap block: the sizes of its groups, and whether it is padded."""
-    size_of = {g.start: g.stop - g.start for g in asn.groups}
-    return [(sorted(size_of[int(row[0])] for row in block), pairs is not None, is_rv)
-            for block, pairs, is_rv in asn.swap_blocks]
+def _pair_list(asn):
+    """(lo, hi, whether lo's group is rv) per swap pair, in list order."""
+    is_rv = {k: g.vehicle_class == RV for g in asn.groups for k in range(g.start, g.stop)}
+    return [(lo, hi, is_rv[lo]) for lo, hi in zip(asn.pair_lo.tolist(), asn.pair_hi.tolist())]
 
 
-def test_swap_blocks_partition_and_bounded_padding(params):
+def test_swap_pairs_list_each_within_group_pair_once_rv_first(params):
     net = nguyen_network(params, seed=0)
-    asn = Assignment(net, generate_paths(net, free_flow_state(net, params), 8), params)
-    # sizes 5, 6, 6 and 8 per class merge into one block each
-    assert _block_groups(asn) == [([5, 6, 6, 8], True, True), ([5, 6, 6, 8], True, False)]
+    nguyen = Assignment(net, generate_paths(net, free_flow_state(net, params), 8), params)
     net = sioux_falls_network(params, seed=7)
-    asn = Assignment(net, generate_paths(net, free_flow_state(net, params), 10), params)
-    assert [(b.shape, pairs, is_rv) for b, pairs, is_rv in asn.swap_blocks] == [
-        ((528, 10), None, True), ((528, 10), None, False)]
-    # 30 av groups of each size 1..8: sizes 2 and 3 merge (150 padded cells);
-    # adding size 4 would pad 570, so sizes 4..8 stay unpadded
+    sioux = Assignment(net, generate_paths(net, free_flow_state(net, params), 10), params)
+    # 240 av groups, 30 of each size 1..8, one parallel link per path
     links, od_pairs = [], []
     for i, size in enumerate(s for s in range(1, 9) for _ in range(30)):
         od_pairs.append(ODPair(2 * i + 1, 2 * i + 2, 0.0, 10.0))
@@ -463,16 +457,22 @@ def test_swap_blocks_partition_and_bounded_padding(params):
     ps = PathSet()
     for link in links:
         ps.add(link.from_node // 2, AV, build_path(net, (link.id,)))
-    asn = Assignment(net, ps, params)
-    assert _block_groups(asn) == [([2] * 30 + [3] * 30, True, False)] + [
-        ([size] * 30, False, False) for size in range(4, 9)]
-    for block, pairs, _ in asn.swap_blocks:
-        if pairs is not None:
-            assert pairs.size - pairs.sum() < MERGE_PAD_CELLS
-    # every path of a multi-path group sits in exactly one block slot
-    slots = np.concatenate([b[b < asn.n_paths] for b, _, _ in asn.swap_blocks])
-    assert sorted(slots) == [k for g in asn.groups if g.stop - g.start > 1
-                             for k in range(g.start, g.stop)]
+    sizes = Assignment(net, ps, params)
+    assert [asn.pair_lo.size for asn in (nguyen, sioux, sizes)] == [136, 1056 * 45, 2520]
+    assert [asn.n_rv_pairs for asn in (nguyen, sioux, sizes)] == [68, 528 * 45, 0]
+    for asn in (nguyen, sioux, sizes):
+        pairs = _pair_list(asn)
+        expected = {(lo, hi, g.vehicle_class == RV) for g in asn.groups
+                    for lo in range(g.start, g.stop) for hi in range(lo + 1, g.stop)}
+        # each unordered within-group pair exactly once: a one-path group has
+        # no pair, and no pair crosses groups or classes
+        assert len(pairs) == len(set(pairs)) and set(pairs) == expected
+        # the first n_rv_pairs pairs are the rv ones
+        n_rv = asn.n_rv_pairs
+        assert [rv for _, _, rv in pairs] == [True] * n_rv + [False] * (len(pairs) - n_rv)
+    single = [g.start for g in sizes.groups if g.stop - g.start == 1]
+    paired = np.concatenate([sizes.pair_lo, sizes.pair_hi])
+    assert len(single) == 30 and not np.isin(single, paired).any()
 
 
 def test_nguyen_baseline_iteration_counts_are_pinned(params):
