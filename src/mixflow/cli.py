@@ -63,7 +63,20 @@ CONFIG_KEYS = {
 }
 
 
+def _parse_value(key, raw):
+    """The text `raw` as a value of config key `key`."""
+    if key not in CONFIG_KEYS:
+        raise ValueError(f"unknown config key {key!r}")
+    kind = CONFIG_KEYS[key][2]
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ValueError(f"config key {key!r} expects {kind.__name__}, got {raw!r}") from None
+
+
 def parse_config_text(text, path="<config>"):
+    """Key -> value text of each `key = value` line. An unknown key, a value
+    not of its key's type and a float that is not finite name their line."""
     values = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -74,6 +87,12 @@ def parse_config_text(text, path="<config>"):
         key, value = (part.strip() for part in line.split("=", 1))
         if not key or not value:
             raise ParseError(path, line_no, f"empty key or value in {line!r}")
+        try:
+            parsed = _parse_value(key, value)
+        except ValueError as exc:
+            raise ParseError(path, line_no, str(exc)) from None
+        if isinstance(parsed, float) and not math.isfinite(parsed):
+            raise ParseError(path, line_no, f"config key {key!r} must be finite, got {value!r}")
         values[key] = value
     return values
 
@@ -87,13 +106,9 @@ def build_run_config(config_path, overrides):
 
     kwargs = {section: {} for section in (*_SECTIONS, None)}
     for key, raw in values.items():
-        if key not in CONFIG_KEYS:
-            raise ValueError(f"unknown config key {key!r}")
-        section, name, kind = CONFIG_KEYS[key]
-        try:
-            kwargs[section][name] = kind(raw)
-        except ValueError:
-            raise ValueError(f"config key {key!r} expects {kind.__name__}, got {raw!r}") from None
+        value = _parse_value(key, raw)
+        section, name, _ = CONFIG_KEYS[key]
+        kwargs[section][name] = value
     return RunConfig(**{section: cls(**kwargs[section]) for section, cls in _SECTIONS.items()},
                      **kwargs[None])
 
@@ -140,16 +155,9 @@ def write_outer_trace_csv(path, rows):
     _write(path, lines)
 
 
-def write_path_dump(path, network, params, result, path_set):
-    state = cost_model.evaluate_links(network, result.flow.x_rv, result.flow.x_av, params)
-    cost_by_id = {cls: {l.id: state.cost(cls)[i] for i, l in enumerate(network.links)}
-                  for cls in VEHICLE_CLASSES}
-    lines = []
-    for (od_index, cls), paths in path_set.items():
-        for p in paths:
-            cost = cost_model.path_cost(p, cost_by_id[cls])
-            lines.append(format_path_line(od_index, cls, cost, p))
-    _write(path, lines)
+def write_path_dump(path, result):
+    _write(path, [format_path_line(g.od_index, g.vehicle_class, cost, p) for g in result.groups
+                  for p, cost in zip(g.paths, result.flow.path_costs[g.start:g.stop])])
 
 
 def write_summary_json(path, payload):
@@ -164,7 +172,7 @@ def _load(rc):
     return load_network(rc.net, rc.trips, rc.params)
 
 
-def _write_outputs(rc, command, network, final, path_set, wall, pga=None):
+def _write_outputs(rc, command, network, final, wall, pga=None):
     """Write the solve outputs of `solve` or `pga` (`pga` is the PgaResult)."""
     out = rc.out_dir or "."
     os.makedirs(out, exist_ok=True)
@@ -181,12 +189,11 @@ def _write_outputs(rc, command, network, final, path_set, wall, pga=None):
         "gap_tol": rc.solver.gap_tol,
         "converged": final.converged, "gap": final.gap,
         "iterations": final.iterations, "total_cost": final.total_cost,
-        "wall_seconds": wall, "paths": len(path_set),
+        "wall_seconds": wall, "paths": final.flow.f.size,
     }
     if pga is not None:
         write_outer_trace_csv(os.path.join(out, "outer_trace.csv"), pga.outer)
-        write_path_dump(os.path.join(out, "paths.txt"), network, rc.params, final,
-                        path_set)
+        write_path_dump(os.path.join(out, "paths.txt"), final)
         summary.update({
             "outer_iterations": len(pga.outer),
             "outer_converged": pga.outer_converged,
@@ -203,16 +210,15 @@ def cmd_solve(rc):
     free_flow = cost_model.free_flow_state(network, rc.params)
     path_set = generate_paths(network, free_flow, rc.pga.k)
     result = solve(network, path_set, rc.params, rc.solver)
-    return _write_outputs(rc, "solve", network, result, path_set,
-                          time.perf_counter() - started)
+    return _write_outputs(rc, "solve", network, result, time.perf_counter() - started)
 
 
 def cmd_pga(rc):
     network = _load(rc)
     started = time.perf_counter()
     result = pga_solve(network, rc.params, rc.pga, rc.solver)
-    return _write_outputs(rc, "pga", network, result.solve, result.path_set,
-                          time.perf_counter() - started, pga=result)
+    return _write_outputs(rc, "pga", network, result.solve, time.perf_counter() - started,
+                          pga=result)
 
 
 def cmd_ksp(rc, origin, destination, k, vehicle_class):

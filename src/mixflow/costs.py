@@ -185,13 +185,11 @@ def cnl_commonalities(entries, path_costs_vec, theta, u):
 
 def perceived_cost_rv(path_cost_vec, flow, demand, commonality, params):
     """Perceived rv path cost: observed cost plus the nested-logit terms;
-    `demand` is the demand of each path's group.
+    `demand` is the (positive) demand of each path's group.
 
     Flows are floored at FLOW_FLOOR inside the log only; equilibrium
     flows are strictly positive but intermediate iterates may touch zero.
     """
-    if np.any(demand <= 0):
-        raise ValueError("rv perceived cost needs positive group demand")
     scale = params.nesting / params.dispersion
     return (path_cost_vec - scale * commonality
             + scale * np.log(np.maximum(flow, FLOW_FLOOR) / demand))

@@ -105,6 +105,8 @@ def certify(network, path_set, flows_by_group, params):
     demand_by_group = {key: network.od_pairs[key[0]].demand(key[1]) for key in costs_by_group}
     # every rv group in one cross-nested evaluation; av perceived costs are observed
     rv = [key for key in costs_by_group if key[1] == RV]
+    if bad := [key for key in rv if not demand_by_group[key] > 0]:
+        raise ValueError(f"od {bad[0][0]} class rv has flows but no positive demand")
     sizes = [len(costs_by_group[key]) for key in rv]
     observed = np.fromiter((c for key in rv for c in costs_by_group[key]), float)
     flows = np.fromiter((f for key in rv for f in flows_by_group[key]), float)

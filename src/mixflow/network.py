@@ -238,8 +238,9 @@ def parse_net_text(text, path="<net>"):
         except ValueError:
             raise ParseError(path, line_no,
                              f"non-numeric link record or node id: {line!r}") from None
-        if not all(math.isfinite(v) for v in (cap, length, free_time, cap_av) if v is not None):
-            raise ParseError(path, line_no, f"non-finite number in link record: {line!r}")
+        if not all(0 < v < math.inf for v in (cap, length, free_time, cap_av) if v is not None):
+            raise ParseError(path, line_no,
+                             f"nonpositive or non-finite number in link record: {line!r}")
         rows.append((from_node, to_node, cap, length, free_time, cap_av))
     if n_links is not None and n_links != len(rows):
         raise ParseError(path, links_line,

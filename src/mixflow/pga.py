@@ -98,11 +98,9 @@ def pga_solve(network, params, pga_config, solver_config):
     outer_converged = False
     result = None
     for m in range(1, pga_config.max_outer + 1):
-        if result is None:
-            link_state = cost_model.free_flow_state(network, params)
-        else:
-            link_state = cost_model.evaluate_links(network, result.flow.x_rv,
-                                                   result.flow.x_av, params)
+        # later rounds generate at the costs the previous solve priced last
+        link_state = (cost_model.free_flow_state(network, params) if result is None
+                      else result.flow.link_state)
         tick = time.perf_counter()
         path_set, new_count = merge_path_sets(
             path_set, generate_paths(network, link_state, pga_config.k))

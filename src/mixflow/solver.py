@@ -62,24 +62,23 @@ class TraceRow:
 
 @dataclass
 class FlowState:
-    f: np.ndarray        # per-path flows in assignment order
-    x_rv: np.ndarray     # per-link rv flows
-    x_av: np.ndarray     # per-link av flows
-    iteration: int
+    f: np.ndarray                       # per-path flows in assignment order
+    x_rv: np.ndarray                    # per-link rv flows
+    x_av: np.ndarray                    # per-link av flows
+    link_state: cost_model.LinkState    # link costs at x_rv, x_av
+    path_costs: np.ndarray              # observed per-path costs at link_state
 
 
 @dataclass
 class SolveResult:
     flow: FlowState
-    trace: list
+    trace: list          # one TraceRow per iteration; the last one reports `flow`
     converged: bool
-    gap: float
-    total_cost: float
     groups: list         # the assignment's groups; group g owns flow.f[g.start:g.stop]
 
-    @property
-    def iterations(self):
-        return self.flow.iteration
+    gap = property(lambda self: self.trace[-1].gap)
+    total_cost = property(lambda self: self.trace[-1].total_cost)
+    iterations = property(lambda self: len(self.trace))
 
     def flows_by_group(self):
         """Per-path flows keyed by (od_index, class), in group order."""
@@ -262,9 +261,10 @@ def solve(network, path_set, params, config, initial_flows=None, callback=None):
     """Run the flow-swapping loop until the relative gap meets config.gap_tol.
 
     Returns a SolveResult whose flow state is the iterate the reported gap
-    certifies (the terminating iteration's update is not applied). Reaching
-    max_iters is flagged via converged=False, not raised. The optional
-    callback(iteration, flows, direction) fires after every applied update.
+    certifies, priced as that iteration priced it (the terminating
+    iteration's update is not applied). Reaching max_iters is flagged via
+    converged=False, not raised. The optional callback(iteration, flows,
+    direction) fires after every applied update.
     """
     assignment = Assignment(network, path_set, params)
     return solve_assignment(assignment, config, initial_flows, callback)
@@ -287,9 +287,7 @@ def solve_assignment(assignment, config, initial_flows=None, callback=None):
     damping = None
     prev_volume = None
     converged = False
-    iteration = 0
-    while iteration < config.max_iters:
-        iteration += 1
+    for iteration in range(1, config.max_iters + 1):
         tick = time.perf_counter()
         x_rv, x_av = assignment.link_flows(flows)
         link_state = cost_model.evaluate_links(assignment.network, x_rv, x_av, params)
@@ -320,16 +318,8 @@ def solve_assignment(assignment, config, initial_flows=None, callback=None):
         if callback is not None:
             callback(iteration, flows, direction)
         prev_volume = volume
-    x_rv, x_av = assignment.link_flows(flows)
-    last = trace[-1]
-    return SolveResult(
-        flow=FlowState(f=flows, x_rv=x_rv, x_av=x_av, iteration=iteration),
-        trace=trace,
-        converged=converged,
-        gap=last.gap,
-        total_cost=last.total_cost,
-        groups=assignment.groups,
-    )
+    return SolveResult(FlowState(flows, x_rv, x_av, link_state, observed),
+                       trace, converged, assignment.groups)
 
 
 def _check_conservation(assignment, flows, iteration):

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from mixflow.cli import CONFIG_KEYS, main, parse_config_text, build_run_config
-from mixflow.costs import ClassParams
+from mixflow.costs import ClassParams, evaluate_links, path_cost
+from mixflow.diagnostics import link_flows_from_paths
 from mixflow.fixtures import nguyen_network, sioux_falls_network
 from mixflow.network import Link, Network, ODPair, ParseError, write_network
+from mixflow.paths import PathSet, build_path
 
 from conftest import diamond_network
 
@@ -328,6 +330,7 @@ def test_check_malformed_row_names_file_and_line(tmp_path, diamond_files, capsys
 
 NET_TEXT = "<NUMBER OF NODES> 2\n<NUMBER OF LINKS> 1\n<END OF METADATA>\n1 2 1000 1 1 ;\n"
 TRIPS_TEXT = "<END OF METADATA>\nOrigin 1\n 2 : 10;\n"
+CONFIG_TEXT = "# run\ngap = 1e-3\nk = 4\n"
 
 
 @pytest.mark.parametrize("kind, old, new, line_no, message", [
@@ -344,21 +347,36 @@ TRIPS_TEXT = "<END OF METADATA>\nOrigin 1\n 2 : 10;\n"
     ("net", "1 2 1000 1 1", "1 2.0 1000 1 1", 4, "non-numeric link record or node id"),
     ("trips", "Origin 1", "Origin 1.9", 2, "bad origin line"),
     ("trips", "2 : 10", "2.2 : 10", 3, "non-numeric trips entry or node id"),
+    ("net", "1 2 1000 1 1", "1 2 0 1 1", 4, "nonpositive or non-finite number"),
+    ("net", "1 2 1000 1 1", "1 2 -1000 1 1", 4, "nonpositive or non-finite number"),
+    ("net", "1 2 1000 1 1", "1 2 1000 -1 1", 4, "nonpositive or non-finite number"),
+    ("net", "1 2 1000 1 1", "1 2 1000 1 0", 4, "nonpositive or non-finite number"),
+    ("net", "<END OF METADATA>\n1 2 1000 1 1",
+     "<END OF METADATA>\n~ a b capacity length time capacity_av\n1 2 1000 1 1 -2000", 5,
+     "nonpositive or non-finite number"),
+    ("config", "gap = 1e-3", "gap = abc", 2, "config key 'gap' expects float, got 'abc'"),
+    ("config", "gap = 1e-3", "gap = nan", 2, "config key 'gap' must be finite, got 'nan'"),
+    ("config", "k = 4", "k = inf", 3, "config key 'k' expects int, got 'inf'"),
+    ("config", "k = 4", "k = 5.0", 3, "config key 'k' expects int, got '5.0'"),
+    ("config", "k = 4", "dispersion = -inf", 3,
+     "config key 'dispersion' must be finite, got '-inf'"),
+    ("config", "k = 4", "lambda2 = 1", 3, "unknown config key 'lambda2'"),
 ])
 def test_malformed_number_in_input_names_file_and_line(tmp_path, capsys, kind, old, new,
                                                        line_no, message):
-    texts = {"net": NET_TEXT, "trips": TRIPS_TEXT}
+    texts = {"net": NET_TEXT, "trips": TRIPS_TEXT, "config": CONFIG_TEXT}
     texts[kind] = texts[kind].replace(old, new)
     files = {}
     for name, text in texts.items():
         files[name] = tmp_path / f"{name}.tntp"
         files[name].write_text(text, encoding="utf-8")
     code = main(["solve", "--net", str(files["net"]), "--trips", str(files["trips"]),
-                 "--out-dir", str(tmp_path / "out")])
+                 "--config", str(files["config"]), "--out-dir", str(tmp_path / "out")])
     assert code == 1
     err = capsys.readouterr().err
     assert f"{files[kind]}:{line_no}:" in err
     assert message in err
+    assert not (tmp_path / "out").exists()
 
 
 def _corrupt_link_record(rng, line):
@@ -370,8 +388,9 @@ def _corrupt_link_record(rng, line):
         i = int(rng.integers(0, 2))
         tokens[i] = str(rng.choice([f"{tokens[i]}.5", f"n{tokens[i]}", "one"]))
     else:
-        tokens[int(rng.integers(2, 6))] = str(rng.choice(["nan", "inf", "-inf", "1e400",
-                                                          "abc"]))
+        i = int(rng.integers(2, 6))
+        tokens[i] = str(rng.choice(["nan", "inf", "-inf", "1e400", "abc", "0",
+                                    f"-{tokens[i]}"]))
     return kind, " ".join(tokens)
 
 
@@ -392,7 +411,13 @@ def _corrupt_trips_line(rng, line):
 
 def _corrupt_config_line(rng, line):
     key, value = line.split(" = ")
-    kind = str(rng.choice(["no equals", "empty key", "empty value"]))
+    value_kind = CONFIG_KEYS[key][2]
+    kind = str(rng.choice(["no equals", "empty key", "empty value"]
+                          + ["bad value"] * (value_kind is not str)))
+    if kind == "bad value":
+        # not of the key's type, or a float that is not finite
+        bad = ["abc", "nan", "inf"] + ["5.0"] * (value_kind is int)
+        return kind, f"{key} = {rng.choice(bad)}"
     return kind, {"no equals": f"{key} {value}", "empty key": f"= {value}",
                   "empty value": f"{key} ="}[kind]
 
@@ -403,7 +428,7 @@ FUZZ_CORRUPTIONS = {
     "trips": (_corrupt_trips_line, lambda line: line[:1].isdigit() or line.startswith("Origin"),
               {"origin", "no colon", "drop field", "node id", "number"}),
     "config": (_corrupt_config_line, lambda line: " = " in line,
-               {"no equals", "empty key", "empty value"}),
+               {"no equals", "empty key", "empty value", "bad value"}),
 }
 
 
@@ -436,23 +461,58 @@ def test_malformed_input_fuzz_names_file_and_line(tmp_path, capsys, kind):
     assert seen == all_kinds
 
 
-@pytest.mark.parametrize("fixture, seed, mode, k, gap", [
-    (nguyen_network, 0, "modified", 8, 1e-4), (nguyen_network, 0, "baseline", 8, 1e-4),
-    (nguyen_network, 3, "modified", 8, 1e-4), (nguyen_network, 3, "baseline", 8, 1e-4),
-    (sioux_falls_network, 7, "modified", 10, 5e-3),
+@pytest.mark.parametrize("command, fixture, seed, mode, k, gap", [
+    ("solve", nguyen_network, 0, "modified", 8, 1e-4),
+    ("solve", nguyen_network, 0, "baseline", 8, 1e-4),
+    ("solve", nguyen_network, 3, "modified", 8, 1e-4),
+    ("solve", nguyen_network, 3, "baseline", 8, 1e-4),
+    ("solve", sioux_falls_network, 7, "modified", 10, 5e-3),
+    ("pga", nguyen_network, 0, "modified", 8, 1e-4),
+    ("pga", nguyen_network, 0, "baseline", 8, 1e-4),
+    ("pga", nguyen_network, 3, "modified", 8, 1e-4),
+    ("pga", nguyen_network, 3, "baseline", 8, 1e-4),
 ], ids=["nguyen0-modified", "nguyen0-baseline", "nguyen3-modified", "nguyen3-baseline",
-        "sioux_falls7"])
-def test_converged_solve_passes_its_own_check(tmp_path, fixture, seed, mode, k, gap):
+        "sioux_falls7", "pga-nguyen0-modified", "pga-nguyen0-baseline",
+        "pga-nguyen3-modified", "pga-nguyen3-baseline"])
+def test_converged_solve_passes_its_own_check(tmp_path, command, fixture, seed, mode, k,
+                                              gap):
     # path_flows.csv must carry the flows the solver certified: at 6 digits
     # nguyen seed 3 baseline read a residual of 1.00053e-4 > gap
     net_file, trips_file = tmp_path / "net.tntp", tmp_path / "trips.tntp"
     write_network(fixture(ClassParams(), seed=seed), net_file, trips_file)
     common = ["--net", str(net_file), "--trips", str(trips_file)]
     out = tmp_path / "out"
-    assert main(["solve", *common, "--out-dir", str(out), "--mode", mode, "--k", str(k),
+    assert main([command, *common, "--out-dir", str(out), "--mode", mode, "--k", str(k),
                  "--gap", str(gap)]) == 0
     assert main(["check", *common, "--flows", str(out / "path_flows.csv"),
                  "--set", f"check_tol={gap}", "--out-dir", str(tmp_path / "check")]) == 0
+
+
+def test_pga_path_dump_prices_path_flows_rows_at_the_final_flows(tmp_path):
+    """paths.txt lists the paths of path_flows.csv in its row order, each
+    priced at the link costs of the written flows."""
+    params = ClassParams()
+    net = nguyen_network(params, seed=0)
+    net_file, trips_file = tmp_path / "net.tntp", tmp_path / "trips.tntp"
+    write_network(net, net_file, trips_file)
+    out = tmp_path / "out"
+    assert main(["pga", "--net", str(net_file), "--trips", str(trips_file),
+                 "--out-dir", str(out), "--k", "8", "--gap", "1e-4"]) == 0
+    rows = [line.split(",") for line in read(out / "path_flows.csv").splitlines()[1:]]
+    dump = [line.split() for line in read(out / "paths.txt").splitlines()]
+    assert len(dump) == len(rows) == 50
+    paths = [build_path(net, tuple(int(a) for a in key.split("-"))) for _, _, key, _ in rows]
+    path_set, flows = PathSet(), {}
+    for (od, cls, _, flow), p in zip(rows, paths):
+        path_set.add(int(od), cls, p)
+        flows.setdefault((int(od), cls), []).append(float(flow))
+    x_rv, x_av = link_flows_from_paths(path_set, flows, net)
+    state = evaluate_links(net, x_rv, x_av, params)
+    cost_by_id = {cls: {l.id: state.cost(cls)[i] for i, l in enumerate(net.links)}
+                  for cls in ("rv", "av")}
+    for (od, cls, _, _), p, (d_od, d_cls, d_cost, d_nodes) in zip(rows, paths, dump):
+        assert (d_od, d_cls, d_nodes) == (od, cls, "-".join(str(n) for n in p.nodes))
+        assert float(d_cost) == pytest.approx(path_cost(p, cost_by_id[cls]), rel=5e-6)
 
 
 def test_link_count_mismatch_names_metadata_line(tmp_path, capsys):

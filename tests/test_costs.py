@@ -243,11 +243,6 @@ def test_perceived_cost_rv_floor_guards_zero_flow():
     assert value == pytest.approx(expected)
 
 
-def test_perceived_cost_rv_requires_demand():
-    with pytest.raises(ValueError):
-        perceived_cost_rv(10.0, 1.0, 0.0, 0.0, ClassParams())
-
-
 def test_evaluate_links_respects_free_flow(params):
     net = random_network(np.random.default_rng(9))
     zeros = np.zeros(net.n_links)

@@ -140,3 +140,16 @@ def test_residual_bounded_by_gap_times_total_cost(params):
     assert result.converged
     report = certify(net, ps, result.flows_by_group(), params)
     assert report.ncp_residual <= 1e-5 * report.total_cost * (1.0 + 1e-9)
+
+
+def test_certify_rejects_rv_flows_without_demand(params):
+    # a hand-built network whose od has no rv demand, given rv flows anyway
+    net = diamond_network(demand_rv=0.0, demand_av=10.0)
+    ps = PathSet()
+    ps.add(0, RV, build_path(net, (1, 2)))
+    ps.add(0, AV, build_path(net, (1, 2)))
+    flows = {(0, RV): np.array([5.0]), (0, AV): np.array([10.0])}
+    with pytest.raises(ValueError, match="od 0 class rv has flows but no positive demand"):
+        certify(net, ps, flows, params)
+    flows.pop((0, RV))
+    assert certify(net, ps, flows, params).feasibility_violation == 0.0

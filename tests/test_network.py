@@ -6,7 +6,7 @@ import pytest
 from mixflow.costs import ClassParams
 from mixflow.fixtures import nguyen_network
 from mixflow.network import (Link, Network, ODPair, ParseError,
-                             ValidationError, load_network, parse_net_text,
+                             load_network, parse_net_text,
                              parse_trips_text, split_demand, validate,
                              write_net_text, write_network, write_trips_text)
 
@@ -43,9 +43,9 @@ def test_zero_capacity_link_rejected(tmp_path, params):
                    "1 2 0 1 1 ;\n", encoding="utf-8")
     trips = tmp_path / "trips.tntp"
     trips.write_text("Origin 1\n 2 : 10;\n", encoding="utf-8")
-    with pytest.raises(ValidationError) as err:
+    with pytest.raises(ParseError) as err:
         load_network(str(bad), str(trips), params)
-    assert "link 1" in str(err.value)
+    assert str(err.value).startswith(f"{bad}:4: nonpositive or non-finite number")
 
 
 def test_parse_error_reports_line_number():

@@ -8,8 +8,8 @@ from mixflow.paths import PathSet, build_path, yen_k_shortest
 from mixflow.pga import generate_paths
 from mixflow.solver import (Assignment, BASELINE, SolverConfig,
                             SolverError, max_relative_outflow,
-                            relative_gap, solve, step_size, swap_volume,
-                            total_cost, update_flows)
+                            relative_gap, solve, solve_assignment, step_size,
+                            swap_volume, total_cost, update_flows)
 from mixflow import costs as cost_model
 from mixflow import diagnostics
 
@@ -273,6 +273,29 @@ def test_solve_flags_max_iters_without_raising(params):
     assert not result.converged
     assert result.iterations == 3
     assert len(result.trace) == 3
+
+
+@pytest.mark.parametrize("config", [SolverConfig(gap_tol=1e-4, max_iters=5000),
+                                    SolverConfig(gap_tol=1e-9, max_iters=40)],
+                         ids=["converged", "max_iters"])
+def test_result_carries_the_pricing_of_its_iterate(params, config):
+    """The flow state holds the link state and path costs its last trace row
+    was computed from, exactly as a fresh evaluation at its flows gives them."""
+    net = nguyen_network(params, seed=0)
+    asn = Assignment(net, generate_paths(net, free_flow_state(net, params), 8), params)
+    result = solve_assignment(asn, config)
+    assert result.converged == (config.max_iters == 5000)
+    assert result.iterations == len(result.trace) == (310 if result.converged else 40)
+    flow = result.flow
+    x_rv, x_av = asn.link_flows(flow.f)
+    assert np.array_equal(flow.x_rv, x_rv) and np.array_equal(flow.x_av, x_av)
+    fresh = evaluate_links(net, flow.x_rv, flow.x_av, params)
+    for name in ("mixed_cap", "minutes", "cost_rv", "cost_av"):
+        assert np.array_equal(getattr(flow.link_state, name), getattr(fresh, name)), name
+    assert np.array_equal(flow.path_costs, asn.path_costs(fresh))
+    perceived = asn.perceived_costs(flow.f, flow.path_costs)
+    assert result.total_cost == total_cost(flow.f, perceived) == result.trace[-1].total_cost
+    assert result.gap == relative_gap(asn, flow.f, perceived) == result.trace[-1].gap
 
 
 def test_solve_callback_sees_every_update(params):
