@@ -149,9 +149,9 @@ def write_trace_csv(path, trace):
 
 
 def write_outer_trace_csv(path, rows):
-    lines = ["m,new_paths,TC,E,inner_iters,seconds"]
+    lines = ["m,new_paths,TC,E,inner_iters,seconds,gen_seconds"]
     lines += [f"{r.m},{r.new_paths},{_fmt(r.total_cost)},{_fmt(r.error)},"
-              f"{r.inner_iters},{_fmt(r.seconds)}" for r in rows]
+              f"{r.inner_iters},{_fmt(r.seconds)},{_fmt(r.gen_seconds)}" for r in rows]
     _write(path, lines)
 
 

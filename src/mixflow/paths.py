@@ -25,10 +25,6 @@ class Path:
     nodes: tuple          # ordered node ids, len(links) + 1
     length: float         # miles, sum of member-link lengths
 
-    @property
-    def key(self):
-        return self.links
-
 
 def build_path(network, link_ids):
     """Construct a Path from link ids, checking adjacency and loop-freeness."""
@@ -57,7 +53,7 @@ class PathSet:
         """Insert a path; returns True when it was not already present."""
         group_key = (od_index, vehicle_class)
         paths = self._groups.setdefault(group_key, [])
-        full_key = (od_index, vehicle_class, path.key)
+        full_key = (od_index, vehicle_class, path.links)
         if full_key in self._keys:
             return False
         self._keys.add(full_key)
@@ -71,9 +67,6 @@ class PathSet:
         """Groups in deterministic (od_index, rv-before-av) order."""
         order = sorted(self._groups, key=lambda k: (k[0], _CLASS_ORDER[k[1]]))
         return [(k, tuple(self._groups[k])) for k in order]
-
-    def contains(self, od_index, vehicle_class, path):
-        return (od_index, vehicle_class, path.key) in self._keys
 
     def copy(self):
         clone = PathSet()
@@ -99,92 +92,106 @@ def merge_path_sets(current, generated):
     return merged, new_count
 
 
-def _adjacency(network, link_costs):
-    """Forward adjacency `(to, link id, cost)` and reverse `(from, cost)`."""
-    adj = {n: [] for n in network.nodes}
-    radj = {n: [] for n in network.nodes}
-    for i, link in enumerate(network.links):
-        cost = float(link_costs[i])
-        if not 0 < cost < math.inf:
-            raise ValueError(f"link {link.id} has cost {cost}; "
-                             "expected a positive finite value")
-        adj[link.from_node].append((link.to_node, link.id, cost))
-        radj[link.to_node].append((link.from_node, cost))
-    return adj, radj
+class Graph:
+    """One class's link costs over node indices 0..n-1 in `network.nodes`
+    order, shared by every Yen call at those costs. Node ids are sorted, so
+    index tuples compare like node-id tuples and ties resolve as over ids."""
+
+    def __init__(self, network, link_costs):
+        self.node_ids = network.nodes
+        self.index = {node: i for i, node in enumerate(network.nodes)}
+        # (to, link id, cost, (to,), (link id,)): the 1-tuples extend labels
+        self.adj = [[] for _ in network.nodes]
+        self.radj = [[] for _ in network.nodes]    # (from, cost)
+        self.cost, self.length, self._bounds = {}, {}, {}
+        for link, cost in zip(network.links, link_costs, strict=True):
+            cost = float(cost)
+            if not 0 < cost < math.inf:
+                raise ValueError(f"link {link.id} has cost {cost}; "
+                                 "expected a positive finite value")
+            tail, head = self.index[link.from_node], self.index[link.to_node]
+            self.adj[tail].append((head, link.id, cost, (head,), (link.id,)))
+            self.radj[head].append((tail, cost))
+            self.cost[link.id], self.length[link.id] = cost, link.length
+
+    def bound(self, destination):
+        """Cheapest cost from every node index to `destination` (`inf` where
+        unreachable), a lower bound on any spur search's remaining cost; a
+        reverse Dijkstra run on first use and kept."""
+        dist = self._bounds.get(destination)
+        if dist is None:
+            dist = self._bounds[destination] = [math.inf] * len(self.adj)
+            dist[destination] = 0.0
+            heap = [(0.0, destination)]
+            while heap:
+                cost, node = heapq.heappop(heap)
+                if cost > dist[node]:
+                    continue
+                for from_node, step_cost in self.radj[node]:
+                    cand = cost + step_cost
+                    if cand < dist[from_node]:
+                        dist[from_node] = cand
+                        heapq.heappush(heap, (cand, from_node))
+        return dist
 
 
-def _costs_to(radj, destination):
-    """Cheapest cost from every node that reaches `destination` (reverse
-    Dijkstra); a lower bound on any spur search's remaining cost."""
-    dist = {destination: 0.0}
-    heap = [(0.0, destination)]
-    while heap:
-        cost, node = heapq.heappop(heap)
-        if cost > dist[node]:
-            continue
-        for from_node, step_cost in radj[node]:
-            cand = cost + step_cost
-            if cand < dist.get(from_node, math.inf):
-                dist[from_node] = cand
-                heapq.heappush(heap, (cand, from_node))
-    return dist
+def _shortest(adj, bound, origin, destination, limit=math.inf):
+    """Cheapest path label `(key, cost, nodes, links)` over node indices, or
+    None; cost ties resolve to the smallest node sequence, then link sequence.
 
-
-def _shortest(adj, bound, origin, destination, banned_nodes, banned_links):
-    """Cheapest path; cost ties resolve to the lexicographically smallest
-    node sequence (then link sequence, for parallel links).
-
-    Labels `(cost, nodes, links)` pop in A* order, by cost plus `bound`;
-    nodes absent from `bound` cannot reach the destination. Each node keeps
-    its smallest label as a whole tuple, so equal-cost prefixes are resolved
-    the way full paths are. `bound` sums costs in another order than the
-    labels do, but its float error is far below `_SLACK`: once a key exceeds
-    the first destination cost grown by `_SLACK` no remaining label can tie
-    or beat it, and the smallest destination label is the exact answer.
+    Labels pop in A* order of key = cost + `bound` (`inf` at banned nodes
+    and at nodes that cannot reach the destination). Each node keeps its
+    smallest label, so equal-cost prefixes resolve the way full paths do.
+    The bound's float error is far below `_SLACK`: once a key exceeds the
+    first destination cost grown by `_SLACK`, no label left can tie or beat
+    it. Before that, a key above `limit` ends the search, which may then
+    return a path dearer than `limit` instead of the cheapest, or None.
     """
-    push, pop = heapq.heappush, heapq.heappop
-    start = (0.0, (origin,), ())
-    best = {origin: start}
-    heap = [(bound[origin], start)]
-    stop = math.inf
+    push, pop, inf = heapq.heappush, heapq.heappop, math.inf
+    start = (bound[origin], 0.0, (origin,), ())
+    best = [None] * len(bound)
+    best[origin] = start
+    heap = [start]
+    stop = limit
     while heap:
-        key, label = pop(heap)
+        label = pop(heap)
+        key, cost, nodes, links = label
         if key > stop:
             break
-        cost, nodes, links = label
         node = nodes[-1]
         if best[node] is not label:
             continue
         if node == destination:
-            if stop == math.inf:
+            if stop == limit:
                 stop = cost * (1.0 + _SLACK)
             continue
-        for to_node, link_id, step_cost in adj[node]:
-            if to_node in banned_nodes or link_id in banned_links:
-                continue
-            to_bound = bound.get(to_node)
-            if to_bound is None:
+        for to_node, _, step_cost, to_step, link_step in adj[node]:
+            to_bound = bound[to_node]
+            if to_bound == inf:
                 continue
             g = cost + step_cost
-            cur = best.get(to_node)
-            if cur is not None and g > cur[0]:
+            cur = best[to_node]
+            if cur is not None and g > cur[1]:
                 continue
-            cand = (g, nodes + (to_node,), links + (link_id,))
+            cand = (g + to_bound, g, nodes + to_step, links + link_step)
             if cur is None or cand < cur:
                 best[to_node] = cand
-                push(heap, (g + to_bound, cand))
-    return best.get(destination)
+                push(heap, cand)
+    return best[destination]
 
 
-def yen_k_shortest(network, link_costs, origin, destination, k):
+def yen_k_shortest(network, link_costs, origin, destination, k, graph=None):
     """Up to k cheapest loop-free paths in nondecreasing cost order.
 
     `link_costs` is indexed like network.links and must be positive and
-    finite. Deviations are generated from each accepted path by banning, at
-    every spur node, the links that previously accepted paths take out of
-    the shared root. Spur nodes start at the index where the path left its
-    parent's root (Lawler): an earlier spur would repeat a search whose
-    result has already been seen.
+    finite; `graph`, when given, is a `Graph` already built on them and
+    `link_costs` is not read again. Deviations are generated from each
+    accepted path by banning, at every spur node, the links that previously
+    accepted paths take out of the shared root. Spur nodes start at the
+    index where the path left its parent's root (Lawler): an earlier spur
+    would repeat a search whose result has already been seen. A spur search
+    stops above the cost of the candidate that would be accepted last, when
+    there are enough candidates to know it.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -193,46 +200,48 @@ def yen_k_shortest(network, link_costs, origin, destination, k):
             raise ValueError(f"node {node} is not in the network")
     if origin == destination:
         raise ValueError(f"origin {origin} equals destination {destination}")
-    adj, radj = _adjacency(network, link_costs)
-    bound = _costs_to(radj, destination)
-    link_cost_by_id = {network.links[i].id: float(link_costs[i])
-                       for i in range(network.n_links)}
-    if origin not in bound:
+    if graph is None:
+        graph = Graph(network, link_costs)
+    adj, cost_of, inf = graph.adj, graph.cost, math.inf
+    source, sink = graph.index[origin], graph.index[destination]
+    bound = graph.bound(sink)
+    if bound[source] == inf:
         raise ValueError(f"no path from {origin} to {destination}")
-    first = _shortest(adj, bound, origin, destination, frozenset(), frozenset())
-    accepted = [first]
-    seen = {first[2]}
-    candidates = []
-    deviation = 0
+    accepted = [_shortest(adj, bound, source, sink)[1:]]
+    seen = {accepted[0][2]}
+    candidates, deviation = [], 0
     while len(accepted) < k:
         _, prev_nodes, prev_links = accepted[-1]
         root_cost = 0.0
-        for i in range(deviation):
-            root_cost += link_cost_by_id[prev_links[i]]
-        for i in range(deviation, len(prev_links)):
-            spur_node = prev_nodes[i]
-            root_links = prev_links[:i]
-            banned_links = {p_links[i] for _, _, p_links in accepted
-                            if p_links[:i] == root_links}
-            banned_nodes = set(prev_nodes[:i])
-            spur = _shortest(adj, bound, spur_node, destination,
-                             banned_nodes, banned_links)
-            if spur is not None:
-                spur_cost, spur_nodes, spur_links = spur
-                total_links = root_links + spur_links
-                if total_links not in seen:
-                    seen.add(total_links)
-                    heapq.heappush(candidates, (root_cost + spur_cost,
-                                                prev_nodes[:i] + spur_nodes,
-                                                total_links, i))
-            root_cost += link_cost_by_id[prev_links[i]]
+        sharing = [p for _, _, p in accepted]    # accepted paths sharing the root
+        spur_adj, spur_bound = adj.copy(), bound.copy()
+        nearest = heapq.nsmallest(k - len(accepted), candidates)
+        limit = (nearest[-1][0] * (1.0 + _SLACK) if len(nearest) == k - len(accepted)
+                 else inf)
+        for i, spur_node in enumerate(prev_nodes[:-1]):
+            if i >= deviation:
+                # the banned links all leave the spur node: only its list changes
+                banned_links = {p[i] for p in sharing}
+                spur_adj[spur_node] = [e for e in adj[spur_node] if e[1] not in banned_links]
+                spur = _shortest(spur_adj, spur_bound, spur_node, sink, limit - root_cost)
+                if spur is not None:
+                    _, spur_cost, spur_nodes, spur_links = spur
+                    total_links = prev_links[:i] + spur_links
+                    if total_links not in seen:
+                        seen.add(total_links)
+                        heapq.heappush(candidates, (root_cost + spur_cost,
+                                                    prev_nodes[:i] + spur_nodes,
+                                                    total_links, i))
+            root_cost += cost_of[prev_links[i]]
+            spur_bound[spur_node] = inf    # root nodes are banned
+            sharing = [p for p in sharing if p[i] == prev_links[i]]
         if not candidates:
             break
         cost, nodes, links, deviation = heapq.heappop(candidates)
         accepted.append((cost, nodes, links))
-    lengths = {l.id: l.length for l in network.links}
-    return [Path(links=links, nodes=nodes,
-                 length=float(sum(lengths[a] for a in links)))
+    ids, lengths = graph.node_ids, graph.length
+    return [Path(links=links, nodes=tuple(map(ids.__getitem__, nodes)),
+                 length=float(sum(map(lengths.__getitem__, links))))
             for _, nodes, links in accepted]
 
 

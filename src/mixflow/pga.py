@@ -17,7 +17,7 @@ import numpy as np
 
 from . import costs as cost_model
 from .network import VEHICLE_CLASSES
-from .paths import PathSet, merge_path_sets, yen_k_shortest
+from .paths import Graph, PathSet, merge_path_sets, yen_k_shortest
 from .solver import Assignment, SolveResult, solve_assignment
 
 
@@ -48,6 +48,7 @@ class OuterRow:
     error: float
     inner_iters: int
     seconds: float
+    gen_seconds: float    # of `seconds`, spent generating and merging paths
 
 
 @dataclass
@@ -60,14 +61,18 @@ class PgaResult:
 
 def generate_paths(network, link_state, k):
     """Up to k Yen paths for every demanded (OD, class) at the link state's
-    per-class costs, as a fresh PathSet."""
+    per-class costs, as a fresh PathSet; one `Graph` per class serves all
+    of that class's calls, built at its first demanded group."""
     path_set = PathSet()
+    graphs = {}
     for od_index, od in enumerate(network.od_pairs):
         for cls in VEHICLE_CLASSES:
             if od.demand(cls) <= 0:
                 continue
-            for path in yen_k_shortest(network, link_state.cost(cls),
-                                       od.origin, od.destination, k):
+            if cls not in graphs:
+                graphs[cls] = Graph(network, link_state.cost(cls))
+            for path in yen_k_shortest(network, link_state.cost(cls), od.origin,
+                                       od.destination, k, graph=graphs[cls]):
                 path_set.add(od_index, cls, path)
     return path_set
 
@@ -104,13 +109,14 @@ def pga_solve(network, params, pga_config, solver_config):
         tick = time.perf_counter()
         path_set, new_count = merge_path_sets(
             path_set, generate_paths(network, link_state, pga_config.k))
+        gen_seconds = time.perf_counter() - tick
         assignment = Assignment(network, path_set, params)
         result = solve_assignment(assignment, inner_config,
                                   initial_flows=_carry_over(assignment, result))
         total = result.total_cost
         error = float("inf") if prev_total is None else (total - prev_total) / total
         outer.append(OuterRow(m, new_count, total, error,
-                              result.iterations, time.perf_counter() - tick))
+                              result.iterations, time.perf_counter() - tick, gen_seconds))
         prev_total = total
         if m >= 2 and abs(error) <= pga_config.outer_tol:
             outer_converged = True

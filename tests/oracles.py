@@ -39,8 +39,8 @@ def enumerate_simple_paths(network, origin, destination):
 
 def incidence(path_set, od_index, vehicle_class, link_id, path):
     """1 if the link belongs to a path registered in the set, else 0."""
-    if not path_set.contains(od_index, vehicle_class, path):
-        raise KeyError(f"unknown path key {path.key}")
+    if path.links not in {p.links for p in path_set.group(od_index, vehicle_class)}:
+        raise KeyError(f"unknown path key {path.links}")
     return int(link_id in path.links)
 
 

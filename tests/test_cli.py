@@ -190,8 +190,11 @@ def test_pga_outputs(tmp_path, diamond_files):
                  "--out-dir", str(out), "--k", "5", "--set", "outer_tol=10"])
     assert code == 0
     outer_lines = read(out / "outer_trace.csv").splitlines()
-    assert outer_lines[0] == "m,new_paths,TC,E,inner_iters,seconds"
+    assert outer_lines[0] == "m,new_paths,TC,E,inner_iters,seconds,gen_seconds"
     assert len(outer_lines) == 1 + 2  # huge tolerance stops after round 2
+    for line in outer_lines[1:]:
+        seconds, gen_seconds = map(float, line.split(",")[5:])
+        assert 0 <= gen_seconds <= seconds
     dump = read(out / "paths.txt").splitlines()
     assert all(len(line.split()) == 4 for line in dump)
     summary = json.loads(read(out / "summary.json"))

@@ -1,10 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
 from mixflow.costs import ClassParams, free_flow_state
 from mixflow.fixtures import sioux_falls_network
-from mixflow.network import AV, RV, VEHICLE_CLASSES, Link, Network
-from mixflow.paths import (PathSet, build_path, format_path_line, merge_path_sets,
+from mixflow.network import AV, RV, VEHICLE_CLASSES, Link, Network, ODPair
+from mixflow.paths import (Graph, PathSet, build_path, format_path_line, merge_path_sets,
                            yen_k_shortest)
 
 from conftest import diamond_network, random_network
@@ -171,6 +173,73 @@ def test_yen_parallel_ties_follow_link_ids_not_list_order():
         expected = k_cheapest_paths(net, costs, od.origin, od.destination, k)
         got = yen_k_shortest(net, costs, od.origin, od.destination, k)
         assert [p.links for p in got] == [links for _, _, links in expected], case
+
+
+def _relabelled(rng, net):
+    """`net` with its nodes renamed to distinct ids drawn from 1..1000 in
+    random order, so that id order no longer follows the old numbering."""
+    ids = rng.choice(np.arange(1, 1001), size=len(net.nodes), replace=False)
+    new = dict(zip(net.nodes, (int(i) for i in ids)))
+    links = tuple(Link(l.id, new[l.from_node], new[l.to_node], l.length, l.free_time,
+                       l.cap_rv, l.cap_av) for l in net.links)
+    od_pairs = tuple(ODPair(new[od.origin], new[od.destination], od.demand_rv,
+                            od.demand_av) for od in net.od_pairs)
+    return Network(nodes=tuple(new.values()), links=links, od_pairs=od_pairs)
+
+
+def test_yen_ties_follow_node_ids_not_positions():
+    """Non-contiguous node ids in random order: ties still resolve to the
+    smallest node-id sequence, as in the reference search."""
+    rng = np.random.default_rng(406)
+    kinds = sorted(_TIE_COSTS)
+    relabelled = 0
+    for case in range(240):
+        base = _tie_heavy_network(rng, cyclic=bool(case % 2))
+        net = _relabelled(rng, base)
+        relabelled += net.nodes != base.nodes
+        costs = _TIE_COSTS[kinds[case // 2 % len(kinds)]](rng, net.n_links)
+        k = 1 + case % 14
+        od = net.od_pairs[0]
+        expected = plain_yen(net, costs, od.origin, od.destination, k)
+        got = yen_k_shortest(net, costs, od.origin, od.destination, k)
+        assert [p.links for p in got] == [links for _, _, links in expected], case
+        assert [p.nodes for p in got] == [nodes for _, nodes, _ in expected], case
+    assert relabelled == 240
+
+
+def test_shared_graph_matches_calls_without_one():
+    """Every (origin, destination) pair served from one `Graph` in shuffled
+    order returns what a call that builds its own graph returns."""
+    rng = np.random.default_rng(407)
+    kinds = sorted(_TIE_COSTS)
+    for case in range(40):
+        net = _relabelled(rng, _tie_heavy_network(rng, cyclic=bool(case % 2)))
+        costs = _TIE_COSTS[kinds[case % len(kinds)]](rng, net.n_links)
+        graph = Graph(net, costs)
+        pairs = [(o, d) for o in net.nodes for d in net.nodes if o != d]
+        for j in rng.permutation(len(pairs)):
+            origin, dest = pairs[j]
+            k = 1 + j % 8
+            try:
+                expected = yen_k_shortest(net, costs, origin, dest, k)
+            except ValueError as exc:
+                assert str(exc) == f"no path from {origin} to {dest}"
+                with pytest.raises(ValueError, match="no path"):
+                    yen_k_shortest(net, costs, origin, dest, k, graph=graph)
+                continue
+            assert yen_k_shortest(net, costs, origin, dest, k, graph=graph) == expected
+
+
+def test_graph_rejects_nonpositive_or_infinite_costs():
+    net = diamond_network()
+    for bad in (0.0, np.inf, -1.0, np.nan):
+        costs = np.ones(4)
+        costs[2] = bad
+        message = f"link 3 has cost {float(bad)}; expected a positive finite value"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Graph(net, costs)
+    with pytest.raises(ValueError):
+        Graph(net, np.ones(3))    # one cost per link
 
 
 def test_yen_exact_when_bounds_round_above_forward_sums():

@@ -1,8 +1,13 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from mixflow.network import RV, Link, Network, ODPair
-from mixflow.pga import PgaConfig, pga_solve
+from mixflow.costs import evaluate_links, free_flow_state
+from mixflow.fixtures import nguyen_network, sioux_falls_network
+from mixflow.network import RV, VEHICLE_CLASSES, Link, Network, ODPair
+from mixflow.paths import yen_k_shortest
+from mixflow.pga import PgaConfig, generate_paths, pga_solve
 from mixflow.solver import SolverConfig
 
 from conftest import diamond_network
@@ -113,3 +118,52 @@ def test_sioux_falls_dev_shrinks_with_k(params):
         assert devs[-1] == 0.0
         for earlier, later in zip(devs, devs[1:]):
             assert later <= earlier + 0.01
+
+
+def test_generate_paths_equals_per_call_yen(params):
+    """One `Graph` per class serves every group as a call without one would."""
+    for net, k in ((nguyen_network(params, seed=0), 8),
+                   (sioux_falls_network(params, seed=7), 5)):
+        state = free_flow_state(net, params)
+        expected = [((i, cls), tuple(yen_k_shortest(net, state.cost(cls), od.origin,
+                                                    od.destination, k)))
+                    for i, od in enumerate(net.od_pairs) for cls in VEHICLE_CLASSES
+                    if od.demand(cls) > 0]
+        assert generate_paths(net, state, k).items() == expected
+
+
+# sha256 of generate_paths on Sioux Falls, keyed by (demand seed, k, state);
+# recorded before the search moved to node indices and one graph per class
+_GENERATED_DIGESTS = {
+    (3, 4, "free"): "7b0e6a41163a2e1806702ced8188766660e75ce825a4b40348a6edb3924c6c64",
+    (3, 4, "loaded"): "0ceb7b4a0f1b5ee820b73ad3d3f39c0dd0f0c288639cf258586f5104be99d5a4",
+    (3, 10, "free"): "ff597966355a74734d0d0172f40ab311961dffa6a5c63dbf39964aa7fd634aed",
+    (3, 10, "loaded"): "662d9e72619743be886457347d13760003c0016c552119afe4badc43f2b23c5a",
+    (7, 4, "free"): "323cdd88b96eeb1abba50cc6d7660d0a1b0aeef9bdb4c4da973f177121eb47d5",
+    (7, 4, "loaded"): "c03ac52f78e6dee39f537e29b256e76ad397af72d1b94cfc9c2c76a9ad9e2fda",
+    (7, 10, "free"): "82c77a9715ae64e4f062cd84ea2c7b566fc8eade15b4d23ba8652df134d8ba42",
+    (7, 10, "loaded"): "06212e063fbe652b3acab25f697213fa0c57df42661c563b826b10139f46274a",
+}
+
+
+def _digest(path_set):
+    h = hashlib.sha256()
+    for (od_index, cls), paths in path_set.items():
+        for p in paths:
+            h.update(f"{od_index} {cls} {p.links} {p.nodes}\n".encode())
+    return h.hexdigest()
+
+
+def test_generated_paths_pinned_on_sioux_falls(params):
+    """Free flow and one seeded loaded state (uniform link flows up to 1500
+    veh/h per class) give the recorded path sets."""
+    got = {}
+    for seed in (3, 7):
+        net = sioux_falls_network(params, seed=seed)
+        rng = np.random.default_rng(seed)
+        loaded = evaluate_links(net, rng.uniform(0, 1500, net.n_links),
+                                rng.uniform(0, 1500, net.n_links), params)
+        for k in (4, 10):
+            for name, state in (("free", free_flow_state(net, params)), ("loaded", loaded)):
+                got[(seed, k, name)] = _digest(generate_paths(net, state, k))
+    assert got == _GENERATED_DIGESTS
