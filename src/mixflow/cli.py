@@ -28,7 +28,7 @@ from .pga import PgaConfig, generate_paths, pga_solve
 from .solver import BASELINE, MODIFIED, SolverConfig, SolverError, solve
 
 CONFIG_ENV = "MIXFLOW_CONFIG"
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -189,6 +189,7 @@ def _write_outputs(rc, command, network, final, wall, pga=None):
         "gap_tol": rc.solver.gap_tol,
         "converged": final.converged, "gap": final.gap,
         "iterations": final.iterations, "total_cost": final.total_cost,
+        "fallback_iteration": final.fallback_at,
         "wall_seconds": wall, "paths": final.flow.f.size,
     }
     if pga is not None:

@@ -4,13 +4,15 @@ Each iteration reprices the network once at the current flows, computes a
 pairwise flow-exchange direction within every (OD, class) group, scales it
 by a step bounded through the largest relative outflow, and applies it.
 The modified step rule reuses the swap-volume ratio when the volume is
-shrinking; the baseline configuration always takes the damped step.
+shrinking; the baseline configuration always takes the damped step. A
+modified solve whose gap has not halved in STALL_WINDOW iterations falls
+back to the baseline rule, restarted, for the rest of the run.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,6 +23,7 @@ MODIFIED = "modified"
 BASELINE = "baseline"
 
 H_FLOOR = 1e-10   # outflow-rate floor at (near-)equilibrium
+STALL_WINDOW = 500   # modified iterations without the gap halving before the fallback
 
 
 class SolverError(RuntimeError):
@@ -75,6 +78,7 @@ class SolveResult:
     trace: list          # one TraceRow per iteration; the last one reports `flow`
     converged: bool
     groups: list         # the assignment's groups; group g owns flow.f[g.start:g.stop]
+    fallback_at: int = None   # stalled modified solve: its last modified iteration
 
     gap = property(lambda self: self.trace[-1].gap)
     total_cost = property(lambda self: self.trace[-1].total_cost)
@@ -215,12 +219,14 @@ def swap_volume(direction):
 
 
 def step_size(iteration, drain, volume, prev_volume, prev_damping, config):
-    """Step and damping for this iteration.
+    """Step and damping for this iteration of the rule in force.
 
-    The first iteration always takes the damped step. Afterwards the
-    damping grows additively each iteration; the modified rule switches to
-    the volume-ratio step whenever the swap volume is not increasing, while
-    the baseline rule keeps the damped step throughout.
+    `iteration` counts from 1 where the rule took over: the start of the
+    solve, or a stall fallback. That first iteration takes the damped step
+    at gamma_init. Afterwards the damping grows additively each iteration;
+    the modified rule switches to the volume-ratio step whenever the swap
+    volume is not increasing, while the baseline rule keeps the damped step
+    throughout.
     """
     if iteration == 1:
         damping = config.gamma_init
@@ -287,6 +293,8 @@ def solve_assignment(assignment, config, initial_flows=None, callback=None):
     damping = None
     prev_volume = None
     converged = False
+    restart = 0                   # iterations before the rule in force took over
+    mark_gap = mark_at = None     # the last gap at most half the one marked before it
     for iteration in range(1, config.max_iters + 1):
         tick = time.perf_counter()
         x_rv, x_av = assignment.link_flows(flows)
@@ -302,7 +310,8 @@ def solve_assignment(assignment, config, initial_flows=None, callback=None):
         direction = assignment.swap_directions(flows, perceived, degree_rv, degree_av)
         drain = max_relative_outflow(flows, direction, H_FLOOR)
         volume = swap_volume(direction)
-        step, damping = step_size(iteration, drain, volume, prev_volume, damping, config)
+        step, damping = step_size(iteration - restart, drain, volume, prev_volume, damping,
+                                  config)
         gap = relative_gap(assignment, flows, perceived, total)
         trace.append(TraceRow(iteration, gap, volume, total, step, damping,
                               (time.perf_counter() - tick) * 1e3))
@@ -313,13 +322,20 @@ def solve_assignment(assignment, config, initial_flows=None, callback=None):
             break
         if iteration == config.max_iters:
             break
+        if mark_at is None or gap <= 0.5 * mark_gap:
+            mark_gap, mark_at = gap, iteration
+        elif config.mode == MODIFIED and iteration - mark_at >= STALL_WINDOW:
+            # stalled: the next iterations run the baseline rule from gamma_init
+            restart = iteration
+            config = replace(config, mode=BASELINE)
+            degree_rv = degree_av = 1.0
         flows = update_flows(flows, direction, step, assignment.demand_per_path)
         _check_conservation(assignment, flows, iteration)
         if callback is not None:
             callback(iteration, flows, direction)
         prev_volume = volume
     return SolveResult(FlowState(flows, x_rv, x_av, link_state, observed),
-                       trace, converged, assignment.groups)
+                       trace, converged, assignment.groups, restart or None)
 
 
 def _check_conservation(assignment, flows, iteration):

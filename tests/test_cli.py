@@ -11,6 +11,7 @@ from mixflow.diagnostics import link_flows_from_paths
 from mixflow.fixtures import nguyen_network, sioux_falls_network
 from mixflow.network import Link, Network, ODPair, ParseError, write_network
 from mixflow.paths import PathSet, build_path
+from mixflow.solver import STALL_WINDOW
 
 from conftest import diamond_network
 
@@ -122,7 +123,7 @@ def test_solve_writes_outputs_and_converges(tmp_path, nguyen_files):
                  "--out-dir", str(out), "--k", "6"])
     assert code == 0
     summary = json.loads(read(out / "summary.json"))
-    assert summary["schema_version"] == 3
+    assert summary["schema_version"] == 4
     assert "seed" not in summary
     assert summary["converged"] is True
     assert summary["gap"] <= summary["gap_tol"]
@@ -489,6 +490,25 @@ def test_converged_solve_passes_its_own_check(tmp_path, command, fixture, seed, 
                  "--gap", str(gap)]) == 0
     assert main(["check", *common, "--flows", str(out / "path_flows.csv"),
                  "--set", f"check_tol={gap}", "--out-dir", str(tmp_path / "check")]) == 0
+
+
+def test_summary_records_the_fallback_iteration(tmp_path):
+    """summary.json names the iteration where a stalled `modified` solve fell
+    back to the baseline rule (for pga, its final solve's), or null."""
+    net_file, trips_file = tmp_path / "net.tntp", tmp_path / "trips.tntp"
+    write_network(nguyen_network(ClassParams(), seed=1), net_file, trips_file)
+    common = ["--net", str(net_file), "--trips", str(trips_file), "--k", "8",
+              "--gap", "1e-4"]
+    for command, mode in (("solve", "modified"), ("pga", "modified"), ("solve", "baseline")):
+        out = tmp_path / f"{command}-{mode}"
+        assert main([command, *common, "--mode", mode, "--out-dir", str(out)]) == 0
+        summary = json.loads(read(out / "summary.json"))
+        fallback = summary["fallback_iteration"]
+        if mode == "baseline":
+            assert fallback is None
+        else:
+            assert type(fallback) is int
+            assert STALL_WINDOW <= fallback < summary["iterations"]
 
 
 def test_pga_path_dump_prices_path_flows_rows_at_the_final_flows(tmp_path):

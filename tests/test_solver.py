@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from mixflow.costs import FLOW_FLOOR, ClassParams, evaluate_links, free_flow_state
-from mixflow.fixtures import nguyen_network, sioux_falls_network
+from mixflow.fixtures import (NGUYEN_OD_NODES, nguyen_network, sioux_falls_network,
+                              synthesize_demand)
 from mixflow.network import AV, RV, Link, Network, ODPair
 from mixflow.paths import PathSet, build_path, yen_k_shortest
 from mixflow.pga import generate_paths
-from mixflow.solver import (Assignment, BASELINE, SolverConfig,
+from mixflow.solver import (Assignment, BASELINE, H_FLOOR, STALL_WINDOW, SolverConfig,
                             SolverError, max_relative_outflow,
                             relative_gap, solve, solve_assignment, step_size,
                             swap_volume, total_cost, update_flows)
@@ -509,3 +510,104 @@ def test_nguyen_baseline_iteration_counts_are_pinned(params):
         assert result.converged
         counts.append(result.iterations)
     assert counts == expected
+
+
+def _stall_iteration(trace):
+    """First iteration at which the gap has not halved for STALL_WINDOW
+    iterations since the last gap that halved the one marked before it."""
+    mark_gap = mark_at = None
+    for row in trace:
+        if mark_at is None or row.gap <= 0.5 * mark_gap:
+            mark_gap, mark_at = row.gap, row.iteration
+        elif row.iteration - mark_at >= STALL_WINDOW:
+            return row.iteration
+    return None
+
+
+@pytest.fixture(scope="module")
+def nguyen_modified_solves():
+    """Nguyen demand seeds 0-7, `modified` at gap 1e-4: per seed the network,
+    path set, result and the (flows, direction) of every applied update."""
+    params = ClassParams()
+    solves = {}
+    for seed in range(8):
+        net = nguyen_network(params, seed=seed)
+        ps = generate_paths(net, free_flow_state(net, params), 8)
+        updates = []
+        result = solve(net, ps, params, SolverConfig(gap_tol=1e-4, max_iters=5000),
+                       callback=lambda n, f, phi: updates.append((f, phi)))
+        solves[seed] = (net, ps, result, updates)
+    return solves
+
+
+def test_nguyen_modified_falls_back_only_where_the_gap_stalls(nguyen_modified_solves):
+    never_stall = {0: 310, 2: 733, 3: 359, 4: 252, 6: 410}
+    for seed, (net, ps, result, _) in nguyen_modified_solves.items():
+        assert result.converged, seed
+        if seed in never_stall:
+            assert result.fallback_at is None, seed
+            assert result.iterations == never_stall[seed], seed
+            assert _stall_iteration(result.trace) is None, seed
+            continue
+        # demand seeds 1, 5 and 7 never converged on the modified rule alone
+        assert result.fallback_at == _stall_iteration(result.trace) is not None, seed
+        report = diagnostics.certify(net, ps, result.flows_by_group(), ClassParams())
+        assert report.relative_residual <= 1e-4, seed
+
+
+def test_fallback_takes_the_baseline_step_from_gamma_init(nguyen_modified_solves):
+    config = SolverConfig()
+    for seed in (1, 5, 7):
+        net, ps, result, updates = nguyen_modified_solves[seed]
+        at, trace = result.fallback_at, result.trace
+        assert trace[at - 1].damping != config.gamma_init
+        assert trace[at].damping == config.gamma_init     # iteration at + 1
+        for n in range(at + 2, result.iterations + 1):
+            assert trace[n - 1].damping == trace[n - 2].damping + config.gamma_growth
+        # the step of every applied fallback update is the damped one
+        for n in range(at + 1, result.iterations):
+            before, direction = updates[n - 2][0], updates[n - 1][1]
+            drain = max_relative_outflow(before, direction, H_FLOOR)
+            row = trace[n - 1]
+            assert row.step == pytest.approx(1.0 / (drain * row.damping), rel=1e-12), (seed, n)
+        # ... along the unit-degree direction
+        params = ClassParams()
+        asn = Assignment(net, ps, params)
+        before, direction = updates[at - 1][0], updates[at][1]
+        state = evaluate_links(net, *asn.link_flows(before), params)
+        perceived = asn.perceived_costs(before, asn.path_costs(state))
+        unit = asn.swap_directions(before, perceived, 1.0, 1.0)
+        assert np.allclose(direction, unit, rtol=1e-12, atol=0.0)
+        assert not np.allclose(direction, asn.swap_directions(
+            before, perceived, params.swap_degree_rv, params.swap_degree_av))
+
+
+def test_one_ulp_demand_change_keeps_nguyen_modified_outcome(nguyen_modified_solves):
+    """A last-bit change of one OD demand neither changes whether a solve
+    converges nor moves its iteration count by more than 25%."""
+    params = ClassParams()
+    for seed, (_, _, result, _) in nguyen_modified_solves.items():
+        demand = synthesize_demand(NGUYEN_OD_NODES, seed, 300.0, 900.0)
+        for od in sorted(demand)[:2]:
+            nudged = dict(demand)
+            nudged[od] = float(np.nextafter(demand[od], np.inf))
+            net = nguyen_network(params, demand=nudged)
+            ps = generate_paths(net, free_flow_state(net, params), 8)
+            moved = solve(net, ps, params, SolverConfig(gap_tol=1e-4, max_iters=5000))
+            assert moved.converged == result.converged, (seed, od)
+            assert abs(moved.iterations - result.iterations) <= 0.25 * result.iterations, \
+                (seed, od, moved.iterations, result.iterations)
+
+
+def test_baseline_and_sioux_falls_never_fall_back(params):
+    # baseline demand seed 2 at gap 1e-7 stalls, and must keep its rule
+    net = nguyen_network(params, seed=2)
+    ps = generate_paths(net, free_flow_state(net, params), 8)
+    result = solve(net, ps, params, SolverConfig(gap_tol=1e-7, max_iters=2300, mode=BASELINE))
+    assert _stall_iteration(result.trace) is not None
+    assert result.fallback_at is None
+    net = sioux_falls_network(params, seed=7)
+    ps = generate_paths(net, free_flow_state(net, params), 10)
+    result = solve(net, ps, params, SolverConfig(gap_tol=5e-3, max_iters=5000))
+    assert result.converged and result.iterations == 168
+    assert result.fallback_at is None
