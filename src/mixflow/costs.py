@@ -72,16 +72,6 @@ class LinkState:
         return self.cost_rv if vehicle_class == RV else self.cost_av
 
 
-def mixed_capacity(x_rv, x_av, cap_rv, cap_av):
-    """Flow-share-weighted harmonic mean of the two class capacities of one link.
-
-    At zero total flow the ratio is indeterminate; the all-rv convention
-    (return cap_rv) is used, which never affects equilibrium flows.
-    """
-    total = x_rv + x_av
-    return total / (x_rv / cap_rv + x_av / cap_av) if total > 0 else cap_rv
-
-
 def link_travel_time(x_rv, x_av, free_time, capacity):
     """BPR travel time in minutes at the given per-class flows."""
     return free_time * (1.0 + BPR_COEF * np.power((x_rv + x_av) / capacity, BPR_POWER))
@@ -101,6 +91,7 @@ def link_generalized_cost(minutes, gallons, vot, fuel_price):
 def evaluate_links(network, x_rv, x_av, params):
     """Evaluate every per-link quantity at one pair of link-flow arrays."""
     total = x_rv + x_av
+    # flow-share-weighted harmonic mean of the class capacities; cap_rv at zero flow
     cap = np.divide(total, x_rv / network.caps_rv + x_av / network.caps_av,
                     out=network.caps_rv.copy(), where=total > 0)
     minutes = link_travel_time(x_rv, x_av, network.free_times, cap)
@@ -124,47 +115,41 @@ def path_cost(path, link_costs):
 @dataclass(frozen=True)
 class CnlEntries:
     """Per-(path, member link) entries of consecutive rv path groups, path
-    by path. A nest is one link shared within one group; the nest_* arrays
-    list the entries grouped by nest, in path order within a nest."""
+    by path. A nest is one link shared within one group; nests are numbered
+    0 .. n_nests - 1."""
 
-    ln_alpha: np.ndarray       # log(link length / path length)
-    path_sizes: np.ndarray     # entries per path
-    path_starts: np.ndarray    # first entry of each path
-    nest: np.ndarray           # nest of each entry
-    nest_path: np.ndarray      # path of each entry, in nest order
-    nest_ln_alpha: np.ndarray  # ln_alpha in nest order
-    nest_sizes: np.ndarray     # entries per nest
-    nest_starts: np.ndarray    # first entry of each nest, in nest order
+    ln_alpha: np.ndarray   # log(link length / path length)
+    path: np.ndarray       # path of each entry
+    nest: np.ndarray       # nest of each entry
+    n_nests: int
 
 
 def cnl_entries(groups, link_lengths):
     """The entries of an iterable of rv path groups; `link_lengths` maps
     link id to length."""
-    alpha, nest, path_sizes = array("d"), array("q"), array("q")
-    n_nests = 0
+    alpha, path, nest = array("d"), array("q"), array("q")
+    n_paths = n_nests = 0
     for paths in groups:
         local = {}
         for p in paths:
-            path_sizes.append(len(p.links))
             for a in p.links:
                 alpha.append(link_lengths[a] / p.length)
+                path.append(n_paths)
                 nest.append(local.setdefault(a, n_nests + len(local)))
+            n_paths += 1
         n_nests += len(local)
-    nest, path_sizes = np.array(nest, dtype=np.intp), np.array(path_sizes, dtype=np.intp)
-    nest_sizes = np.bincount(nest, minlength=n_nests)
-    ln_alpha, order = np.log(alpha), np.argsort(nest, kind="stable")
-    return CnlEntries(ln_alpha, path_sizes, np.cumsum(path_sizes) - path_sizes, nest,
-                      np.repeat(np.arange(len(path_sizes)), path_sizes)[order], ln_alpha[order],
-                      nest_sizes, np.cumsum(nest_sizes) - nest_sizes)
+    return CnlEntries(np.log(alpha), np.array(path, dtype=np.intp),
+                      np.array(nest, dtype=np.intp), n_nests)
 
 
-def _segment_logsumexp(values, starts, sizes):
-    """log(sum(exp(v))) over consecutive segments of `values` (overwritten)
-    with the given starts and nonzero sizes, each shifted by its maximum."""
-    peak = np.maximum.reduceat(values, starts)
-    values -= np.repeat(peak, sizes)
+def _segment_logsumexp(values, segment, n):
+    """log(sum(exp(v))) of `values` (overwritten) over each of the n nonempty
+    segments that `segment` assigns the entries to, shifted by its maximum."""
+    peak = np.full(n, -np.inf)
+    np.maximum.at(peak, segment, values)
+    values -= peak[segment]
     np.exp(values, out=values)
-    return peak + np.log(np.add.reduceat(values, starts))
+    return peak + np.log(np.bincount(segment, values, n))
 
 
 def cnl_commonalities(entries, path_costs_vec, theta, u):
@@ -174,13 +159,14 @@ def cnl_commonalities(entries, path_costs_vec, theta, u):
     every segment by its maximum, so whatever theta*cost is, no exponential
     overflows and every segment sum is at least 1.
     """
-    inner = np.asarray(path_costs_vec, dtype=float)[entries.nest_path] * -theta
-    inner += entries.nest_ln_alpha
+    path_costs_vec = np.asarray(path_costs_vec, dtype=float)
+    inner = path_costs_vec[entries.path] * -theta
+    inner += entries.ln_alpha
     inner /= u
-    log_nest = _segment_logsumexp(inner, entries.nest_starts, entries.nest_sizes)
+    log_nest = _segment_logsumexp(inner, entries.nest, entries.n_nests)
     exponent = np.multiply(log_nest, u - 1.0, out=log_nest)[entries.nest]
     exponent += entries.ln_alpha / u
-    return _segment_logsumexp(exponent, entries.path_starts, entries.path_sizes)
+    return _segment_logsumexp(exponent, entries.path, path_costs_vec.size)
 
 
 def perceived_cost_rv(path_cost_vec, flow, demand, commonality, params):

@@ -132,7 +132,6 @@ class Assignment:
         n_links = network.n_links
         path_sizes = np.fromiter((len(p.links) for g in self.groups for p in g.paths),
                                  np.intp, n_paths)
-        self.path_starts = np.cumsum(path_sizes) - path_sizes
         self.entry_path = np.repeat(np.arange(n_paths, dtype=np.intp), path_sizes)
         self.entry_col = np.fromiter(
             (network.link_index[a] + (n_links if g.vehicle_class != RV else 0)
@@ -170,7 +169,7 @@ class Assignment:
 
     def path_costs(self, link_state):
         per_entry = np.concatenate([link_state.cost_rv, link_state.cost_av])[self.entry_col]
-        return np.add.reduceat(per_entry, self.path_starts)
+        return np.bincount(self.entry_path, per_entry, self.n_paths)
 
     def perceived_costs(self, flows, path_cost_vec):
         params = self.params
@@ -192,13 +191,14 @@ class Assignment:
         """
         lo, hi, n_rv = self.pair_lo, self.pair_hi, self.n_rv_pairs
         rate = perceived[lo] - perceived[hi]
-        lo_sends = rate > 0.0
+        sender = np.where(rate > 0.0, lo, hi)
         np.abs(rate, out=rate)
         for part, degree in ((rate[:n_rv], degree_rv), (rate[n_rv:], degree_av)):
             if degree != 1.0:
                 np.power(part, degree, out=part)
-        rate *= np.where(lo_sends, flows[lo], -flows[hi])   # flow moved from lo to hi
-        return np.bincount(hi, rate, self.n_paths) - np.bincount(lo, rate, self.n_paths)
+        rate *= flows[sender]   # flow moved from the sender to the other path
+        return (np.bincount(lo + hi - sender, rate, self.n_paths)
+                - np.bincount(sender, rate, self.n_paths))
 
     def group_sums(self, flows):
         return np.add.reduceat(flows, self.group_starts)

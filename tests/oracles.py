@@ -138,6 +138,17 @@ def plain_yen(network, link_costs, origin, destination, k):
         accepted.append(heapq.heappop(candidates))
     return accepted
 
+
+def mixed_capacity(x_rv, x_av, cap_rv, cap_av):
+    """Flow-share-weighted harmonic mean of the two class capacities of one link.
+
+    At zero total flow the ratio is indeterminate; the all-rv convention
+    (return cap_rv) is used, which never affects equilibrium flows.
+    """
+    total = x_rv + x_av
+    return total / (x_rv / cap_rv + x_av / cap_av) if total > 0 else cap_rv
+
+
 def overlap_alpha(link, path):
     """Length share of `link` within `path`; zero when the link is not a member."""
     if link.id not in path.links:

@@ -1,16 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from mixflow.costs import (FLOW_FLOOR, ClassParams, cnl_commonalities, cnl_entries, evaluate_links,
-                           fuel_gallons, link_generalized_cost, link_travel_time,
-                           mixed_capacity, path_cost, perceived_cost_rv)
+                           fuel_gallons, link_generalized_cost, link_travel_time, path_cost,
+                           perceived_cost_rv)
 from mixflow.network import Link
 from mixflow.paths import Path, yen_k_shortest
 
 from conftest import random_network
-from oracles import (alpha_matrix, mp_cnl_commonality, mp_perceived_cost_rv,
+from oracles import (alpha_matrix, mixed_capacity, mp_cnl_commonality, mp_perceived_cost_rv,
                      naive_cnl_commonality, overlap_alpha)
 
 
@@ -138,8 +139,7 @@ def test_overlap_weights_sum_to_one_randomized(params):
         paths = yen_k_shortest(net, costs, od.origin, od.destination, 4)
         lengths = {l.id: l.length for l in net.links}
         entries = cnl_entries([paths], lengths)
-        starts = np.cumsum(entries.path_sizes) - entries.path_sizes
-        sums = np.add.reduceat(np.exp(entries.ln_alpha), starts)
+        sums = np.bincount(entries.path, np.exp(entries.ln_alpha), len(paths))
         assert np.allclose(sums, 1.0, atol=1e-12)
         assert np.allclose(sums, alpha_matrix(paths, lengths).sum(axis=0), atol=1e-12)
 
@@ -206,6 +206,35 @@ def test_commonality_survives_costs_that_overflow_naive():
     assert np.isfinite(stable).all()
     expected = mp_cnl_commonality(alpha_matrix(paths, lengths), costs, 0.5, 0.3)
     assert np.allclose(stable, expected, rtol=1e-9)
+
+
+def test_commonality_shifts_each_segment_by_its_own_maximum():
+    # costs thousands of dollars apart within one group: theta * spread / u is
+    # far above 745, so a shift shared by the group or by every entry leaves
+    # some nest or path summing only underflowed exponentials
+    paths, lengths = _crafted_group()
+    costs = [100.0, 2100.0, 5100.0]
+    stable = _commonality(paths, lengths, costs, theta=1.0, u=0.3)
+    expected = mp_cnl_commonality(alpha_matrix(paths, lengths), costs, 1.0, 0.3)
+    assert np.allclose(stable, expected, rtol=1e-12, atol=0.0)
+    # nest ids are labels: any numbering gives the same bits
+    rng = np.random.default_rng(12)
+    groups, costs = [paths], list(costs)
+    for _ in range(6):
+        net = random_network(rng)
+        od = net.od_pairs[0]
+        group = yen_k_shortest(net, net.free_times.copy(), od.origin, od.destination, 6)
+        lengths.update((l.id + 100 * len(groups), l.length) for l in net.links)
+        groups.append([Path(tuple(a + 100 * len(groups) for a in p.links), p.nodes, p.length)
+                       for p in group])
+        costs += list(rng.uniform(5.0, 3000.0, size=len(group)))
+    entries = cnl_entries(groups, lengths)
+    relabel = rng.permutation(entries.n_nests)
+    renamed = dataclasses.replace(entries, nest=relabel[entries.nest])
+    for theta, u in ((1.0, 0.3), (0.1, 0.5)):
+        h = cnl_commonalities(entries, costs, theta, u)
+        assert np.isfinite(h).all()
+        assert np.array_equal(cnl_commonalities(renamed, costs, theta, u), h)
 
 
 def test_perceived_cost_rv_single_path_carries_demand():

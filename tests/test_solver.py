@@ -97,6 +97,29 @@ def test_swap_direction_matches_naive_oracle_and_sums_to_zero():
         assert abs(phi.sum()) <= 1e-9 * max(norm, 1.0)
 
 
+@pytest.mark.parametrize("degree", [0.85, 1.0])
+def test_swap_direction_ties_and_empty_dearer_paths_move_nothing(degree):
+    net = parallel_network([(5.0, 800.0)] * 3, demand_rv=30.0, demand_av=30.0)
+    ps = PathSet()
+    for cls in (RV, AV):
+        for lid in (1, 2, 3):
+            ps.add(0, cls, build_path(net, (lid,)))
+    asn = Assignment(net, ps, ClassParams())
+    # equal perceived costs within each group, whatever the flows
+    flows = np.array([7.0, 13.0, 10.0, 0.0, 25.0, 5.0])
+    phi = asn.swap_directions(flows, np.array([4.25] * 3 + [6.5] * 3), degree, degree)
+    assert (phi == 0.0).all()
+    # the dearer path of every pair has no flow, whether it is first or last in the pair
+    flows = np.array([30.0, 0.0, 0.0, 0.0, 0.0, 30.0])
+    perceived = np.array([2.0, 5.0, 9.0, 9.0, 5.0, 2.0])
+    assert (asn.swap_directions(flows, perceived, degree, degree) == 0.0).all()
+    # one dearer path with flow: only its pairs move, toward both cheaper paths
+    flows[2] = 4.0
+    phi = asn.swap_directions(flows, perceived, degree, degree)
+    assert phi[1] == 4.0 * np.power(4.0, degree) and phi[0] == 4.0 * np.power(7.0, degree)
+    assert phi[2] == -(phi[0] + phi[1]) and (phi[3:] == 0.0).all()
+
+
 def test_max_relative_outflow_frozen():
     h = max_relative_outflow(np.array([10.0, 0.0]), np.array([-20.0, 20.0]), 1e-10)
     assert h == pytest.approx(2.0)
