@@ -10,12 +10,14 @@ by command-line flags; outputs are fixed-format CSV plus a JSON summary.
 from __future__ import annotations
 
 import argparse
+import bisect
 import json
 import math
 import os
 import sys
 import time
 from dataclasses import dataclass, fields
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -23,7 +25,7 @@ from . import costs as cost_model
 from . import diagnostics
 from .costs import ClassParams
 from .network import RV, VEHICLE_CLASSES, ParseError, ValidationError, load_network
-from .paths import PathSet, build_path, format_path_line, yen_k_shortest
+from .paths import format_path_line, yen_k_shortest
 from .pga import PgaConfig, generate_paths, pga_solve
 from .solver import BASELINE, MODIFIED, SolverConfig, SolverError, solve
 
@@ -235,50 +237,114 @@ def cmd_ksp(rc, origin, destination, k, vehicle_class):
     return EXIT_OK
 
 
+def _fail_first(indices, message):
+    """Raise ValueError(message(i)) for the lowest index i in `indices`, if any."""
+    if len(indices):
+        raise ValueError(message(int(np.min(indices))))
+
+
+def _path_flow_arrays(network, texts):
+    """Flat arrays of path_flows.csv rows: od index, class index (0 rv, 1 av),
+    flow and link count per row, link index per (row, link) entry. Each check
+    runs over all rows at once, in the order one row meets them, and raises a
+    ValueError naming the first row that fails it."""
+    n, n_od = len(texts), len(network.od_pairs)
+    commas = np.array(list(map(str.count, texts, repeat(","))))
+    _fail_first(np.flatnonzero(commas != 3), lambda i: f"bad row {texts[i]!r}")
+    fields = ",".join(texts).split(",")
+    # od indices clipped to -1 .. n_od, so that one of any size fits the array
+    od = np.array(list(map(max, repeat(-1), map(min, map(int, fields[0::4]), repeat(n_od)))))
+    flow = np.array(list(map(float, fields[3::4])))
+    _fail_first(np.flatnonzero(~np.isfinite(flow)),
+                lambda i: f"non-finite flow {fields[4 * i + 3]!r}")
+    cls = np.array(list(map({c: i for i, c in enumerate(VEHICLE_CLASSES)}.get,
+                            fields[1::4], repeat(-1))))
+    _fail_first(np.flatnonzero(cls < 0), lambda i: f"unknown class {fields[4 * i + 1]!r}")
+    _fail_first(np.flatnonzero((od < 0) | (od == n_od)),
+                lambda i: f"od index {int(fields[4 * i])} out of range")
+    demand = np.array([(q.demand_rv, q.demand_av) for q in network.od_pairs])[od, cls]
+    _fail_first(np.flatnonzero(demand <= 0),
+                lambda i: f"od {od[i]} has no {fields[4 * i + 1]} demand")
+    keys = fields[2::4]
+    sizes = np.array(list(map(str.count, keys, repeat("-")))) + 1
+    ids = map(int, chain.from_iterable(map(str.split, keys, repeat("-"))))
+    link = np.fromiter(map(network.link_index.get, ids, repeat(-1)), np.intp, sizes.sum())
+    _fail_first(np.flatnonzero(link < 0),
+                lambda e: f"unknown link id {int('-'.join(keys).split('-')[e])}")
+    stops = np.cumsum(sizes)
+    starts = stops - sizes
+    node_index = {v: i for i, v in enumerate(network.nodes)}
+    tail = np.array([node_index[l.from_node] for l in network.links], np.int32)[link]
+    head = np.array([node_index[l.to_node] for l in network.links], np.int32)[link]
+    apart = head[:-1] != tail[1:]
+    apart[stops[:-1] - 1] = False
+    _fail_first(np.flatnonzero(apart),
+                lambda e: f"links {network.links[link[e]].id} and "
+                f"{network.links[link[e + 1]].id} are not adjacent")
+    # each row's nodes, its first tail then every head, row i from at[i] on
+    nodes = np.insert(head, starts, tail[starts])
+    at = starts + np.arange(n)
+    # a revisit is a pair of equal neighbours among the sorted (row, node) keys
+    visits = np.repeat(np.arange(n) * len(node_index), sizes + 1)
+    visits += nodes
+    visits.sort(kind="stable")    # the default int64 sort maps in 0.2 MB more code
+    _fail_first(visits[1:][visits[1:] == visits[:-1]] // len(node_index),
+                lambda i: "path revisits a node: "
+                f"{[network.nodes[v] for v in nodes[at[i]:at[i] + sizes[i] + 1]]}")
+    ends = np.array([(node_index[q.origin], node_index[q.destination])
+                     for q in network.od_pairs])[od]
+    _fail_first(np.flatnonzero((ends != np.stack([nodes[at], nodes[at + sizes]], 1)).any(1)),
+                lambda i: f"path {keys[i]} does not connect od {od[i]}")
+    del tail, head, nodes, visits    # before the duplicate table, to keep the peak memory down
+    # a duplicate is a later one of equal neighbours among the stably sorted
+    # (group, link sequence) rows; loop-free paths fit n_nodes columns
+    table = np.full((n, sizes.max() + 1), -1, dtype=np.int32)
+    table[:, 0] = 2 * od + cls
+    table[np.repeat(np.arange(n), sizes),
+          np.arange(link.size) - np.repeat(starts - 1, sizes)] = link
+    order = np.lexsort(table.T[::-1])
+    table = table[order]
+    _fail_first(order[1:][(table[1:] == table[:-1]).all(axis=1)],
+                lambda i: f"duplicate row for path {keys[i]}")
+    return od, cls, flow, sizes, link
+
+
+def _row_error(network, texts):
+    """The message of the first check `_path_flow_arrays` fails on texts, or ""."""
+    try:
+        _path_flow_arrays(network, texts)
+    except ValueError as exc:
+        return str(exc)
+    return ""
+
+
 def _read_path_flows_csv(path, network):
-    """Path set and per-group flow arrays of a path_flows.csv file."""
+    """`_path_flow_arrays` of a path_flows.csv file. A file that fails a check
+    is reported at its first failing row, the end of its shortest failing
+    prefix of rows, with the first check that row fails."""
     with open(path, encoding="utf-8") as fh:
-        rows = [(line_no, line.strip()) for line_no, line in enumerate(fh, start=1)
-                if line.strip()]
-    if not rows or rows[0][1] != "od,class,path_key,flow":
-        raise ParseError(path, rows[0][0] if rows else 1,
+        lines = list(map(str.strip, fh.read().split("\n")))
+    texts = list(filter(None, lines))
+
+    def line_no(k):    # of the k-th nonblank line
+        return [i for i, line in enumerate(lines, start=1) if line][k]
+    if not texts or texts[0] != "od,class,path_key,flow":
+        raise ParseError(path, line_no(0) if texts else 1,
                          "expected header od,class,path_key,flow")
-    if len(rows) == 1:
-        raise ParseError(path, rows[0][0], "no flow rows")
-    path_set = PathSet()
-    flows = {}
-    for line_no, line in rows[1:]:
-        try:
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ValueError(f"bad row {line!r}")
-            od_index, cls, key, flow = int(parts[0]), parts[1], parts[2], float(parts[3])
-            if not math.isfinite(flow):
-                raise ValueError(f"non-finite flow {parts[3]!r}")
-            if cls not in VEHICLE_CLASSES:
-                raise ValueError(f"unknown class {cls!r}")
-            if not 0 <= od_index < len(network.od_pairs):
-                raise ValueError(f"od index {od_index} out of range")
-            od = network.od_pairs[od_index]
-            if od.demand(cls) <= 0:
-                raise ValueError(f"od {od_index} has no {cls} demand")
-            p = build_path(network, tuple(int(a) for a in key.split("-")))
-            if p.nodes[0] != od.origin or p.nodes[-1] != od.destination:
-                raise ValueError(f"path {key} does not connect od {od_index}")
-            if not path_set.add(od_index, cls, p):
-                raise ValueError(f"duplicate row for path {key}")
-        except KeyError as exc:
-            raise ParseError(path, line_no, f"unknown link id {exc.args[0]}") from None
-        except ValueError as exc:
-            raise ParseError(path, line_no, str(exc)) from None
-        flows.setdefault((od_index, cls), []).append(flow)
-    return path_set, {k: np.asarray(v) for k, v in flows.items()}
+    if len(texts) == 1:
+        raise ParseError(path, line_no(0), "no flow rows")
+    try:
+        return _path_flow_arrays(network, texts[1:])
+    except ValueError:
+        first = bisect.bisect_left(range(1, len(texts)), True,
+                                   key=lambda k: bool(_row_error(network, texts[1:k + 1])))
+    raise ParseError(path, line_no(first + 1), _row_error(network, texts[1:first + 2]))
 
 
 def cmd_check(rc, flows_file):
     network = _load(rc)
-    path_set, flows = _read_path_flows_csv(flows_file, network)
-    report = diagnostics.certify(network, path_set, flows, rc.params)
+    report = diagnostics.certify_rows(network, *_read_path_flows_csv(flows_file, network),
+                                      rc.params)
     print(report.to_text())
     if rc.out_dir:
         os.makedirs(rc.out_dir, exist_ok=True)

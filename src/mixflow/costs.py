@@ -9,7 +9,6 @@ runs on arrays; `np.power`, not `**`, gives one link the array loop's bits.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,9 +113,8 @@ def path_cost(path, link_costs):
 
 @dataclass(frozen=True)
 class CnlEntries:
-    """Per-(path, member link) entries of consecutive rv path groups, path
-    by path. A nest is one link shared within one group; nests are numbered
-    0 .. n_nests - 1."""
+    """Per-(path, member link) entries of rv paths, path by path. A nest is
+    one link shared within one group; nests are numbered 0 .. n_nests - 1."""
 
     ln_alpha: np.ndarray   # log(link length / path length)
     path: np.ndarray       # path of each entry
@@ -124,22 +122,20 @@ class CnlEntries:
     n_nests: int
 
 
-def cnl_entries(groups, link_lengths):
-    """The entries of an iterable of rv path groups; `link_lengths` maps
-    link id to length."""
-    alpha, path, nest = array("d"), array("q"), array("q")
-    n_paths = n_nests = 0
-    for paths in groups:
-        local = {}
-        for p in paths:
-            for a in p.links:
-                alpha.append(link_lengths[a] / p.length)
-                path.append(n_paths)
-                nest.append(local.setdefault(a, n_nests + len(local)))
-            n_paths += 1
-        n_nests += len(local)
-    return CnlEntries(np.log(alpha), np.array(path, dtype=np.intp),
-                      np.array(nest, dtype=np.intp), n_nests)
+def cnl_entries(link, path, group, lengths):
+    """The entries of rv paths given as flat entry arrays: each entry's link
+    index, its path (0 .. n - 1, entries of a path consecutive and in link
+    order) and its path's group; `lengths` holds the link lengths."""
+    link_length = lengths[link]
+    # a bincount sums each path in link order, as `sum` over its links does
+    ln_alpha = np.log(link_length / np.bincount(path, link_length)[path])
+    key = group * lengths.size + link
+    order = np.argsort(key, kind="stable")
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[order[1:]] != key[order[:-1]]
+    nest = np.empty_like(order)
+    nest[order] = np.cumsum(first) - 1
+    return CnlEntries(ln_alpha, path, nest, int(first.sum()))
 
 
 def _segment_logsumexp(values, segment, n):

@@ -1,10 +1,11 @@
 """Independent equilibrium verification and flow-comparison metrics.
 
-Everything here recomputes its inputs from first principles (plain loops
-over paths for link flows and path costs) so it can certify solver output
-rather than echo it. `certify` reprices a path-flow pattern from scratch
-and feeds the rebuilt perceived costs to `ncp_residual`; a demanded (OD, class) group with no
-flows is reported missing and counts its whole demand as infeasible.
+`certify_rows` reprices path flows from scratch: flat arrays with one row
+per path (od index, class, flow, link count) and one entry per (row, link).
+Link flows and path costs are `np.bincount`s over the entries, rv perceived
+costs come from the cross-nested kernel of `costs`, and the residuals are
+segment reductions over (OD, class) groups. Nothing comes from `Assignment`
+or `solver`, so it certifies solver output rather than echo it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import costs as cost_model
-from .network import AV, RV, VEHICLE_CLASSES
+from .network import VEHICLE_CLASSES
 
 
 @dataclass
@@ -44,50 +45,70 @@ class EquilibriumReport:
         return [(key, f"{value:.6g}") for _, key, value in self._entries()]
 
 
-def link_flows_from_paths(path_set, flows_by_group, network):
-    """Per-class link flows accumulated path by path."""
-    x = {RV: np.zeros(network.n_links), AV: np.zeros(network.n_links)}
-    for (od_index, cls), paths in path_set.items():
-        flows = flows_by_group.get((od_index, cls))
-        if flows is None:
-            continue
-        for path, flow in zip(paths, flows):
-            for link_id in path.links:
-                x[cls][network.link_index[link_id]] += flow
-    return x[RV], x[AV]
+def link_flows_from_paths(network, column, entry_flow):
+    """Per-class link flows: the flow of every (row, link) entry summed
+    into its column, the link index plus n_links for av rows."""
+    n = network.n_links
+    x = np.bincount(column, entry_flow, 2 * n)
+    return x[:n], x[n:]
 
 
-def ncp_residual(flows_by_group, costs_by_group, demand_by_group):
+def ncp_residual(flows, costs, group, demand):
     """Complementarity-system residuals of a candidate flow pattern.
 
-    All three inputs are mappings keyed by (od_index, class): per-path
-    flows, per-path perceived costs, and the scalar group demand.
+    `flows` and `costs` hold each path's flow and perceived cost, `group`
+    its (OD, class) group 2 * od_index + class index, and `demand` the
+    demand of every group. A demanded group without paths is reported
+    missing, and its whole demand counts as infeasible.
     """
-    residual = 0.0
-    worst = 0.0
-    infeasible = 0.0
-    total = 0.0
-    min_cost = {}
-    for key, flows in flows_by_group.items():
-        f = np.asarray(flows, dtype=float)
-        c = np.asarray(costs_by_group[key], dtype=float)
-        lowest = float(c.min())
-        min_cost[key] = lowest
-        excess = c - lowest
-        residual += float(np.abs(f * excess).sum())
-        worst = max(worst, float(np.minimum(f, excess).max()))
-        infeasible += abs(float(f.sum()) - demand_by_group[key])
-        infeasible += float(np.maximum(-f, 0.0).sum())
-        total += float(f @ c)
-    relative = residual / total if total > 0 else float("inf")
+    n = demand.size
+    lowest = np.full(n, np.inf)
+    np.minimum.at(lowest, group, costs)
+    excess = costs - lowest[group]
+    paths = np.bincount(group, minlength=n)
+    residual = float(np.abs(flows * excess).sum())
+    total = float(flows @ costs)
     return EquilibriumReport(
         ncp_residual=residual,
-        max_complementarity_violation=worst,
-        feasibility_violation=infeasible,
-        min_cost=min_cost,
+        max_complementarity_violation=float(np.minimum(flows, excess).max(initial=0.0)),
+        feasibility_violation=float(np.abs(np.bincount(group, flows, n) - demand).sum()
+                                    + np.maximum(-flows, 0.0).sum()),
+        min_cost=_by_group(paths > 0, lowest),
         total_cost=total,
-        relative_residual=relative,
+        relative_residual=residual / total if total > 0 else float("inf"),
+        missing_demand=_by_group((paths == 0) & (demand > 0), demand),
     )
+
+
+def _by_group(mask, values):
+    """{(od_index, class): value} of the groups in `mask`."""
+    return {(g // 2, VEHICLE_CLASSES[g % 2]): float(values[g])
+            for g in np.flatnonzero(mask).tolist()}
+
+
+def certify_rows(network, od, cls, flow, sizes, link, params):
+    """Equilibrium report of path-flow rows: each row's od index, class index
+    (0 rv, 1 av), flow and link count, and the link index of every
+    (row, link) entry, row by row."""
+    row = np.repeat(np.arange(flow.size), sizes)
+    column = link + network.n_links * cls[row]
+    state = cost_model.evaluate_links(
+        network, *link_flows_from_paths(network, column, flow[row]), params)
+    costs = np.bincount(row, np.concatenate([state.cost_rv, state.cost_av])[column], flow.size)
+    group = 2 * od + cls
+    demand = np.array([(q.demand_rv, q.demand_av) for q in network.od_pairs], float).ravel()
+    # every rv row in one cross-nested evaluation; av perceived costs are observed
+    rv = np.flatnonzero(cls == 0)
+    if (bad := demand[group[rv]] <= 0).any():
+        raise ValueError(f"od {od[rv][bad].min()} class rv has flows but no positive demand")
+    rv_entry = cls[row] == 0
+    entries = cost_model.cnl_entries(link[rv_entry], (np.cumsum(cls == 0) - 1)[row[rv_entry]],
+                                     group[row[rv_entry]], network.lengths)
+    commonality = cost_model.cnl_commonalities(entries, costs[rv], params.dispersion,
+                                               params.nesting)
+    costs[rv] = cost_model.perceived_cost_rv(costs[rv], flow[rv], demand[group[rv]],
+                                             commonality, params)
+    return ncp_residual(flow, costs, group, demand)
 
 
 def certify(network, path_set, flows_by_group, params):
@@ -96,35 +117,18 @@ def certify(network, path_set, flows_by_group, params):
     `path_set` holds the paths the flows belong to, in the same order;
     its groups without flows are skipped.
     """
-    x_rv, x_av = link_flows_from_paths(path_set, flows_by_group, network)
-    state = cost_model.evaluate_links(network, x_rv, x_av, params)
-    cost_by_id = {cls: {l.id: state.cost(cls)[i] for i, l in enumerate(network.links)}
-                  for cls in VEHICLE_CLASSES}
-    costs_by_group = {key: np.array([cost_model.path_cost(p, cost_by_id[key[1]]) for p in paths])
-                      for key, paths in path_set.items() if key in flows_by_group}
-    demand_by_group = {key: network.od_pairs[key[0]].demand(key[1]) for key in costs_by_group}
-    # every rv group in one cross-nested evaluation; av perceived costs are observed
-    rv = [key for key in costs_by_group if key[1] == RV]
-    if bad := [key for key in rv if not demand_by_group[key] > 0]:
-        raise ValueError(f"od {bad[0][0]} class rv has flows but no positive demand")
-    sizes = [len(costs_by_group[key]) for key in rv]
-    observed = np.fromiter((c for key in rv for c in costs_by_group[key]), float)
-    flows = np.fromiter((f for key in rv for f in flows_by_group[key]), float)
-    lengths = {l.id: l.length for l in network.links}
-    commonality = cost_model.cnl_commonalities(
-        cost_model.cnl_entries([path_set.group(*key) for key in rv], lengths),
-        observed, params.dispersion, params.nesting)
-    perceived = cost_model.perceived_cost_rv(
-        observed, flows, np.repeat([demand_by_group[key] for key in rv], sizes),
-        commonality, params)
-    costs_by_group.update(zip(rv, np.split(perceived, np.cumsum(sizes)[:-1])))
-    report = ncp_residual(flows_by_group, costs_by_group, demand_by_group)
-    for od_index, od in enumerate(network.od_pairs):
-        for cls in VEHICLE_CLASSES:
-            if od.demand(cls) > 0 and (od_index, cls) not in costs_by_group:
-                report.missing_demand[(od_index, cls)] = od.demand(cls)
-                report.feasibility_violation += od.demand(cls)
-    return report
+    for (od, cls), flows in flows_by_group.items():
+        if len(flows) != len(path_set.group(od, cls)):
+            raise ValueError(f"od {od} class {cls}: {len(flows)} flows for "
+                             f"{len(path_set.group(od, cls))} paths")
+    rows = [(od, VEHICLE_CLASSES.index(cls), f, p) for (od, cls), paths in path_set.items()
+            if (od, cls) in flows_by_group for p, f in zip(paths, flows_by_group[(od, cls)])]
+    od, cls, flow, paths = zip(*rows) if rows else ((),) * 4
+    return certify_rows(network, np.array(od, dtype=np.intp), np.array(cls, dtype=np.intp),
+                        np.array(flow, dtype=float),
+                        np.array([len(p.links) for p in paths], dtype=np.intp),
+                        np.array([network.link_index[a] for p in paths for a in p.links],
+                                 dtype=np.intp), params)
 
 
 def flow_deviation(link_flows, reference_flows):

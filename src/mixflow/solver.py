@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
@@ -128,26 +129,28 @@ class Assignment:
         if n_paths == 0:
             raise ValueError("network has no demand")
         self.n_paths = n_paths
+        self.group_starts = np.asarray([g.start for g in self.groups], dtype=np.intp)
+        self.group_sizes = np.asarray([g.stop - g.start for g in self.groups], dtype=np.intp)
+        self.group_demands = np.asarray([g.demand for g in self.groups])
+        self.demand_per_path = np.repeat(self.group_demands, self.group_sizes)
+        path_rv = np.repeat([g.vehicle_class == RV for g in self.groups], self.group_sizes)
         # one column per (link, class): link index, plus n_links for av entries
         n_links = network.n_links
         path_sizes = np.fromiter((len(p.links) for g in self.groups for p in g.paths),
                                  np.intp, n_paths)
         self.entry_path = np.repeat(np.arange(n_paths, dtype=np.intp), path_sizes)
         self.entry_col = np.fromiter(
-            (network.link_index[a] + (n_links if g.vehicle_class != RV else 0)
-             for g in self.groups for p in g.paths for a in p.links),
+            map(network.link_index.__getitem__,
+                chain.from_iterable(p.links for g in self.groups for p in g.paths)),
             np.intp, len(self.entry_path))
-        self.group_starts = np.asarray([g.start for g in self.groups], dtype=np.intp)
-        self.group_sizes = np.asarray([g.stop - g.start for g in self.groups], dtype=np.intp)
-        self.group_demands = np.asarray([g.demand for g in self.groups])
-        self.demand_per_path = np.repeat(self.group_demands, self.group_sizes)
-        path_rv = np.repeat([g.vehicle_class == RV for g in self.groups], self.group_sizes)
+        self.entry_col[~path_rv[self.entry_path]] += n_links
         self.rv_paths = np.flatnonzero(path_rv)
         self.rv_demand = self.demand_per_path[self.rv_paths]
         self.drift_limit = 1e-9 * self.group_demands
-        lengths = {l.id: l.length for l in network.links}
+        rv_path = self.entry_path[self.entry_col < n_links]
         self.cnl_entries = cost_model.cnl_entries(
-            (g.paths for g in self.groups if g.vehicle_class == RV), lengths)
+            self.entry_col[self.entry_col < n_links], (np.cumsum(path_rv) - 1)[rv_path],
+            np.repeat(np.arange(len(self.groups)), self.group_sizes)[rv_path], network.lengths)
         # every within-group pair (lo, hi) with lo < hi once, rv pairs first:
         # path k pairs with each later path of its group
         order = np.argsort(~path_rv, kind="stable")

@@ -7,6 +7,10 @@ the heap search, direct transliterations instead of log-domain evaluation.
 searches were bounded by a reverse shortest-path tree and started at the
 deviation node: a full spur search at every index, plain Dijkstra. It is
 kept as the reference the bounded search must match path for path.
+`certify_by_paths` is the equilibrium certificate as it ran path by path
+over dicts keyed by link id and (OD, class), the reference of the flat
+array certificate; it shares only the link cost model and the CNL kernel,
+which have oracles of their own.
 """
 
 import heapq
@@ -15,6 +19,10 @@ from types import SimpleNamespace
 
 import numpy as np
 from mpmath import mp
+
+from mixflow import costs as cost_model
+from mixflow.diagnostics import EquilibriumReport
+from mixflow.network import AV, RV, VEHICLE_CLASSES
 
 
 def enumerate_simple_paths(network, origin, destination):
@@ -226,3 +234,89 @@ def naive_swap_direction(flows, perceived, degree):
 def logit_shares(path_costs, theta):
     w = np.exp(-theta * np.asarray(path_costs, dtype=float))
     return w / w.sum()
+
+
+def cnl_entries_by_paths(groups, link_lengths):
+    """CNL entries of rv path groups laid out path by path, each group's nests
+    numbered in order of first appearance; `link_lengths` maps link id to
+    length."""
+    alpha, path, nest = [], [], []
+    n_paths = n_nests = 0
+    for paths in groups:
+        local = {}
+        for p in paths:
+            for a in p.links:
+                alpha.append(link_lengths[a] / p.length)
+                path.append(n_paths)
+                nest.append(local.setdefault(a, n_nests + len(local)))
+            n_paths += 1
+        n_nests += len(local)
+    return cost_model.CnlEntries(np.log(np.array(alpha, dtype=float)),
+                                 np.array(path, dtype=np.intp), np.array(nest, dtype=np.intp),
+                                 n_nests)
+
+
+def link_flows_by_paths(path_set, flows_by_group, network):
+    """Per-class link flows accumulated path by path."""
+    x = {RV: np.zeros(network.n_links), AV: np.zeros(network.n_links)}
+    for (od_index, cls), paths in path_set.items():
+        flows = flows_by_group.get((od_index, cls))
+        if flows is None:
+            continue
+        for path, flow in zip(paths, flows):
+            for link_id in path.links:
+                x[cls][network.link_index[link_id]] += flow
+    return x[RV], x[AV]
+
+
+def ncp_residual_by_groups(flows_by_group, costs_by_group, demand_by_group):
+    """Complementarity residuals group by group over mappings keyed by
+    (od_index, class): per-path flows, per-path perceived costs, demand."""
+    residual = worst = infeasible = total = 0.0
+    min_cost = {}
+    for key, flows in flows_by_group.items():
+        f = np.asarray(flows, dtype=float)
+        c = np.asarray(costs_by_group[key], dtype=float)
+        lowest = float(c.min())
+        min_cost[key] = lowest
+        excess = c - lowest
+        residual += float(np.abs(f * excess).sum())
+        worst = max(worst, float(np.minimum(f, excess).max()))
+        infeasible += abs(float(f.sum()) - demand_by_group[key])
+        infeasible += float(np.maximum(-f, 0.0).sum())
+        total += float(f @ c)
+    return EquilibriumReport(residual, worst, infeasible, min_cost, total,
+                             residual / total if total > 0 else float("inf"))
+
+
+def certify_by_paths(network, path_set, flows_by_group, params):
+    """Equilibrium report of per-path flows keyed by (od_index, class), path
+    by path: link flows, per-path cost sums over link-id dicts, one CNL
+    evaluation of every rv group, and the group-by-group residual loop."""
+    x_rv, x_av = link_flows_by_paths(path_set, flows_by_group, network)
+    state = cost_model.evaluate_links(network, x_rv, x_av, params)
+    cost_by_id = {cls: {l.id: state.cost(cls)[i] for i, l in enumerate(network.links)}
+                  for cls in VEHICLE_CLASSES}
+    costs_by_group = {key: np.array([path_cost_by_id(p.links, cost_by_id[key[1]]) for p in paths])
+                      for key, paths in path_set.items() if key in flows_by_group}
+    demand_by_group = {key: network.od_pairs[key[0]].demand(key[1]) for key in costs_by_group}
+    rv = [key for key in costs_by_group if key[1] == RV]
+    sizes = [len(costs_by_group[key]) for key in rv]
+    observed = np.array([c for key in rv for c in costs_by_group[key]], dtype=float)
+    flows = np.array([f for key in rv for f in flows_by_group[key]], dtype=float)
+    lengths = {l.id: l.length for l in network.links}
+    commonality = cost_model.cnl_commonalities(
+        cnl_entries_by_paths([path_set.group(*key) for key in rv], lengths),
+        observed, params.dispersion, params.nesting)
+    perceived = cost_model.perceived_cost_rv(
+        observed, flows, np.repeat([demand_by_group[key] for key in rv], sizes),
+        commonality, params)
+    costs_by_group.update(zip(rv, np.split(perceived, np.cumsum(sizes)[:-1])))
+    report = ncp_residual_by_groups({key: flows_by_group[key] for key in costs_by_group},
+                                    costs_by_group, demand_by_group)
+    for od_index, od in enumerate(network.od_pairs):
+        for cls in VEHICLE_CLASSES:
+            if od.demand(cls) > 0 and (od_index, cls) not in costs_by_group:
+                report.missing_demand[(od_index, cls)] = od.demand(cls)
+                report.feasibility_violation += od.demand(cls)
+    return report

@@ -1,19 +1,22 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mixflow
 from mixflow.cli import CONFIG_KEYS, main, parse_config_text, build_run_config
 from mixflow.costs import ClassParams, evaluate_links, path_cost
-from mixflow.diagnostics import link_flows_from_paths
 from mixflow.fixtures import nguyen_network, sioux_falls_network
 from mixflow.network import Link, Network, ODPair, ParseError, write_network
 from mixflow.paths import PathSet, build_path
 from mixflow.solver import STALL_WINDOW
 
 from conftest import diamond_network
+from oracles import link_flows_by_paths
 
 
 @pytest.fixture
@@ -318,10 +321,19 @@ def test_check_rejects_duplicate_rows(tmp_path, diamond_files, capsys):
     ("0,av,1-2,nan", "non-finite flow", []),
     ("0,av,1-2,inf", "non-finite flow", []),
     ("0,av,1-2,-inf", "non-finite flow", []),
+    ("0,av,03-4,30", "duplicate row for path 03-4", []),
+    ("0,av,1-5-1-2,30", "path revisits a node: [1, 2, 1, 2, 4]", []),
+    ("9,bus,1-2,30", "unknown class 'bus'", []),
+    ("0,av,1-99,30\n0,av,1-2", "unknown link id 99", []),
 ])
-def test_check_malformed_row_names_file_and_line(tmp_path, diamond_files, capsys,
-                                                 row, message, settings):
-    net_file, trips_file = diamond_files
+def test_check_malformed_row_names_file_and_line(tmp_path, capsys, row, message, settings):
+    # the diamond plus link 5 back from node 2 to node 1, so a row can revisit a node
+    net = diamond_network(demand_rv=60.0, demand_av=60.0)
+    net = Network(net.nodes, net.links + (Link(5, 2, 1, 10.0, 10.0, 100.0, 200.0),),
+                  net.od_pairs)
+    net_file, trips_file = tmp_path / "net.tntp", tmp_path / "trips.tntp"
+    write_network(net, net_file, trips_file)
+    net_file, trips_file = str(net_file), str(trips_file)
     bad = tmp_path / "bad.csv"
     bad.write_text(f"od,class,path_key,flow\n0,av,3-4,30\n{row}\n", encoding="utf-8")
     code = main(["check", "--net", net_file, "--trips", trips_file, "--flows", str(bad),
@@ -426,7 +438,31 @@ def _corrupt_config_line(rng, line):
                   "empty value": f"{key} ="}[kind]
 
 
+def _corrupt_flows_row(rng, line):
+    fields = line.split(",")
+    links = fields[2].split("-")
+    kind = str(rng.choice(["drop field", "od", "class", "flow"]
+                          + ["path"] * 2 + ["link order"] * (len(links) > 1)))
+    if kind == "drop field":
+        del fields[int(rng.integers(0, 4))]
+    elif kind == "od":
+        fields[0] = str(rng.choice(["x", "1.5", "-1", "99"]))
+    elif kind == "class":
+        fields[1] = str(rng.choice(["bus", "RV", ""]))
+    elif kind == "flow":
+        fields[3] = str(rng.choice(["nan", "inf", "-inf", "abc", ""]))
+    elif kind == "path":
+        # an unknown link, a non-integer id, or an end that misses the od
+        fields[2] = str(rng.choice([f"{fields[2]}-999", f"{fields[2]}-x", "",
+                                    "-".join(links[:-1] or ["999"])]))
+    else:
+        fields[2] = "-".join(reversed(links))   # a loop-free path reversed breaks adjacency
+    return kind, ",".join(fields)
+
+
 FUZZ_CORRUPTIONS = {
+    "flows": (_corrupt_flows_row, lambda line: line[:1].isdigit(),
+              {"drop field", "od", "class", "flow", "path", "link order"}),
     "net": (_corrupt_link_record, lambda line: line[:1].isdigit(),
             {"drop field", "node id", "number"}),
     "trips": (_corrupt_trips_line, lambda line: line[:1].isdigit() or line.startswith("Origin"),
@@ -438,7 +474,8 @@ FUZZ_CORRUPTIONS = {
 
 @pytest.mark.parametrize("kind", sorted(FUZZ_CORRUPTIONS))
 def test_malformed_input_fuzz_names_file_and_line(tmp_path, capsys, kind):
-    """Seeded corruptions of one line of the Nguyen net, trips or config file,
+    """Seeded corruptions of one line of the Nguyen net, trips or config file
+    given to `solve`, or of the path_flows.csv of that solve given to `check`,
     each invalid by construction, exit 1 with `<file>:<line>:` naming that line."""
     corrupt, eligible, all_kinds = FUZZ_CORRUPTIONS[kind]
     net = nguyen_network(ClassParams(), seed=0)
@@ -448,6 +485,11 @@ def test_malformed_input_fuzz_names_file_and_line(tmp_path, capsys, kind):
         f"# nguyen\nnet = {files['net']}\ntrips = {files['trips']}\n"
         f"out_dir = {tmp_path / 'out'}\nmode = baseline\ngap = 1e-3\nk = 4\n"
         "dispersion = 0.2\nmax_iters = 50\n", encoding="utf-8")
+    command = ["solve", "--config", str(files["config"])]
+    if kind == "flows":
+        assert main(command) in (0, 2)
+        files["flows"] = tmp_path / "out" / "path_flows.csv"
+        command = ["check", "--config", str(files["config"]), "--flows", str(files["flows"])]
     lines = read(files[kind]).splitlines()
     candidates = [i for i, line in enumerate(lines) if eligible(line.strip())]
     rng = np.random.default_rng(2024)
@@ -458,10 +500,10 @@ def test_malformed_input_fuzz_names_file_and_line(tmp_path, capsys, kind):
         seen.add(corruption)
         files[kind].write_text("\n".join(lines[:i] + [bad_line] + lines[i + 1:]) + "\n",
                                encoding="utf-8")
-        code = main(["solve", "--config", str(files["config"])])
+        code = main(command)
         err = capsys.readouterr().err
         assert code == 1, (corruption, bad_line)
-        assert err.startswith(f"mixflow solve: {files[kind]}:{i + 1}: "), (corruption, err)
+        assert err.startswith(f"mixflow {command[0]}: {files[kind]}:{i + 1}: "), (corruption, err)
     assert seen == all_kinds
 
 
@@ -490,6 +532,23 @@ def test_converged_solve_passes_its_own_check(tmp_path, command, fixture, seed, 
                  "--gap", str(gap)]) == 0
     assert main(["check", *common, "--flows", str(out / "path_flows.csv"),
                  "--set", f"check_tol={gap}", "--out-dir", str(tmp_path / "check")]) == 0
+
+
+def test_check_leaves_numpy_ma_unimported(tmp_path):
+    """`check` of a Sioux Falls solve never imports numpy.ma (about 1.3 MB of
+    resident memory; the first `np.unique` call imports it)."""
+    net_file, trips_file = tmp_path / "net.tntp", tmp_path / "trips.tntp"
+    write_network(sioux_falls_network(ClassParams(), seed=7), net_file, trips_file)
+    common = ["--net", str(net_file), "--trips", str(trips_file)]
+    out = tmp_path / "out"
+    assert main(["solve", *common, "--out-dir", str(out), "--k", "10", "--gap", "5e-3"]) == 0
+    argv = ["check", *common, "--flows", str(out / "path_flows.csv"), "--set", "check_tol=5e-3"]
+    script = ("import sys; from mixflow.cli import main; "
+              f"code = main({argv!r}); print(code, 'numpy.ma' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mixflow.__file__)))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 def test_summary_records_the_fallback_iteration(tmp_path):
@@ -529,7 +588,7 @@ def test_pga_path_dump_prices_path_flows_rows_at_the_final_flows(tmp_path):
     for (od, cls, _, flow), p in zip(rows, paths):
         path_set.add(int(od), cls, p)
         flows.setdefault((int(od), cls), []).append(float(flow))
-    x_rv, x_av = link_flows_from_paths(path_set, flows, net)
+    x_rv, x_av = link_flows_by_paths(path_set, flows, net)
     state = evaluate_links(net, x_rv, x_av, params)
     cost_by_id = {cls: {l.id: state.cost(cls)[i] for i, l in enumerate(net.links)}
                   for cls in ("rv", "av")}

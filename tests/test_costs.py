@@ -11,8 +11,18 @@ from mixflow.network import Link
 from mixflow.paths import Path, yen_k_shortest
 
 from conftest import random_network
-from oracles import (alpha_matrix, mixed_capacity, mp_cnl_commonality, mp_perceived_cost_rv,
-                     naive_cnl_commonality, overlap_alpha)
+from oracles import (alpha_matrix, cnl_entries_by_paths, mixed_capacity, mp_cnl_commonality,
+                     mp_perceived_cost_rv, naive_cnl_commonality, overlap_alpha)
+
+
+def flat_cnl_entries(groups, lengths):
+    """`cnl_entries` of groups of paths over links indexed in id order;
+    `lengths` maps link id to length."""
+    index = {a: i for i, a in enumerate(sorted(lengths))}
+    paths = [(g, p) for g, group in enumerate(groups) for p in group]
+    entries = [(index[a], k, g) for k, (g, p) in enumerate(paths) for a in p.links]
+    link, path, group = np.array(entries, dtype=np.intp).reshape(-1, 3).T
+    return cnl_entries(link, path, group, np.array([lengths[a] for a in sorted(lengths)]))
 
 
 def test_mixed_capacity_pure_rv_boundary():
@@ -138,10 +148,39 @@ def test_overlap_weights_sum_to_one_randomized(params):
         od = net.od_pairs[0]
         paths = yen_k_shortest(net, costs, od.origin, od.destination, 4)
         lengths = {l.id: l.length for l in net.links}
-        entries = cnl_entries([paths], lengths)
+        entries = flat_cnl_entries([paths], lengths)
         sums = np.bincount(entries.path, np.exp(entries.ln_alpha), len(paths))
         assert np.allclose(sums, 1.0, atol=1e-12)
         assert np.allclose(sums, alpha_matrix(paths, lengths).sum(axis=0), atol=1e-12)
+
+
+def test_cnl_entries_match_the_path_by_path_layout():
+    # the flat builder gives each entry the path-by-path builder's ln_alpha
+    # bits and path, its nests up to numbering, and so the same commonalities
+    rng = np.random.default_rng(19)
+    for _ in range(10):
+        groups, lengths = [], {}
+        for g in range(int(rng.integers(1, 5))):
+            # odd groups share the links of the group before them, at other costs
+            if g % 2 == 0:
+                net = random_network(rng)
+            od = net.od_pairs[0]
+            costs = net.free_times * rng.uniform(0.5, 2.0, size=net.n_links)
+            paths = yen_k_shortest(net, costs, od.origin, od.destination, 6)
+            base = 100 * (g - g % 2)
+            lengths.update((l.id + base, l.length) for l in net.links)
+            groups.append([Path(tuple(a + base for a in p.links), p.nodes, p.length)
+                           for p in paths])
+        flat, by_paths = flat_cnl_entries(groups, lengths), cnl_entries_by_paths(groups, lengths)
+        assert np.array_equal(flat.ln_alpha, by_paths.ln_alpha)
+        assert np.array_equal(flat.path, by_paths.path)
+        assert flat.n_nests == by_paths.n_nests
+        pairs = set(zip(flat.nest.tolist(), by_paths.nest.tolist()))
+        assert len(pairs) == flat.n_nests
+        costs = rng.uniform(5.0, 3000.0, size=sum(map(len, groups)))
+        for theta, u in ((1.0, 0.3), (0.1, 0.5)):
+            assert np.array_equal(cnl_commonalities(flat, costs, theta, u),
+                                  cnl_commonalities(by_paths, costs, theta, u))
 
 
 def _crafted_group():
@@ -153,7 +192,7 @@ def _crafted_group():
 
 
 def _commonality(paths, lengths, costs, theta, u):
-    return cnl_commonalities(cnl_entries([paths], lengths), costs, theta, u)
+    return cnl_commonalities(flat_cnl_entries([paths], lengths), costs, theta, u)
 
 
 def test_commonality_zero_at_unit_nesting():
@@ -228,7 +267,7 @@ def test_commonality_shifts_each_segment_by_its_own_maximum():
         groups.append([Path(tuple(a + 100 * len(groups) for a in p.links), p.nodes, p.length)
                        for p in group])
         costs += list(rng.uniform(5.0, 3000.0, size=len(group)))
-    entries = cnl_entries(groups, lengths)
+    entries = flat_cnl_entries(groups, lengths)
     relabel = rng.permutation(entries.n_nests)
     renamed = dataclasses.replace(entries, nest=relabel[entries.nest])
     for theta, u in ((1.0, 0.3), (0.1, 0.5)):

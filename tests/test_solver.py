@@ -15,8 +15,8 @@ from mixflow import costs as cost_model
 from mixflow import diagnostics
 
 from conftest import parallel_network, random_network
-from oracles import (alpha_matrix, logit_shares, mp_cnl_commonality, mp_perceived_cost_rv,
-                     naive_cnl_commonality, naive_swap_direction)
+from oracles import (alpha_matrix, link_flows_by_paths, logit_shares, mp_cnl_commonality,
+                     mp_perceived_cost_rv, naive_cnl_commonality, naive_swap_direction)
 
 
 def test_init_uniform_splits_demand(params):
@@ -378,7 +378,7 @@ def test_solver_link_flows_match_independent_accumulation(params):
     net = nguyen_network(params, seed=0)
     ps = generate_paths(net, free_flow_state(net, params), 8)
     result = solve(net, ps, params, SolverConfig(gap_tol=1e-3, max_iters=20000))
-    x_rv, x_av = diagnostics.link_flows_from_paths(ps, result.flows_by_group(), net)
+    x_rv, x_av = link_flows_by_paths(ps, result.flows_by_group(), net)
     assert np.allclose(result.flow.x_rv, x_rv, rtol=1e-9)
     assert np.allclose(result.flow.x_av, x_av, rtol=1e-9)
 
