@@ -230,10 +230,9 @@ def cmd_ksp(rc, origin, destination, k, vehicle_class):
     network = load_network(rc.net, rc.trips, rc.params)
     link_costs = cost_model.free_flow_state(network, rc.params).cost(vehicle_class)
     paths = yen_k_shortest(network, link_costs, origin, destination, k)
-    cost_by_id = {l.id: link_costs[i] for i, l in enumerate(network.links)}
     for p in paths:
-        nodes = "-".join(str(n) for n in p.nodes)
-        print(f"{_fmt(cost_model.path_cost(p, cost_by_id))} {nodes}")
+        cost = sum(link_costs[network.link_index[a]] for a in p.links)
+        print(f"{_fmt(cost)} {'-'.join(map(str, p.nodes))}")
     return EXIT_OK
 
 
@@ -405,21 +404,18 @@ def main(argv=None):
     p_check.add_argument("--flows", required=True, help="path_flows.csv to verify")
 
     args = parser.parse_args(argv)
+    solving = args.command in ("solve", "pga")
+    extra = [("mode", args.mode), ("gap", args.gap), ("k", args.k)] if solving else ()
     try:
-        if args.command in ("solve", "pga"):
-            rc = build_run_config(args.config, _overrides(
-                args, [("mode", args.mode), ("gap", args.gap), ("k", args.k)]))
-            return cmd_solve(rc) if args.command == "solve" else cmd_pga(rc)
+        rc = build_run_config(args.config, _overrides(args, extra))
         if args.command == "ksp":
-            rc = build_run_config(args.config, _overrides(args))
             return cmd_ksp(rc, args.origin, args.dest, args.k, args.vehicle_class)
         if args.command == "check":
-            rc = build_run_config(args.config, _overrides(args))
             return cmd_check(rc, args.flows)
+        return cmd_solve(rc) if args.command == "solve" else cmd_pga(rc)
     except (ParseError, ValidationError, SolverError, ValueError, KeyError, OSError) as exc:
         print(f"mixflow {args.command}: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

@@ -106,11 +106,6 @@ def free_flow_state(network, params):
     return evaluate_links(network, zeros, zeros, params)
 
 
-def path_cost(path, link_costs):
-    """Sum of member-link costs; `link_costs` maps link id to dollars."""
-    return float(sum(link_costs[a] for a in path.links))
-
-
 @dataclass(frozen=True)
 class CnlEntries:
     """Per-(path, member link) entries of rv paths, path by path. A nest is

@@ -67,7 +67,7 @@ def ncp_residual(flows, costs, group, demand):
     excess = costs - lowest[group]
     paths = np.bincount(group, minlength=n)
     residual = float(np.abs(flows * excess).sum())
-    total = float(flows @ costs)
+    total = float((flows * costs).sum())
     return EquilibriumReport(
         ncp_residual=residual,
         max_complementarity_violation=float(np.minimum(flows, excess).max(initial=0.0)),

@@ -30,9 +30,10 @@ class ParseError(ValueError):
 class ValidationError(ValueError):
     """A loaded network violates its invariants."""
 
-    def __init__(self, report):
-        self.report = report
-        super().__init__("invalid network:\n" + report.to_text())
+    def __init__(self, issues):
+        self.issues = issues
+        super().__init__("invalid network:\n"
+                         + "\n".join(f"{entity}: {message}" for entity, message in issues))
 
 
 @dataclass(frozen=True)
@@ -55,29 +56,6 @@ class ODPair:
 
     def demand(self, vehicle_class):
         return self.demand_rv if vehicle_class == RV else self.demand_av
-
-
-@dataclass(frozen=True)
-class ValidationIssue:
-    entity: str
-    message: str
-
-
-@dataclass
-class ValidationReport:
-    issues: list[ValidationIssue] = field(default_factory=list)
-
-    @property
-    def ok(self):
-        return not self.issues
-
-    def add(self, entity, message):
-        self.issues.append(ValidationIssue(entity, message))
-
-    def to_text(self):
-        if self.ok:
-            return "ok"
-        return "\n".join(f"{i.entity}: {i.message}" for i in self.issues)
 
 
 @dataclass
@@ -117,9 +95,6 @@ class Network:
     def n_links(self):
         return len(self.links)
 
-    def link(self, link_id):
-        return self.links[self.link_index[link_id]]
-
     def reachable_from(self, origin):
         """Set of nodes reachable from origin along directed links."""
         seen = {origin}
@@ -145,45 +120,47 @@ def split_demand(total, penetration):
 
 
 def validate(network):
-    """Check every network invariant; violations are reported, not raised."""
-    report = ValidationReport()
+    """Every violated network invariant as an (entity, message) pair; an
+    empty list means the network is valid. Violations are reported, not raised."""
+    issues = []
     seen_ids = set()
     for link in network.links:
         name = f"link {link.id}"
         if link.id in seen_ids:
-            report.add(name, "duplicate link id")
+            issues.append((name, "duplicate link id"))
         seen_ids.add(link.id)
         if link.from_node == link.to_node:
-            report.add(name, "self loop")
+            issues.append((name, "self loop"))
         for endpoint in (link.from_node, link.to_node):
             if endpoint not in network.node_set:
-                report.add(name, f"endpoint {endpoint} is not a network node")
+                issues.append((name, f"endpoint {endpoint} is not a network node"))
         for label, value in (("length", link.length), ("free-flow time", link.free_time),
                              ("rv capacity", link.cap_rv), ("av capacity", link.cap_av)):
             if not 0 < value < math.inf:
-                report.add(name, f"nonpositive or non-finite {label} {value}")
+                issues.append((name, f"nonpositive or non-finite {label} {value}"))
     for node in network.nodes:
         if not isinstance(node, (int, np.integer)) or node <= 0:
-            report.add(f"node {node}", "node ids must be positive integers")
+            issues.append((f"node {node}", "node ids must be positive integers"))
     reachable = {}
     for od in network.od_pairs:
         name = f"od {od.origin}->{od.destination}"
         if od.origin == od.destination:
-            report.add(name, "origin equals destination")
+            issues.append((name, "origin equals destination"))
             continue
         missing = [n for n in (od.origin, od.destination) if n not in network.node_set]
         if missing:
-            report.add(name, f"unknown node(s) {missing}")
+            issues.append((name, f"unknown node(s) {missing}"))
             continue
         if not (0 <= od.demand_rv < math.inf and 0 <= od.demand_av < math.inf):
-            report.add(name, f"negative or non-finite demand ({od.demand_rv}, {od.demand_av})")
+            issues.append((name, "negative or non-finite demand "
+                           f"({od.demand_rv}, {od.demand_av})"))
         if od.demand_rv + od.demand_av <= 0:
-            report.add(name, "zero total demand")
+            issues.append((name, "zero total demand"))
         if od.origin not in reachable:
             reachable[od.origin] = network.reachable_from(od.origin)
         if od.destination not in reachable[od.origin]:
-            report.add(name, "destination unreachable from origin")
-    return report
+            issues.append((name, "destination unreachable from origin"))
+    return issues
 
 
 def _meta_value(line):
@@ -314,9 +291,8 @@ def load_network(net_file, trips_file, params):
         with open(trips_file, encoding="utf-8") as fh:
             demand = parse_trips_text(fh.read(), path=trips_file)
     network = network_from_tables(n_nodes, rows, demand, params)
-    report = validate(network)
-    if not report.ok:
-        raise ValidationError(report)
+    if issues := validate(network):
+        raise ValidationError(issues)
     return network
 
 

@@ -26,56 +26,36 @@ class Path:
     length: float         # miles, sum of member-link lengths
 
 
-def build_path(network, link_ids):
-    """Construct a Path from link ids, checking adjacency and loop-freeness."""
-    if not link_ids:
-        raise ValueError("a path needs at least one link")
-    links = [network.link(a) for a in link_ids]
-    nodes = [links[0].from_node]
-    for prev, nxt in zip(links, links[1:]):
-        if prev.to_node != nxt.from_node:
-            raise ValueError(f"links {prev.id} and {nxt.id} are not adjacent")
-    nodes.extend(l.to_node for l in links)
-    if len(set(nodes)) != len(nodes):
-        raise ValueError(f"path revisits a node: {nodes}")
-    return Path(links=tuple(link_ids), nodes=tuple(nodes),
-                length=float(sum(l.length for l in links)))
-
-
 class PathSet:
-    """Ordered, duplicate-free path collections keyed by (od_index, class)."""
+    """Ordered, duplicate-free path collections keyed by (od_index, class):
+    one insertion-ordered {link ids: path} dict per group."""
 
     def __init__(self):
         self._groups = {}
-        self._keys = set()
 
     def add(self, od_index, vehicle_class, path):
         """Insert a path; returns True when it was not already present."""
-        group_key = (od_index, vehicle_class)
-        paths = self._groups.setdefault(group_key, [])
-        full_key = (od_index, vehicle_class, path.links)
-        if full_key in self._keys:
+        paths = self._groups.setdefault((od_index, vehicle_class), {})
+        if path.links in paths:
             return False
-        self._keys.add(full_key)
-        paths.append(path)
+        paths[path.links] = path
         return True
 
     def group(self, od_index, vehicle_class):
-        return tuple(self._groups.get((od_index, vehicle_class), ()))
+        return tuple(self._groups.get((od_index, vehicle_class), {}).values())
 
     def items(self):
         """Groups in deterministic (od_index, rv-before-av) order."""
         order = sorted(self._groups, key=lambda k: (k[0], _CLASS_ORDER[k[1]]))
-        return [(k, tuple(self._groups[k])) for k in order]
+        return [(k, tuple(self._groups[k].values())) for k in order]
 
     def copy(self):
         clone = PathSet()
-        clone._groups = {k: list(v) for k, v in self._groups.items()}
-        clone._keys = set(self._keys)
+        clone._groups = {k: dict(v) for k, v in self._groups.items()}
         return clone
 
     def __len__(self):
-        return sum(len(v) for v in self._groups.values())
+        return sum(map(len, self._groups.values()))
 
 
 def merge_path_sets(current, generated):

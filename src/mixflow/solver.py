@@ -258,12 +258,13 @@ def relative_gap(assignment, flows, perceived, total=None):
         raise ValueError("zero total perceived cost; no demand to measure")
     group_min = np.minimum.reduceat(perceived, assignment.group_starts)
     excess = perceived - np.repeat(group_min, assignment.group_sizes)
-    return float(flows @ excess) / denominator
+    return float((flows * excess).sum()) / denominator
 
 
 def total_cost(flows, perceived):
-    """Total perceived travel cost over all paths and classes."""
-    return float(flows @ perceived)
+    """Total perceived travel cost over all paths and classes; a `sum`, as a
+    BLAS dot product's thread count would change its last bits."""
+    return float((flows * perceived).sum())
 
 
 def solve(network, path_set, params, config, initial_flows=None, callback=None):

@@ -10,7 +10,8 @@ kept as the reference the bounded search must match path for path.
 `certify_by_paths` is the equilibrium certificate as it ran path by path
 over dicts keyed by link id and (OD, class), the reference of the flat
 array certificate; it shares only the link cost model and the CNL kernel,
-which have oracles of their own.
+which have oracles of their own. `build_path` is the per-path constructor
+the `path_flows.csv` reader's array checks are fuzzed against.
 """
 
 import heapq
@@ -23,6 +24,7 @@ from mpmath import mp
 from mixflow import costs as cost_model
 from mixflow.diagnostics import EquilibriumReport
 from mixflow.network import AV, RV, VEHICLE_CLASSES
+from mixflow.paths import Path
 
 
 def enumerate_simple_paths(network, origin, destination):
@@ -54,6 +56,28 @@ def incidence(path_set, od_index, vehicle_class, link_id, path):
 
 def path_cost_by_id(links, cost_by_id):
     return sum(cost_by_id[a] for a in links)
+
+
+def path_cost(path, link_costs):
+    """Sum of member-link costs; `link_costs` maps link id to dollars."""
+    return float(path_cost_by_id(path.links, link_costs))
+
+
+def build_path(network, link_ids):
+    """Construct a Path from link ids, checking adjacency and loop-freeness;
+    an unknown link id raises KeyError."""
+    if not link_ids:
+        raise ValueError("a path needs at least one link")
+    links = [network.links[network.link_index[a]] for a in link_ids]
+    nodes = [links[0].from_node]
+    for prev, nxt in zip(links, links[1:]):
+        if prev.to_node != nxt.from_node:
+            raise ValueError(f"links {prev.id} and {nxt.id} are not adjacent")
+    nodes.extend(l.to_node for l in links)
+    if len(set(nodes)) != len(nodes):
+        raise ValueError(f"path revisits a node: {nodes}")
+    return Path(links=tuple(link_ids), nodes=tuple(nodes),
+                length=float(sum(l.length for l in links)))
 
 
 def k_cheapest_paths(network, link_costs, origin, destination, k):

@@ -13,14 +13,14 @@ from mixflow.costs import ClassParams, evaluate_links, free_flow_state
 from mixflow.diagnostics import certify, flow_deviation
 from mixflow.fixtures import nguyen_network, sioux_falls_network
 from mixflow.network import AV, RV, Link, Network, ODPair
-from mixflow.paths import PathSet, build_path, yen_k_shortest
+from mixflow.paths import PathSet, yen_k_shortest
 from mixflow.pga import PgaConfig, generate_paths, pga_solve
 from mixflow.solver import Assignment, SolverConfig, solve, solve_assignment
 from mixflow import costs as cost_model
 
 from conftest import parallel_network, random_network
-from oracles import (alpha_matrix, k_cheapest_paths, logit_shares, mp_cnl_commonality,
-                     mp_perceived_cost_rv)
+from oracles import (alpha_matrix, build_path, k_cheapest_paths, logit_shares,
+                     mp_cnl_commonality, mp_perceived_cost_rv, path_cost)
 
 _CONVERGED_SOLVES = []
 
@@ -123,7 +123,7 @@ def test_criterion_3_cnl_overlap_effect():
     # of all three paths must agree
     state = evaluate_links(net, result.flow.x_rv, result.flow.x_av, nested)
     cost_by_id = {l.id: state.cost_rv[i] for i, l in enumerate(net.links)}
-    observed = [cost_model.path_cost(p, cost_by_id) for p in ps.group(0, RV)]
+    observed = [path_cost(p, cost_by_id) for p in ps.group(0, RV)]
     h_conv = mp_cnl_commonality(alpha, observed, 0.1, 0.5)
     perceived = [mp_perceived_cost_rv(observed[k], result.flow.f[k], 900.0,
                                       h_conv[k], 0.1, 0.5) for k in range(3)]

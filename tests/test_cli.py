@@ -8,15 +8,16 @@ import numpy as np
 import pytest
 
 import mixflow
-from mixflow.cli import CONFIG_KEYS, main, parse_config_text, build_run_config
-from mixflow.costs import ClassParams, evaluate_links, path_cost
+from mixflow.cli import (CONFIG_KEYS, _path_flow_arrays, build_run_config, main,
+                         parse_config_text)
+from mixflow.costs import ClassParams, evaluate_links
 from mixflow.fixtures import nguyen_network, sioux_falls_network
 from mixflow.network import Link, Network, ODPair, ParseError, write_network
-from mixflow.paths import PathSet, build_path
+from mixflow.paths import PathSet, yen_k_shortest
 from mixflow.solver import STALL_WINDOW
 
 from conftest import diamond_network
-from oracles import link_flows_by_paths
+from oracles import build_path, link_flows_by_paths, path_cost
 
 
 @pytest.fixture
@@ -109,6 +110,19 @@ def test_readme_config_table_lists_every_key():
     documented = [key for row in rows for key in re.findall(r"`(\w+)`", row.split("|")[1])]
     assert len(documented) == len(set(documented))
     assert set(documented) == set(CONFIG_KEYS)
+
+
+def test_readme_library_example_converges(capsys):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("## Library use", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(code, namespace)
+    assert namespace["result"].converged
+    converged, _, _, residual = capsys.readouterr().out.split()
+    # the example solves to gap 1e-4, which bounds the certified residual
+    assert converged == "True" and float(residual) <= 1e-4
 
 
 def test_config_file_plus_override(tmp_path):
@@ -342,6 +356,63 @@ def test_check_malformed_row_names_file_and_line(tmp_path, capsys, row, message,
     err = capsys.readouterr().err
     assert f"{bad}:3:" in err
     assert message in err
+
+
+def _oracle_path_error(net, link_ids):
+    """The message `build_path` gives the link ids, or None when it accepts them."""
+    try:
+        build_path(net, link_ids)
+    except KeyError as exc:
+        return f"unknown link id {exc.args[0]}"
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("fixture", [nguyen_network, sioux_falls_network])
+def test_reader_path_checks_match_build_path_oracle(fixture):
+    """One-row files of random link-id sequences: valid Yen paths, random walks
+    (Sioux Falls has two-way pairs, so a walk can revisit a node), walks with a
+    link swapped for any or an unknown id. The reader raises the oracle's
+    message, or passes where it passes unless the path misses its od's ends."""
+    net = fixture(ClassParams(), seed=7)
+    rng = np.random.default_rng(11)
+    out = {}
+    for link in net.links:
+        out.setdefault(link.from_node, []).append(link.id)
+    sequences = [p.links for q in net.od_pairs[:40]
+                 for p in yen_k_shortest(net, net.free_times, q.origin, q.destination, 3)]
+    for _ in range(600):
+        walk = [int(rng.integers(1, net.n_links + 1))]
+        for _ in range(int(rng.integers(0, 8))):
+            if after := out.get(net.links[net.link_index[walk[-1]]].to_node):
+                walk.append(int(rng.choice(after)))
+        if rng.random() < 0.4:
+            walk[rng.integers(len(walk))] = int(rng.choice([0, net.n_links + 1,
+                                                             rng.integers(1, net.n_links + 1)]))
+        sequences.append(tuple(walk))
+    od_of_ends = {(q.origin, q.destination): i for i, q in enumerate(net.od_pairs)}
+    seen = set()
+    for links in sequences:
+        key = "-".join(map(str, links))
+        known = [net.links[net.link_index[a]] for a in (links[0], links[-1])
+                 if a in net.link_index]
+        od = od_of_ends.get((known[0].from_node, known[-1].to_node)) if len(known) == 2 else None
+        expected = _oracle_path_error(net, links)
+        if expected is None and od is None:
+            expected = f"path {key} does not connect od 0"
+        row = f"{od or 0},rv,{key},1.5"
+        if expected is None:
+            _path_flow_arrays(net, [row])
+        else:
+            with pytest.raises(ValueError) as info:
+                _path_flow_arrays(net, [row])
+            assert str(info.value) == expected, row
+        seen.add(next((kind for kind in ("unknown", "adjacent", "revisits", "connect")
+                       if kind in (expected or "")), "ok"))
+    # the Nguyen network has no cycle, so no walk on it revisits a node
+    assert seen == {"ok", "unknown", "adjacent", "connect"} | (
+        {"revisits"} if fixture is sioux_falls_network else set())
 
 
 NET_TEXT = "<NUMBER OF NODES> 2\n<NUMBER OF LINKS> 1\n<END OF METADATA>\n1 2 1000 1 1 ;\n"

@@ -5,14 +5,14 @@ import numpy as np
 import pytest
 
 from mixflow.costs import (FLOW_FLOOR, ClassParams, cnl_commonalities, cnl_entries, evaluate_links,
-                           fuel_gallons, link_generalized_cost, link_travel_time, path_cost,
+                           fuel_gallons, link_generalized_cost, link_travel_time,
                            perceived_cost_rv)
 from mixflow.network import Link
 from mixflow.paths import Path, yen_k_shortest
 
 from conftest import random_network
 from oracles import (alpha_matrix, cnl_entries_by_paths, mixed_capacity, mp_cnl_commonality,
-                     mp_perceived_cost_rv, naive_cnl_commonality, overlap_alpha)
+                     mp_perceived_cost_rv, naive_cnl_commonality, overlap_alpha, path_cost)
 
 
 def flat_cnl_entries(groups, lengths):

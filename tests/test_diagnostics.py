@@ -7,12 +7,12 @@ from mixflow.diagnostics import (EquilibriumReport, certify, certify_rows, flow_
                                  link_flows_from_paths, ncp_residual, r_squared)
 from mixflow.fixtures import nguyen_network, sioux_falls_network
 from mixflow.network import AV, RV
-from mixflow.paths import PathSet, build_path
+from mixflow.paths import PathSet
 from mixflow.pga import generate_paths
 from mixflow.solver import SolverConfig, solve
 
 from conftest import diamond_network, parallel_network
-from oracles import certify_by_paths
+from oracles import build_path, certify_by_paths
 
 
 def test_link_flows_zero_paths():

@@ -5,7 +5,7 @@ import pytest
 
 from mixflow.costs import ClassParams
 from mixflow.fixtures import nguyen_network
-from mixflow.network import (Link, Network, ODPair, ParseError,
+from mixflow.network import (Link, Network, ODPair, ParseError, ValidationError,
                              load_network, parse_net_text,
                              parse_trips_text, split_demand, validate,
                              write_net_text, write_network, write_trips_text)
@@ -98,17 +98,17 @@ def test_split_demand_rejects_bad_penetration():
 
 
 def test_validate_clean_nguyen(params):
-    assert validate(nguyen_network(params)).ok
+    assert not validate(nguyen_network(params))
 
 
 def test_validate_unreachable_destination():
     net = Network(nodes=(1, 2, 3),
                   links=(Link(1, 1, 2, 1.0, 1.0, 10.0, 20.0),),
                   od_pairs=(ODPair(1, 3, 5.0, 5.0),))
-    report = validate(net)
-    assert not report.ok
-    assert any("unreachable" in issue.message for issue in report.issues)
-    assert any("1->3" in issue.entity for issue in report.issues)
+    issues = validate(net)
+    assert issues
+    assert any("unreachable" in message for _, message in issues)
+    assert any("1->3" in entity for entity, _ in issues)
 
 
 def test_validate_duplicate_link_id():
@@ -116,8 +116,7 @@ def test_validate_duplicate_link_id():
                   links=(Link(1, 1, 2, 1.0, 1.0, 10.0, 20.0),
                          Link(1, 1, 2, 2.0, 2.0, 10.0, 20.0)),
                   od_pairs=(ODPair(1, 2, 5.0, 5.0),))
-    report = validate(net)
-    assert any("duplicate link id" in issue.message for issue in report.issues)
+    assert any("duplicate link id" in message for _, message in validate(net))
 
 
 def test_validate_allows_parallel_links():
@@ -125,8 +124,18 @@ def test_validate_allows_parallel_links():
                   links=(Link(1, 1, 2, 1.0, 1.0, 10.0, 20.0),
                          Link(2, 1, 2, 2.0, 2.0, 10.0, 20.0)),
                   od_pairs=(ODPair(1, 2, 5.0, 5.0),))
-    assert validate(net).ok
+    assert not validate(net)
 
+
+def test_load_network_raises_every_issue(tmp_path, params):
+    net = tmp_path / "net.tntp"
+    net.write_text("1 2 10 1 1\n2 2 10 1 1\n", encoding="utf-8")
+    trips = tmp_path / "trips.tntp"
+    trips.write_text("Origin 1\n 3 : 5;\n", encoding="utf-8")
+    with pytest.raises(ValidationError) as info:
+        load_network(str(net), str(trips), params)
+    assert info.value.issues == [("link 2", "self loop"), ("od 1->3", "unknown node(s) [3]")]
+    assert str(info.value) == "invalid network:\nlink 2: self loop\nod 1->3: unknown node(s) [3]"
 
 def test_write_load_round_trip_is_bit_identical(tmp_path, params):
     net = nguyen_network(params, seed=1)
@@ -158,7 +167,7 @@ def test_validate_reports_non_finite_numbers():
                          Link(2, 1, 2, 1.0, inf, 10.0, 20.0),
                          Link(3, 1, 2, 1.0, 1.0, inf, nan)),
                   od_pairs=(ODPair(1, 2, nan, 5.0), ODPair(2, 1, 5.0, inf)))
-    messages = [(i.entity, i.message) for i in validate(net).issues]
+    messages = validate(net)
     assert ("link 1", "nonpositive or non-finite length nan") in messages
     assert ("link 2", "nonpositive or non-finite free-flow time inf") in messages
     assert ("link 3", "nonpositive or non-finite rv capacity inf") in messages

@@ -6,11 +6,10 @@ import pytest
 from mixflow.costs import ClassParams, free_flow_state
 from mixflow.fixtures import sioux_falls_network
 from mixflow.network import AV, RV, VEHICLE_CLASSES, Link, Network, ODPair
-from mixflow.paths import (Graph, PathSet, build_path, format_path_line, merge_path_sets,
-                           yen_k_shortest)
+from mixflow.paths import Graph, PathSet, format_path_line, merge_path_sets, yen_k_shortest
 
 from conftest import diamond_network, random_network
-from oracles import bellman_ford, incidence, k_cheapest_paths, plain_yen
+from oracles import bellman_ford, build_path, incidence, k_cheapest_paths, plain_yen
 
 
 def test_build_path_validates_adjacency():

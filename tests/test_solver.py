@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import mixflow
 from mixflow.costs import FLOW_FLOOR, ClassParams, evaluate_links, free_flow_state
 from mixflow.fixtures import (NGUYEN_OD_NODES, nguyen_network, sioux_falls_network,
                               synthesize_demand)
 from mixflow.network import AV, RV, Link, Network, ODPair
-from mixflow.paths import PathSet, build_path, yen_k_shortest
+from mixflow.paths import PathSet, yen_k_shortest
 from mixflow.pga import generate_paths
 from mixflow.solver import (Assignment, BASELINE, H_FLOOR, STALL_WINDOW, SolverConfig,
                             SolverError, max_relative_outflow,
@@ -15,8 +20,9 @@ from mixflow import costs as cost_model
 from mixflow import diagnostics
 
 from conftest import parallel_network, random_network
-from oracles import (alpha_matrix, link_flows_by_paths, logit_shares, mp_cnl_commonality,
-                     mp_perceived_cost_rv, naive_cnl_commonality, naive_swap_direction)
+from oracles import (alpha_matrix, build_path, link_flows_by_paths, logit_shares,
+                     mp_cnl_commonality, mp_perceived_cost_rv, naive_cnl_commonality,
+                     naive_swap_direction)
 
 
 def test_init_uniform_splits_demand(params):
@@ -242,6 +248,30 @@ def test_total_cost():
     assert total_cost(np.array([10.0]), np.array([5.0])) == 50.0
     assert total_cost(np.zeros(3), np.ones(3)) == 0.0
     assert total_cost(np.array([2.0, 4.0]), np.array([1.0, 1.0])) == 6.0
+
+
+def test_cost_sums_do_not_depend_on_blas_threads():
+    """OpenBLAS splits a dot product of over 10000 entries across its threads,
+    which changes its last bits; the gap, total cost and certificate total of
+    a Sioux Falls run (over 10000 paths) must not depend on the thread count."""
+    script = """
+from types import SimpleNamespace
+import numpy as np
+from mixflow.diagnostics import ncp_residual
+from mixflow.solver import relative_gap, total_cost
+rng = np.random.default_rng(3)
+flows, costs = rng.uniform(0.0, 100.0, 21000), rng.uniform(1.0, 50.0, 21000)
+group = np.arange(21000) // 7
+asn = SimpleNamespace(group_starts=np.arange(0, 21000, 7), group_sizes=np.full(3000, 7))
+print(total_cost(flows, costs).hex(), relative_gap(asn, flows, costs).hex(),
+      ncp_residual(flows, costs, group, np.bincount(group, flows)).total_cost.hex())
+"""
+    src = os.path.dirname(os.path.dirname(mixflow.__file__))
+    outputs = {subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              check=True, env=dict(os.environ, PYTHONPATH=src,
+                                                   OPENBLAS_NUM_THREADS=threads)).stdout
+               for threads in ("1", "2")}
+    assert len(outputs) == 1, outputs
 
 
 def test_solve_symmetric_parallel_links_split_evenly(params):
