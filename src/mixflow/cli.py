@@ -14,6 +14,7 @@ import bisect
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, fields
@@ -77,8 +78,8 @@ def _parse_value(key, raw):
 
 
 def parse_config_text(text, path="<config>"):
-    """Key -> value text of each `key = value` line. An unknown key, a value
-    not of its key's type and a float that is not finite name their line."""
+    """Key -> (value text, last line number) of `key = value` lines. An unknown
+    key, a value not of its key's type and a non-finite float name their line."""
     values = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -95,24 +96,33 @@ def parse_config_text(text, path="<config>"):
             raise ParseError(path, line_no, str(exc)) from None
         if isinstance(parsed, float) and not math.isfinite(parsed):
             raise ParseError(path, line_no, f"config key {key!r} must be finite, got {value!r}")
-        values[key] = value
+        values[key] = (value, line_no)
     return values
 
 
 def build_run_config(config_path, overrides):
-    values = {}
+    """The RunConfig of a config file and overrides. A failed range check names
+    the last file line that set a field its message names, unless a flag did."""
+    lines = {}
     if config_path:
         with open(config_path, encoding="utf-8") as fh:
-            values.update(parse_config_text(fh.read(), path=config_path))
-    values.update({k: v for k, v in overrides.items() if v is not None})
+            lines = parse_config_text(fh.read(), path=config_path)
+    values = ({key: value for key, (value, _) in lines.items()}
+              | {k: v for k, v in overrides.items() if v is not None})
 
     kwargs = {section: {} for section in (*_SECTIONS, None)}
     for key, raw in values.items():
         value = _parse_value(key, raw)
         section, name, _ = CONFIG_KEYS[key]
         kwargs[section][name] = value
-    return RunConfig(**{section: cls(**kwargs[section]) for section, cls in _SECTIONS.items()},
-                     **kwargs[None])
+    try:
+        return RunConfig(**{section: cls(**kwargs[section]) for section, cls in _SECTIONS.items()},
+                         **kwargs[None])
+    except ValueError as exc:
+        named = set(re.findall(r"\w+", str(exc).split("'", 1)[0]))    # not a quoted value
+        line_no = max((lines[key][1] for key, (_, name, _) in CONFIG_KEYS.items()
+                       if name in named and key in lines and overrides.get(key) is None), default=0)
+        raise ParseError(config_path, line_no, str(exc)) if line_no else exc from None
 
 
 def _fmt(x):

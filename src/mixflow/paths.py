@@ -7,6 +7,7 @@ two distinct paths may share a node sequence.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass
@@ -23,7 +24,6 @@ _SLACK = 1e-9
 class Path:
     links: tuple          # ordered link ids
     nodes: tuple          # ordered node ids, len(links) + 1
-    length: float         # miles, sum of member-link lengths
 
 
 class PathSet:
@@ -82,8 +82,8 @@ class Graph:
         self.index = {node: i for i, node in enumerate(network.nodes)}
         # (to, link id, cost, (to,), (link id,)): the 1-tuples extend labels
         self.adj = [[] for _ in network.nodes]
-        self.radj = [[] for _ in network.nodes]    # (from, cost)
-        self.cost, self.length, self._bounds = {}, {}, {}
+        self.radj = [[] for _ in network.nodes]    # (from, cost, link id)
+        self.cost, self._bounds = {}, {}
         for link, cost in zip(network.links, link_costs, strict=True):
             cost = float(cost)
             if not 0 < cost < math.inf:
@@ -91,42 +91,74 @@ class Graph:
                                  "expected a positive finite value")
             tail, head = self.index[link.from_node], self.index[link.to_node]
             self.adj[tail].append((head, link.id, cost, (head,), (link.id,)))
-            self.radj[head].append((tail, cost))
-            self.cost[link.id], self.length[link.id] = cost, link.length
+            self.radj[head].append((tail, cost, link.id))
+            self.cost[link.id] = cost
 
     def bound(self, destination):
-        """Cheapest cost from every node index to `destination` (`inf` where
-        unreachable), a lower bound on any spur search's remaining cost; a
-        reverse Dijkstra run on first use and kept."""
-        dist = self._bounds.get(destination)
-        if dist is None:
-            dist = self._bounds[destination] = [math.inf] * len(self.adj)
+        """`(dist, tree)` to `destination`, by a reverse Dijkstra on first use:
+        `dist[v]` is node index v's cheapest cost (`inf` if unreachable) and
+        `tree[v]` its tree path as (nodes, links, link costs, margin), the least
+        lead of a tree link over its node's next out-link (cost + head `dist`)."""
+        kept = self._bounds.get(destination)
+        if kept is None:
+            dist, tree = [math.inf] * len(self.adj), [None] * len(self.adj)
             dist[destination] = 0.0
+            parent, order = {}, []
             heap = [(0.0, destination)]
             while heap:
                 cost, node = heapq.heappop(heap)
                 if cost > dist[node]:
                     continue
-                for from_node, step_cost in self.radj[node]:
+                order.append(node)
+                for from_node, step_cost, link in self.radj[node]:
                     cand = cost + step_cost
                     if cand < dist[from_node]:
                         dist[from_node] = cand
+                        parent[from_node] = (node, link, step_cost)
                         heapq.heappush(heap, (cand, from_node))
-        return dist
+            tree[destination] = ((destination,), (), (), math.inf)
+            for node in order[1:]:    # each node's parent comes before it
+                head, link, step_cost = parent[node]
+                nodes, links, costs, margin = tree[head]
+                margin = min([margin] + [c + dist[to] - dist[node]
+                                         for to, other, c, _, _ in self.adj[node] if other != link])
+                tree[node] = ((node,) + nodes, (link,) + links, (step_cost,) + costs, margin)
+            kept = self._bounds[destination] = dist, tree
+        return kept
 
 
-def _shortest(adj, bound, origin, destination, limit=math.inf):
-    """Cheapest path label `(key, cost, nodes, links)` over node indices, or
-    None; cost ties resolve to the smallest node sequence, then link sequence.
+def _shortest(adj, bound, tree, origin, destination, out, limit=math.inf):
+    """Cheapest path `(cost, nodes, links)` over node indices from `origin`
+    by one of its out-links `out` if it costs at most `limit`, else None or
+    a dearer path; cost ties resolve to the smallest node, then link sequence.
+    `bound` is `inf` at banned nodes and at nodes that cannot reach the end.
 
-    Labels pop in A* order of key = cost + `bound` (`inf` at banned nodes
-    and at nodes that cannot reach the destination). Each node keeps its
+    The cheapest out-link and its head's `tree` path (`Graph.bound`) are the
+    answer, with the search's forward cost sum, when they win every choice
+    by a `_SLACK` margin and avoid `origin` and the banned nodes. Otherwise
+    labels pop in A* order of key = cost + `bound`, and each node keeps its
     smallest label, so equal-cost prefixes resolve the way full paths do.
-    The bound's float error is far below `_SLACK`: once a key exceeds the
-    first destination cost grown by `_SLACK`, no label left can tie or beat
-    it. Before that, a key above `limit` ends the search, which may then
-    return a path dearer than `limit` instead of the cheapest, or None.
-    """
+    The bound's float error is far below `_SLACK`, so once a key exceeds the
+    first destination cost grown by `_SLACK` no label left can tie or beat
+    it; before that, a key above `limit` ends the search."""
+    first = second = math.inf
+    pick = None
+    for entry in out:
+        value = entry[2] + bound[entry[0]]
+        if value < first:
+            first, second, pick = value, first, entry
+        elif value < second:
+            second = value
+    if pick is None or first > limit:
+        return None
+    nodes, links, costs, margin = tree[pick[0]]
+    slack = first * _SLACK
+    if (second - first > slack and margin > slack and origin not in nodes
+            and math.inf not in map(bound.__getitem__, nodes)):
+        cost = pick[2]
+        for step in costs:
+            cost += step
+        return cost, (origin,) + nodes, pick[4] + links
     push, pop, inf = heapq.heappush, heapq.heappop, math.inf
     start = (bound[origin], 0.0, (origin,), ())
     best = [None] * len(bound)
@@ -145,7 +177,7 @@ def _shortest(adj, bound, origin, destination, limit=math.inf):
             if stop == limit:
                 stop = cost * (1.0 + _SLACK)
             continue
-        for to_node, _, step_cost, to_step, link_step in adj[node]:
+        for to_node, _, step_cost, to_step, link_step in (out if node == origin else adj[node]):
             to_bound = bound[to_node]
             if to_bound == inf:
                 continue
@@ -157,7 +189,25 @@ def _shortest(adj, bound, origin, destination, limit=math.inf):
             if cur is None or cand < cur:
                 best[to_node] = cand
                 push(heap, cand)
-    return best[destination]
+    return None if best[destination] is None else best[destination][1:]
+
+
+def _deviations(graph, bound, tree, sink, nodes, links, start, trie, limit):
+    """Spur paths `(cost, nodes, links, i)` off the path (`nodes`, `links`),
+    added to `trie`, at each spur index i from `start` on, by `_shortest`
+    within `limit`; root nodes are banned, and so are the trie's links off
+    the root."""
+    adj, root_cost, spur_bound, children = graph.adj, 0.0, bound.copy(), trie
+    for i, spur_node in enumerate(nodes[:-1]):
+        below = children.setdefault(links[i], {})
+        if i >= start:
+            out = [e for e in adj[spur_node] if e[1] not in children]
+            spur = _shortest(adj, spur_bound, tree, spur_node, sink, out, limit - root_cost)
+            if spur is not None:
+                yield root_cost + spur[0], nodes[:i] + spur[1], links[:i] + spur[2], i
+        root_cost += graph.cost[links[i]]
+        spur_bound[spur_node] = math.inf
+        children = below
 
 
 def yen_k_shortest(network, link_costs, origin, destination, k, graph=None):
@@ -167,11 +217,11 @@ def yen_k_shortest(network, link_costs, origin, destination, k, graph=None):
     finite; `graph`, when given, is a `Graph` already built on them and
     `link_costs` is not read again. Deviations are generated from each
     accepted path by banning, at every spur node, the links that previously
-    accepted paths take out of the shared root. Spur nodes start at the
-    index where the path left its parent's root (Lawler): an earlier spur
-    would repeat a search whose result has already been seen. A spur search
-    stops above the cost of the candidate that would be accepted last, when
-    there are enough candidates to know it.
+    accepted paths (kept in a trie) take out of the shared root. Spur nodes
+    start at the index where the path left its parent's root (Lawler): an
+    earlier spur would repeat a search whose result has already been seen.
+    A spur search stops above the cost of the candidate that would be
+    accepted last, when there are enough candidates to know it.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -182,47 +232,52 @@ def yen_k_shortest(network, link_costs, origin, destination, k, graph=None):
         raise ValueError(f"origin {origin} equals destination {destination}")
     if graph is None:
         graph = Graph(network, link_costs)
-    adj, cost_of, inf = graph.adj, graph.cost, math.inf
     source, sink = graph.index[origin], graph.index[destination]
-    bound = graph.bound(sink)
-    if bound[source] == inf:
+    bound, tree = graph.bound(sink)
+    if bound[source] == math.inf:
         raise ValueError(f"no path from {origin} to {destination}")
-    accepted = [_shortest(adj, bound, source, sink)[1:]]
-    seen = {accepted[0][2]}
-    candidates, deviation = [], 0
+    accepted = [_shortest(graph.adj, bound, tree, source, sink, graph.adj[source])]
+    seen, trie = {accepted[0][2]}, {}
+    candidates, deviation = [], 0    # candidates in ascending order
     while len(accepted) < k:
         _, prev_nodes, prev_links = accepted[-1]
-        root_cost = 0.0
-        sharing = [p for _, _, p in accepted]    # accepted paths sharing the root
-        spur_adj, spur_bound = adj.copy(), bound.copy()
-        nearest = heapq.nsmallest(k - len(accepted), candidates)
-        limit = (nearest[-1][0] * (1.0 + _SLACK) if len(nearest) == k - len(accepted)
-                 else inf)
-        for i, spur_node in enumerate(prev_nodes[:-1]):
-            if i >= deviation:
-                # the banned links all leave the spur node: only its list changes
-                banned_links = {p[i] for p in sharing}
-                spur_adj[spur_node] = [e for e in adj[spur_node] if e[1] not in banned_links]
-                spur = _shortest(spur_adj, spur_bound, spur_node, sink, limit - root_cost)
-                if spur is not None:
-                    _, spur_cost, spur_nodes, spur_links = spur
-                    total_links = prev_links[:i] + spur_links
-                    if total_links not in seen:
-                        seen.add(total_links)
-                        heapq.heappush(candidates, (root_cost + spur_cost,
-                                                    prev_nodes[:i] + spur_nodes,
-                                                    total_links, i))
-            root_cost += cost_of[prev_links[i]]
-            spur_bound[spur_node] = inf    # root nodes are banned
-            sharing = [p for p in sharing if p[i] == prev_links[i]]
+        need = k - len(accepted)
+        limit = candidates[need - 1][0] * (1.0 + _SLACK) if len(candidates) >= need else math.inf
+        for candidate in _deviations(graph, bound, tree, sink, prev_nodes, prev_links,
+                                     deviation, trie, limit):
+            if candidate[2] not in seen:
+                seen.add(candidate[2])
+                bisect.insort(candidates, candidate)
         if not candidates:
             break
-        cost, nodes, links, deviation = heapq.heappop(candidates)
+        cost, nodes, links, deviation = candidates.pop(0)
         accepted.append((cost, nodes, links))
-    ids, lengths = graph.node_ids, graph.length
-    return [Path(links=links, nodes=tuple(map(ids.__getitem__, nodes)),
-                 length=float(sum(map(lengths.__getitem__, links))))
+    ids = graph.node_ids
+    return [Path(links=links, nodes=tuple(map(ids.__getitem__, nodes)))
             for _, nodes, links in accepted]
+
+
+def holds_k_cheapest(graph, paths, origin, destination, k):
+    """True when `paths` is not empty and no other loop-free path from
+    `origin` to `destination` costs at most their k-th cheapest grown by
+    `_SLACK` (any, with fewer than k), so Yen returns only paths of `paths`.
+    Any other path leaves their trie by a link that is not a trie child."""
+    sink = graph.index[destination]
+    bound, tree = graph.bound(sink)
+    costs = sorted(sum(map(graph.cost.__getitem__, path.links)) for path in paths)
+    limit = costs[k - 1] * (1.0 + _SLACK) if len(costs) >= k else math.inf
+    trie, walks = {}, []
+    for path in paths:    # each trie node is searched off the first path through it
+        children, shared = trie, 0
+        while path.links[shared] in children:
+            children, shared = children[path.links[shared]], shared + 1
+        walks.append((path, shared + 1 if trie else 0))
+        for link in path.links[shared:]:
+            children = children.setdefault(link, {})
+    return bool(paths) and not any(
+        cost <= limit for path, start in walks
+        for cost, *_ in _deviations(graph, bound, tree, sink, tuple(map(
+            graph.index.__getitem__, path.nodes)), path.links, start, trie, limit))
 
 
 def format_path_line(od_index, vehicle_class, cost, path):

@@ -4,8 +4,9 @@ Alternates k-shortest-path generation on current per-class link costs with
 a loose inner equilibrium solve until the total cost stabilizes, then runs
 one final solve at the tight gap. Flows on existing paths carry over
 between outer iterations; newly generated paths start empty and pick up
-flow through the swap direction. `generate_paths` is also the one-shot
-path generator of `mixflow solve`: its free-flow round is PGA's first.
+flow through the swap direction. A round skips Yen for every group whose
+known paths already hold its k cheapest. `generate_paths` is also the
+one-shot path generator of `mixflow solve`: its free-flow round is PGA's first.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import costs as cost_model
 from .network import VEHICLE_CLASSES
-from .paths import Graph, PathSet, merge_path_sets, yen_k_shortest
+from .paths import Graph, PathSet, holds_k_cheapest, merge_path_sets, yen_k_shortest
 from .solver import Assignment, SolveResult, solve_assignment
 
 
@@ -59,10 +60,11 @@ class PgaResult:
     outer_converged: bool
 
 
-def generate_paths(network, link_state, k):
+def generate_paths(network, link_state, k, known=None):
     """Up to k Yen paths for every demanded (OD, class) at the link state's
     per-class costs, as a fresh PathSet; one `Graph` per class serves all
-    of that class's calls, built at its first demanded group."""
+    of that class's calls, built at its first demanded group. Groups whose
+    paths in the PathSet `known` hold their k cheapest are left out."""
     path_set = PathSet()
     graphs = {}
     for od_index, od in enumerate(network.od_pairs):
@@ -71,6 +73,9 @@ def generate_paths(network, link_state, k):
                 continue
             if cls not in graphs:
                 graphs[cls] = Graph(network, link_state.cost(cls))
+            if known is not None and holds_k_cheapest(
+                    graphs[cls], known.group(od_index, cls), od.origin, od.destination, k):
+                continue
             for path in yen_k_shortest(network, link_state.cost(cls), od.origin,
                                        od.destination, k, graph=graphs[cls]):
                 path_set.add(od_index, cls, path)
@@ -108,7 +113,7 @@ def pga_solve(network, params, pga_config, solver_config):
                       else result.flow.link_state)
         tick = time.perf_counter()
         path_set, new_count = merge_path_sets(
-            path_set, generate_paths(network, link_state, pga_config.k))
+            path_set, generate_paths(network, link_state, pga_config.k, known=path_set))
         gen_seconds = time.perf_counter() - tick
         assignment = Assignment(network, path_set, params)
         result = solve_assignment(assignment, inner_config,

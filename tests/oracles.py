@@ -16,8 +16,6 @@ the `path_flows.csv` reader's array checks are fuzzed against.
 
 import heapq
 
-from types import SimpleNamespace
-
 import numpy as np
 from mpmath import mp
 
@@ -76,8 +74,7 @@ def build_path(network, link_ids):
     nodes.extend(l.to_node for l in links)
     if len(set(nodes)) != len(nodes):
         raise ValueError(f"path revisits a node: {nodes}")
-    return Path(links=tuple(link_ids), nodes=tuple(nodes),
-                length=float(sum(l.length for l in links)))
+    return Path(links=tuple(link_ids), nodes=tuple(nodes))
 
 
 def k_cheapest_paths(network, link_costs, origin, destination, k):
@@ -181,19 +178,24 @@ def mixed_capacity(x_rv, x_av, cap_rv, cap_av):
     return total / (x_rv / cap_rv + x_av / cap_av) if total > 0 else cap_rv
 
 
-def overlap_alpha(link, path):
-    """Length share of `link` within `path`; zero when the link is not a member."""
-    if link.id not in path.links:
+def path_length(path, lengths):
+    """Sum of member-link lengths in path order; `lengths` maps link id to length."""
+    return sum(lengths[a] for a in path.links)
+
+
+def overlap_alpha(link_id, path, lengths):
+    """Length share of the link within `path`; zero when the link is not a
+    member. `lengths` maps link id to length."""
+    if link_id not in path.links:
         return 0.0
-    return link.length / path.length
+    return lengths[link_id] / path_length(path, lengths)
 
 
 def alpha_matrix(paths, lengths):
     """Dense (link, path) overlap weights over the links of `paths` in id
     order; `lengths` maps link id to length."""
     link_ids = sorted({a for p in paths for a in p.links})
-    return np.array([[overlap_alpha(SimpleNamespace(id=a, length=lengths[a]), p)
-                      for p in paths] for a in link_ids])
+    return np.array([[overlap_alpha(a, p, lengths) for p in paths] for a in link_ids])
 
 
 def naive_cnl_commonality(alpha, path_costs, theta, u):
@@ -269,8 +271,9 @@ def cnl_entries_by_paths(groups, link_lengths):
     for paths in groups:
         local = {}
         for p in paths:
+            length = path_length(p, link_lengths)
             for a in p.links:
-                alpha.append(link_lengths[a] / p.length)
+                alpha.append(link_lengths[a] / length)
                 path.append(n_paths)
                 nest.append(local.setdefault(a, n_nests + len(local)))
             n_paths += 1

@@ -45,7 +45,7 @@ def read(path):
 
 def test_config_file_parsing():
     values = parse_config_text("# comment\ngap = 1e-5\nmode = baseline  # trailing\n")
-    assert values == {"gap": "1e-5", "mode": "baseline"}
+    assert values == {"gap": ("1e-5", 2), "mode": ("baseline", 3)}
     with pytest.raises(ParseError):
         parse_config_text("gap 1e-5\n")
 
@@ -123,6 +123,46 @@ def test_readme_library_example_converges(capsys):
     converged, _, _, residual = capsys.readouterr().out.split()
     # the example solves to gap 1e-4, which bounds the certified residual
     assert converged == "True" and float(residual) <= 1e-4
+
+
+@pytest.mark.parametrize("text, line_no, message", [
+    ("vot_av = 0.5\ndispersion = 0.2\nvot_rv = 0.25\n", 3, "expected finite vot_rv >= vot_av >= 0"),
+    ("vot_rv = 0.25\nk = 4\nvot_av = 0.5\n", 3, "expected finite vot_rv >= vot_av >= 0"),
+    ("nesting = 2\nnesting = 0.5\nnesting = 1.5\n", 3, "nesting must lie in (0, 1]"),
+    ("k = 4\ngap = -1\nmax_iters = 50\n", 2, "gap_tol must be positive and finite"),
+    ("mode = max_iters\nmax_iters = 50\n", 1, "unknown mode 'max_iters'"),
+    ("gap = 1e-3\nk = 0\n", 2, "k must be at least 1"),
+    ("check_tol = 0\ngap = 1e-3\n", 1, "check_tol must be positive and finite"),
+], ids=["params-vot_rv-last", "params-vot_av-last", "params-nesting", "solver-gap",
+        "solver-mode", "pga-k", "run-check_tol"])
+def test_config_range_error_names_file_and_line(tmp_path, capsys, diamond_files, text,
+                                                line_no, message):
+    """A value that a config class's range check rejects names the file and
+    the last line that set a key the check reads; the same value given by
+    `--set` keeps the plain message."""
+    net_file, trips_file = diamond_files
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    common = ["--net", net_file, "--trips", trips_file, "--out-dir", str(tmp_path / "out")]
+    assert main(["solve", "--config", str(cfg), *common]) == 1
+    assert capsys.readouterr().err == f"mixflow solve: {cfg}:{line_no}: {message}\n"
+    sets = [arg for line in text.splitlines() for arg in ("--set", line.replace(" = ", "="))]
+    assert main(["solve", *common, *sets]) == 1
+    assert capsys.readouterr().err == f"mixflow solve: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_range_error_of_a_set_value_keeps_the_plain_message(tmp_path, capsys):
+    """A check that reads a key set by `--set` names only the file lines of
+    the keys it reads that the file still sets."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("vot_av = 0.5\ngap = -1\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape(f"{cfg}:1: expected finite vot_rv")):
+        build_run_config(str(cfg), {"vot_rv": "0.25", "gap": "1e-3"})
+    with pytest.raises(ValueError, match="^expected finite vot_rv"):
+        build_run_config(str(cfg), {"vot_av": "0.75", "vot_rv": "0.5", "gap": "1e-3"})
+    with pytest.raises(ValueError, match="^gap_tol must be positive"):
+        build_run_config(str(cfg), {"gap": "-2"})
 
 
 def test_config_file_plus_override(tmp_path):

@@ -7,7 +7,6 @@ import pytest
 from mixflow.costs import (FLOW_FLOOR, ClassParams, cnl_commonalities, cnl_entries, evaluate_links,
                            fuel_gallons, link_generalized_cost, link_travel_time,
                            perceived_cost_rv)
-from mixflow.network import Link
 from mixflow.paths import Path, yen_k_shortest
 
 from conftest import random_network
@@ -122,22 +121,21 @@ def test_link_generalized_cost_vot_monotone():
 
 
 def test_path_cost_empty_and_single():
-    empty = Path(links=(), nodes=(), length=0.0)
+    empty = Path(links=(), nodes=())
     assert path_cost(empty, {}) == 0.0
-    one = Path(links=(7,), nodes=(1, 2), length=3.0)
+    one = Path(links=(7,), nodes=(1, 2))
     assert path_cost(one, {7: 4.25}) == 4.25
-    two = Path(links=(7, 9), nodes=(1, 2, 3), length=5.0)
+    two = Path(links=(7, 9), nodes=(1, 2, 3))
     assert path_cost(two, {7: 3.0, 9: 4.0}) == 7.0
 
 
 def test_overlap_alpha_membership():
-    path = Path(links=(1, 2), nodes=(1, 2, 3), length=5.0)
-    inside = Link(1, 1, 2, 2.0, 2.0, 10.0, 20.0)
-    outside = Link(9, 2, 3, 3.0, 3.0, 10.0, 20.0)
-    assert overlap_alpha(outside, path) == 0.0
-    assert overlap_alpha(inside, path) == pytest.approx(0.4)
-    single = Path(links=(1,), nodes=(1, 2), length=2.0)
-    assert overlap_alpha(inside, single) == 1.0
+    path = Path(links=(1, 2), nodes=(1, 2, 3))
+    lengths = {1: 2.0, 2: 3.0, 9: 3.0}
+    assert overlap_alpha(9, path, lengths) == 0.0
+    assert overlap_alpha(1, path, lengths) == pytest.approx(0.4)
+    single = Path(links=(1,), nodes=(1, 2))
+    assert overlap_alpha(1, single, lengths) == 1.0
 
 
 def test_overlap_weights_sum_to_one_randomized(params):
@@ -169,7 +167,7 @@ def test_cnl_entries_match_the_path_by_path_layout():
             paths = yen_k_shortest(net, costs, od.origin, od.destination, 6)
             base = 100 * (g - g % 2)
             lengths.update((l.id + base, l.length) for l in net.links)
-            groups.append([Path(tuple(a + base for a in p.links), p.nodes, p.length)
+            groups.append([Path(tuple(a + base for a in p.links), p.nodes)
                            for p in paths])
         flat, by_paths = flat_cnl_entries(groups, lengths), cnl_entries_by_paths(groups, lengths)
         assert np.array_equal(flat.ln_alpha, by_paths.ln_alpha)
@@ -184,9 +182,9 @@ def test_cnl_entries_match_the_path_by_path_layout():
 
 
 def _crafted_group():
-    p1 = Path(links=(1, 2), nodes=(1, 2, 3), length=1.0)
-    p2 = Path(links=(1, 3), nodes=(1, 2, 3), length=1.0)
-    p3 = Path(links=(4,), nodes=(1, 3), length=1.0)
+    p1 = Path(links=(1, 2), nodes=(1, 2, 3))
+    p2 = Path(links=(1, 3), nodes=(1, 2, 3))
+    p3 = Path(links=(4,), nodes=(1, 3))
     lengths = {1: 0.5, 2: 0.5, 3: 0.5, 4: 1.0}
     return [p1, p2, p3], lengths
 
@@ -202,8 +200,8 @@ def test_commonality_zero_at_unit_nesting():
 
 
 def test_commonality_symmetric_disjoint_paths():
-    p1 = Path(links=(1,), nodes=(1, 2), length=2.0)
-    p2 = Path(links=(2,), nodes=(1, 2), length=2.0)
+    p1 = Path(links=(1,), nodes=(1, 2))
+    p2 = Path(links=(2,), nodes=(1, 2))
     h = _commonality([p1, p2], {1: 2.0, 2: 2.0}, [6.0, 6.0], theta=0.1, u=0.5)
     assert h[0] == pytest.approx(h[1], rel=1e-12)
 
@@ -264,7 +262,7 @@ def test_commonality_shifts_each_segment_by_its_own_maximum():
         od = net.od_pairs[0]
         group = yen_k_shortest(net, net.free_times.copy(), od.origin, od.destination, 6)
         lengths.update((l.id + 100 * len(groups), l.length) for l in net.links)
-        groups.append([Path(tuple(a + 100 * len(groups) for a in p.links), p.nodes, p.length)
+        groups.append([Path(tuple(a + 100 * len(groups) for a in p.links), p.nodes)
                        for p in group])
         costs += list(rng.uniform(5.0, 3000.0, size=len(group)))
     entries = flat_cnl_entries(groups, lengths)

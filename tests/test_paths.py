@@ -6,7 +6,8 @@ import pytest
 from mixflow.costs import ClassParams, free_flow_state
 from mixflow.fixtures import sioux_falls_network
 from mixflow.network import AV, RV, VEHICLE_CLASSES, Link, Network, ODPair
-from mixflow.paths import Graph, PathSet, format_path_line, merge_path_sets, yen_k_shortest
+from mixflow.paths import (Graph, Path, PathSet, _shortest, format_path_line,
+                           holds_k_cheapest, merge_path_sets, yen_k_shortest)
 
 from conftest import diamond_network, random_network
 from oracles import bellman_ford, build_path, incidence, k_cheapest_paths, plain_yen
@@ -16,7 +17,7 @@ def test_build_path_validates_adjacency():
     net = diamond_network()
     path = build_path(net, (1, 2))
     assert path.nodes == (1, 2, 4)
-    assert path.length == pytest.approx(20.0)
+    assert path.links == (1, 2)
     with pytest.raises(ValueError):
         build_path(net, (1, 4))  # links 1->2 then 3->4 are not adjacent
 
@@ -271,6 +272,105 @@ def test_yen_matches_plain_yen_on_sioux_falls():
             assert [p.nodes for p in got] == [nodes for _, nodes, _ in expected]
 
 
+def _two_way(net):
+    """`net` with a reverse copy of every link that has none, so that spur
+    searches can loop back through the nodes they started from."""
+    pairs = {(l.from_node, l.to_node) for l in net.links}
+    links = list(net.links)
+    for link in net.links:
+        if (link.to_node, link.from_node) not in pairs:
+            links.append(Link(len(links) + 1, link.to_node, link.from_node, link.length,
+                              link.free_time, link.cap_rv, link.cap_av))
+    return Network(nodes=net.nodes, links=tuple(links), od_pairs=net.od_pairs)
+
+
+class _Reads(list):
+    """An adjacency list that counts the node lists a search reads."""
+    reads = 0
+
+    def __getitem__(self, node):
+        self.reads += 1
+        return super().__getitem__(node)
+
+
+def test_spur_shortcut_equals_full_search_spur_by_spur():
+    """Integer, tie-heavy costs on two-way graphs, random banned nodes and
+    first links, finite and infinite limits: a spur search answered from
+    the reverse tree returns what the full search returns (the same search
+    with no tree margin trusted), and a path within the limit is never
+    dropped."""
+    rng = np.random.default_rng(408)
+    answered = searched = 0
+    for case in range(150):
+        net = _two_way(_tie_heavy_network(rng, cyclic=bool(case % 2)))
+        graph = Graph(net, _TIE_COSTS["integer"](rng, net.n_links))
+        n = len(net.nodes)
+        for _ in range(20):
+            sink, origin = (int(v) for v in rng.choice(n, size=2, replace=False))
+            bound, tree = graph.bound(sink)
+            untrusted = [t and t[:3] + (0.0,) for t in tree]
+            banned = bound.copy()
+            for node in rng.choice(n, size=int(rng.integers(0, n - 1)), replace=False):
+                if node not in (origin, sink):
+                    banned[node] = np.inf
+            out = [e for e in graph.adj[origin] if rng.random() < 0.7]
+            full = _shortest(graph.adj, banned, untrusted, origin, sink, out)
+            limit = (np.inf if full is None or rng.random() < 0.3
+                     else float(rng.choice([full[0], full[0] - 1, full[0] + 1,
+                                            full[0] * rng.uniform(0.5, 1.5)])))
+            want = _shortest(graph.adj, banned, untrusted, origin, sink, out, limit)
+            adj = _Reads(graph.adj)
+            got = _shortest(adj, banned, tree, origin, sink, out, limit)
+            if want is not None and want[0] <= limit:
+                assert got == want, case
+            else:
+                assert got is None or got[0] > limit, case
+            if got is not None and not adj.reads:    # answered from the tree
+                assert got == full, case
+                answered += 1
+            searched += bool(adj.reads)
+    assert answered > 500 and searched > 500, (answered, searched)
+
+
+def test_settled_groups_hold_their_k_cheapest():
+    """Known paths from Yen at one set of costs, checked at perturbed costs:
+    whenever the check says settled, Yen at the new costs returns known
+    paths only. A group that knows every loop-free path but one of its k
+    cheapest is never settled, and one that knows them all always is."""
+    rng = np.random.default_rng(409)
+    kinds = sorted(_TIE_COSTS)
+    verdicts = {True: 0, False: 0}
+    for case in range(300):
+        net = _two_way(_tie_heavy_network(rng, cyclic=bool(case % 2))) if case % 3 == 0 \
+            else _tie_heavy_network(rng, cyclic=bool(case % 2))
+        od = net.od_pairs[0]
+        k = 1 + case % 8
+        costs = _TIE_COSTS[kinds[case % len(kinds)]](rng, net.n_links)
+        known = PathSet()
+        for _ in range(int(rng.integers(1, 3))):
+            for path in yen_k_shortest(net, costs, od.origin, od.destination, k):
+                known.add(0, RV, path)
+            costs = costs * rng.choice([1.0, 0.5, 2.0], size=net.n_links) \
+                if rng.random() < 0.5 else costs * rng.uniform(0.8, 1.25, size=net.n_links)
+        paths = known.group(0, RV)
+        settled = holds_k_cheapest(Graph(net, costs), paths, od.origin, od.destination, k)
+        verdicts[settled] += 1
+        if settled:
+            links = {p.links for p in paths}
+            got = yen_k_shortest(net, costs, od.origin, od.destination, k)
+            assert all(p.links in links for p in got), case
+        # every loop-free path, cheapest first; the one left out is among the k cheapest
+        every = [Path(links, nodes) for _, nodes, links in k_cheapest_paths(
+            net, costs, od.origin, od.destination, None)]    # k = None: all of them
+        graph = Graph(net, costs)
+        missing = int(rng.integers(len(every)))
+        rest = every[:missing] + every[missing + 1:]
+        k = int(rng.integers(missing + 1, len(every) + 1))
+        assert not holds_k_cheapest(graph, rest, od.origin, od.destination, k), case
+        assert holds_k_cheapest(graph, every, od.origin, od.destination, int(rng.integers(1, 9)))
+    assert min(verdicts.values()) > 50, verdicts
+
+
 def _two_sets(net):
     first = PathSet()
     first.add(0, RV, build_path(net, (1, 2)))
@@ -325,7 +425,7 @@ def test_incidence_length_identity():
     ps = PathSet()
     ps.add(0, AV, path)
     total = sum(incidence(ps, 0, AV, l.id, path) * l.length for l in net.links)
-    assert total == pytest.approx(path.length, rel=1e-12)
+    assert total == pytest.approx(30.0, rel=1e-12)    # links 3 and 4: 10 + 20 miles
 
 
 def test_path_set_iteration_order():

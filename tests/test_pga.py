@@ -3,10 +3,11 @@ import hashlib
 import numpy as np
 import pytest
 
+from mixflow import pga
 from mixflow.costs import evaluate_links, free_flow_state
 from mixflow.fixtures import nguyen_network, sioux_falls_network
 from mixflow.network import RV, VEHICLE_CLASSES, Link, Network, ODPair
-from mixflow.paths import yen_k_shortest
+from mixflow.paths import merge_path_sets, yen_k_shortest
 from mixflow.pga import PgaConfig, generate_paths, pga_solve
 from mixflow.solver import SolverConfig
 
@@ -167,3 +168,29 @@ def test_generated_paths_pinned_on_sioux_falls(params):
             for name, state in (("free", free_flow_state(net, params)), ("loaded", loaded)):
                 got[(seed, k, name)] = _digest(generate_paths(net, state, k))
     assert got == _GENERATED_DIGESTS
+
+
+def test_known_paths_leave_pga_merges_unchanged_on_sioux_falls(params, monkeypatch):
+    """Seed 7 PGA at k = 10, gap 5e-3: in every round, merging what
+    `generate_paths` returns with the round's path set as `known` gives the
+    same groups, in the same order, as merging its output without `known`,
+    while the last round leaves most groups out."""
+    net = sioux_falls_network(params, seed=7)
+    rounds = []
+
+    def recorded(network, link_state, k, known=None):
+        rounds.append((link_state, known))
+        return generate_paths(network, link_state, k, known=known)
+
+    monkeypatch.setattr(pga, "generate_paths", recorded)
+    pga_solve(net, params, PgaConfig(k=10), SolverConfig(gap_tol=5e-3))
+    assert len(rounds) == 3
+    left_out = []
+    for link_state, known in rounds:
+        generated = generate_paths(net, link_state, 10, known=known)
+        merged, count = merge_path_sets(known, generated)
+        expected, expected_count = merge_path_sets(known, generate_paths(net, link_state, 10))
+        assert count == expected_count
+        assert merged.items() == expected.items()
+        left_out.append(len(expected.items()) - len(generated.items()))
+    assert left_out[0] == 0 and left_out[2] > 900, left_out
