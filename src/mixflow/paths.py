@@ -12,9 +12,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .network import AV, RV
-
-_CLASS_ORDER = {RV: 0, AV: 1}
+from .network import VEHICLE_CLASSES
 
 # relative margin of the A* stop rule, far above the float error of the bound
 _SLACK = 1e-9
@@ -45,8 +43,8 @@ class PathSet:
         return tuple(self._groups.get((od_index, vehicle_class), {}).values())
 
     def items(self):
-        """Groups in deterministic (od_index, rv-before-av) order."""
-        order = sorted(self._groups, key=lambda k: (k[0], _CLASS_ORDER[k[1]]))
+        """Groups in deterministic order: by od_index, then `VEHICLE_CLASSES`."""
+        order = sorted(self._groups, key=lambda k: (k[0], VEHICLE_CLASSES.index(k[1])))
         return [(k, tuple(self._groups[k].values())) for k in order]
 
     def copy(self):
@@ -210,8 +208,9 @@ def _deviations(graph, bound, tree, sink, nodes, links, start, trie, limit):
         children = below
 
 
-def yen_k_shortest(network, link_costs, origin, destination, k, graph=None):
-    """Up to k cheapest loop-free paths in nondecreasing cost order.
+def yen_k_shortest(network, link_costs, origin, destination, k, graph=None, known=()):
+    """Up to k cheapest loop-free paths in nondecreasing cost order, less
+    the paths of `known`, which count among the k like any other.
 
     `link_costs` is indexed like network.links and must be positive and
     finite; `graph`, when given, is a `Graph` already built on them and
@@ -222,6 +221,12 @@ def yen_k_shortest(network, link_costs, origin, destination, k, graph=None):
     earlier spur would repeat a search whose result has already been seen.
     A spur search stops above the cost of the candidate that would be
     accepted last, when there are enough candidates to know it.
+
+    Known paths (distinct, loop-free, origin to destination) all enter the
+    trie first and start as candidates at their left-to-right link-cost
+    sums; one pass searches each trie node off the first known path through
+    it, so it finds only other paths, and an accepted known path is not
+    searched again. Without known paths the search starts from the cheapest.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -236,48 +241,38 @@ def yen_k_shortest(network, link_costs, origin, destination, k, graph=None):
     bound, tree = graph.bound(sink)
     if bound[source] == math.inf:
         raise ValueError(f"no path from {origin} to {destination}")
-    accepted = [_shortest(graph.adj, bound, tree, source, sink, graph.adj[source])]
-    seen, trie = {accepted[0][2]}, {}
-    candidates, deviation = [], 0    # candidates in ascending order
-    while len(accepted) < k:
-        _, prev_nodes, prev_links = accepted[-1]
-        need = k - len(accepted)
-        limit = candidates[need - 1][0] * (1.0 + _SLACK) if len(candidates) >= need else math.inf
-        for candidate in _deviations(graph, bound, tree, sink, prev_nodes, prev_links,
-                                     deviation, trie, limit):
-            if candidate[2] not in seen:
-                seen.add(candidate[2])
-                bisect.insort(candidates, candidate)
-        if not candidates:
-            break
-        cost, nodes, links, deviation = candidates.pop(0)
-        accepted.append((cost, nodes, links))
-    ids = graph.node_ids
-    return [Path(links=links, nodes=tuple(map(ids.__getitem__, nodes)))
-            for _, nodes, links in accepted]
-
-
-def holds_k_cheapest(graph, paths, origin, destination, k):
-    """True when `paths` is not empty and no other loop-free path from
-    `origin` to `destination` costs at most their k-th cheapest grown by
-    `_SLACK` (any, with fewer than k), so Yen returns only paths of `paths`.
-    Any other path leaves their trie by a link that is not a trie child."""
-    sink = graph.index[destination]
-    bound, tree = graph.bound(sink)
-    costs = sorted(sum(map(graph.cost.__getitem__, path.links)) for path in paths)
-    limit = costs[k - 1] * (1.0 + _SLACK) if len(costs) >= k else math.inf
-    trie, walks = {}, []
-    for path in paths:    # each trie node is searched off the first path through it
+    trie, walks, candidates = {}, [], []    # candidates in ascending order
+    for path in known:
         children, shared = trie, 0
         while path.links[shared] in children:
             children, shared = children[path.links[shared]], shared + 1
-        walks.append((path, shared + 1 if trie else 0))
+        nodes = tuple(map(graph.index.__getitem__, path.nodes))
+        walks.append((nodes, path.links, shared + 1 if trie else 0))
         for link in path.links[shared:]:
             children = children.setdefault(link, {})
-    return bool(paths) and not any(
-        cost <= limit for path, start in walks
-        for cost, *_ in _deviations(graph, bound, tree, sink, tuple(map(
-            graph.index.__getitem__, path.nodes)), path.links, start, trie, limit))
+        candidates.append((sum(map(graph.cost.__getitem__, path.links)), nodes, path.links, -1))
+    if not known:
+        candidates.append(_shortest(graph.adj, bound, tree, source, sink, graph.adj[source]) + (0,))
+    candidates.sort()
+    seen = {candidate[2] for candidate in candidates}
+    found, need = [], k
+    while need:
+        limit = candidates[need - 1][0] * (1.0 + _SLACK) if len(candidates) >= need else math.inf
+        for nodes, links, start in walks:
+            for candidate in _deviations(graph, bound, tree, sink, nodes, links, start,
+                                         trie, limit):
+                if candidate[2] not in seen:
+                    seen.add(candidate[2])
+                    bisect.insort(candidates, candidate)
+        if not candidates:
+            break
+        walk = candidates.pop(0)[1:]    # (nodes, links, deviation)
+        walks = [walk] if walk[2] >= 0 else []
+        found += walks
+        need -= 1
+    ids = graph.node_ids
+    return [Path(links=links, nodes=tuple(map(ids.__getitem__, nodes)))
+            for nodes, links, _ in found]
 
 
 def format_path_line(od_index, vehicle_class, cost, path):

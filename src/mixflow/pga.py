@@ -4,9 +4,11 @@ Alternates k-shortest-path generation on current per-class link costs with
 a loose inner equilibrium solve until the total cost stabilizes, then runs
 one final solve at the tight gap. Flows on existing paths carry over
 between outer iterations; newly generated paths start empty and pick up
-flow through the swap direction. A round skips Yen for every group whose
-known paths already hold its k cheapest. `generate_paths` is also the
-one-shot path generator of `mixflow solve`: its free-flow round is PGA's first.
+flow through the swap direction. Each round's Yen search starts from a
+group's known paths and returns only new ones, so a group whose known paths
+hold its k cheapest costs one pass of spur searches over them. `generate_paths`
+is also the one-shot path generator of `mixflow solve`: its free-flow round is
+PGA's first.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from . import costs as cost_model
 from .network import VEHICLE_CLASSES
-from .paths import Graph, PathSet, holds_k_cheapest, merge_path_sets, yen_k_shortest
+from .paths import Graph, PathSet, merge_path_sets, yen_k_shortest
 from .solver import Assignment, SolveResult, solve_assignment
 
 
@@ -63,21 +65,19 @@ class PgaResult:
 def generate_paths(network, link_state, k, known=None):
     """Up to k Yen paths for every demanded (OD, class) at the link state's
     per-class costs, as a fresh PathSet; one `Graph` per class serves all
-    of that class's calls, built at its first demanded group. Groups whose
-    paths in the PathSet `known` hold their k cheapest are left out."""
-    path_set = PathSet()
-    graphs = {}
+    of that class's calls, built at its first demanded group. A group's
+    paths in the PathSet `known` count among its k and are not returned
+    again, so a group whose known paths hold its k cheapest gets none."""
+    path_set, graphs = PathSet(), {}
+    known = PathSet() if known is None else known
     for od_index, od in enumerate(network.od_pairs):
         for cls in VEHICLE_CLASSES:
             if od.demand(cls) <= 0:
                 continue
             if cls not in graphs:
                 graphs[cls] = Graph(network, link_state.cost(cls))
-            if known is not None and holds_k_cheapest(
-                    graphs[cls], known.group(od_index, cls), od.origin, od.destination, k):
-                continue
-            for path in yen_k_shortest(network, link_state.cost(cls), od.origin,
-                                       od.destination, k, graph=graphs[cls]):
+            for path in yen_k_shortest(network, link_state.cost(cls), od.origin, od.destination,
+                                       k, graph=graphs[cls], known=known.group(od_index, cls)):
                 path_set.add(od_index, cls, path)
     return path_set
 

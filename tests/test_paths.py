@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -7,7 +8,7 @@ from mixflow.costs import ClassParams, free_flow_state
 from mixflow.fixtures import sioux_falls_network
 from mixflow.network import AV, RV, VEHICLE_CLASSES, Link, Network, ODPair
 from mixflow.paths import (Graph, Path, PathSet, _shortest, format_path_line,
-                           holds_k_cheapest, merge_path_sets, yen_k_shortest)
+                           merge_path_sets, yen_k_shortest)
 
 from conftest import diamond_network, random_network
 from oracles import bellman_ford, build_path, incidence, k_cheapest_paths, plain_yen
@@ -332,43 +333,89 @@ def test_spur_shortcut_equals_full_search_spur_by_spur():
     assert answered > 500 and searched > 500, (answered, searched)
 
 
-def test_settled_groups_hold_their_k_cheapest():
-    """Known paths from Yen at one set of costs, checked at perturbed costs:
-    whenever the check says settled, Yen at the new costs returns known
-    paths only. A group that knows every loop-free path but one of its k
-    cheapest is never settled, and one that knows them all always is."""
+def _only_rounding_ties(got, expected, kth, price):
+    """`got` differs from `expected` only where path costs (`price`, by
+    `math.fsum`) tie to 1e-12 relative: each path in one list but not the
+    other ties with the k-th cheapest cost `kth`, and the two paths of each
+    pair that both lists hold in swapped order tie with each other."""
+    tie = lambda a, b: math.isclose(a, b, rel_tol=1e-12)
+    if not all(tie(price[p], kth) for p in set(got) ^ set(expected)):
+        return False
+    common = [p for p in got if p in expected]
+    ranks = [expected.index(p) for p in common]
+    return all(tie(price[common[i]], price[common[j]]) for i in range(len(common))
+               for j in range(i + 1, len(common)) if ranks[i] > ranks[j])
+
+
+def test_yen_from_known_paths_returns_the_others_among_the_k_cheapest():
+    """Known paths from Yen at perturbed costs, on the tie-heavy and two-way
+    graphs: Yen started from them returns what a plain call returns less
+    the known paths, in the same order. On integer costs this is exact; on
+    multiples of 0.1 and 1/3 a known path is priced by its left-to-right
+    sum, which can round apart from Yen's root-plus-spur sum, so paths may
+    differ only by rounding ties."""
     rng = np.random.default_rng(409)
     kinds = sorted(_TIE_COSTS)
-    verdicts = {True: 0, False: 0}
-    for case in range(300):
-        net = _two_way(_tie_heavy_network(rng, cyclic=bool(case % 2))) if case % 3 == 0 \
-            else _tie_heavy_network(rng, cyclic=bool(case % 2))
+    tally = {"new": 0, "none": 0, "fewer than k known": 0, "tied": 0}
+    for case in range(1500):
+        net = _tie_heavy_network(rng, cyclic=bool(case % 2))
+        net = _two_way(net) if case % 3 == 0 else net
         od = net.od_pairs[0]
         k = 1 + case % 8
-        costs = _TIE_COSTS[kinds[case % len(kinds)]](rng, net.n_links)
-        known = PathSet()
+        kind = kinds[case % len(kinds)]
+        costs = _TIE_COSTS[kind](rng, net.n_links)
+        known, drawn = PathSet(), costs
         for _ in range(int(rng.integers(1, 3))):
-            for path in yen_k_shortest(net, costs, od.origin, od.destination, k):
+            drawn = drawn * rng.choice([1.0, 0.5, 2.0], size=net.n_links) \
+                if rng.random() < 0.5 else drawn * rng.uniform(0.8, 1.25, size=net.n_links)
+            for path in yen_k_shortest(net, drawn, od.origin, od.destination,
+                                       int(rng.integers(1, k + 3))):
                 known.add(0, RV, path)
-            costs = costs * rng.choice([1.0, 0.5, 2.0], size=net.n_links) \
-                if rng.random() < 0.5 else costs * rng.uniform(0.8, 1.25, size=net.n_links)
         paths = known.group(0, RV)
-        settled = holds_k_cheapest(Graph(net, costs), paths, od.origin, od.destination, k)
-        verdicts[settled] += 1
-        if settled:
-            links = {p.links for p in paths}
-            got = yen_k_shortest(net, costs, od.origin, od.destination, k)
-            assert all(p.links in links for p in got), case
-        # every loop-free path, cheapest first; the one left out is among the k cheapest
+        links = {p.links for p in paths}
+        plain = yen_k_shortest(net, costs, od.origin, od.destination, k)
+        expected = [p for p in plain if p.links not in links]
+        got = yen_k_shortest(net, costs, od.origin, od.destination, k, known=paths)
+        assert not links & {p.links for p in got}, case
+        tally["new" if got else "none"] += 1
+        tally["fewer than k known"] += len(paths) < k
+        if got != expected:
+            assert kind != "integer", case
+            cost = dict(zip((link.id for link in net.links), costs))
+            price = {p: math.fsum(map(cost.__getitem__, p.links)) for p in got + plain}
+            assert _only_rounding_ties(got, expected, price[plain[-1]], price), case
+            tally["tied"] += 1
+    assert min(tally["new"], tally["none"], tally["fewer than k known"]) > 300, tally
+    assert tally["tied"] < 15, tally
+
+
+def test_yen_from_known_paths_edge_cases():
+    """Known paths that are every loop-free path leave nothing; every path
+    but one of the k cheapest leaves that one; fewer than k known paths
+    leave the rest of the k cheapest; k = 1 returns the cheapest path
+    unless it is known."""
+    rng = np.random.default_rng(410)
+    for case in range(60):
+        net = _tie_heavy_network(rng, cyclic=bool(case % 2))
+        net = _two_way(net) if case % 3 == 0 else net
+        od = net.od_pairs[0]
+        costs = _TIE_COSTS["integer"](rng, net.n_links)
         every = [Path(links, nodes) for _, nodes, links in k_cheapest_paths(
             net, costs, od.origin, od.destination, None)]    # k = None: all of them
-        graph = Graph(net, costs)
+        ends = (net, costs, od.origin, od.destination)
+        for k in (1, len(every), len(every) + 3):
+            assert yen_k_shortest(*ends, k, known=every) == [], case
         missing = int(rng.integers(len(every)))
         rest = every[:missing] + every[missing + 1:]
         k = int(rng.integers(missing + 1, len(every) + 1))
-        assert not holds_k_cheapest(graph, rest, od.origin, od.destination, k), case
-        assert holds_k_cheapest(graph, every, od.origin, od.destination, int(rng.integers(1, 9)))
-    assert min(verdicts.values()) > 50, verdicts
+        assert yen_k_shortest(*ends, k, known=rest) == [every[missing]], case
+        k = int(rng.integers(1, 9))
+        plain = yen_k_shortest(*ends, k)
+        j = int(rng.integers(len(plain)))
+        assert yen_k_shortest(*ends, k, known=plain[:j]) == plain[j:], case
+        assert yen_k_shortest(*ends, k, known=plain[j:]) == plain[:j], case
+        assert yen_k_shortest(*ends, 1, known=every[1:]) == every[:1], case
+        assert yen_k_shortest(*ends, 1, known=every[:1]) == [], case
 
 
 def _two_sets(net):

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -272,6 +273,63 @@ print(total_cost(flows, costs).hex(), relative_gap(asn, flows, costs).hex(),
                                                    OPENBLAS_NUM_THREADS=threads)).stdout
                for threads in ("1", "2")}
     assert len(outputs) == 1, outputs
+
+
+def test_outcomes_do_not_depend_on_numpy_avx512_dispatch():
+    """With numpy's AVX512 loops turned off, `np.exp`, `np.log` and
+    `np.power` round some last bits differently, so flows are byte-identical
+    only per host, numpy build and dispatch level. What must hold across
+    levels: the Sioux Falls seed 7 one-shot and PGA paths, the Nguyen demand
+    seed 1 `modified` paths, convergence, certificates, and iteration counts
+    within the 25% that a last-bit change may move a chaotic solve (seed 1:
+    2011 iterations here, 2296 without AVX512). Skipped where numpy has no
+    AVX512 loops to turn off."""
+    script = """
+import hashlib, json
+try:
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+except ImportError:    # numpy 1
+    from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+from mixflow import diagnostics
+from mixflow.costs import ClassParams, free_flow_state
+from mixflow.fixtures import nguyen_network, sioux_falls_network
+from mixflow.pga import PgaConfig, generate_paths, pga_solve
+from mixflow.solver import SolverConfig, solve
+params = ClassParams()
+out = {"targets": [t for t in __cpu_dispatch__ if __cpu_features__[t]]}
+for name, net, k, gap in (("sioux_falls", sioux_falls_network(params, seed=7), 10, 5e-3),
+                          ("nguyen", nguyen_network(params, seed=1), 8, 1e-4)):
+    config = SolverConfig(gap_tol=gap, max_iters=5000)
+    runs = [("solve", generate_paths(net, free_flow_state(net, params), k), None)]
+    if name == "sioux_falls":
+        pga = pga_solve(net, params, PgaConfig(k=k), config)
+        runs.append(("pga", pga.path_set, pga.solve))
+    for command, ps, result in runs:
+        result = result or solve(net, ps, params, config)
+        report = diagnostics.certify(net, ps, result.flows_by_group(), params)
+        out[f"{name} {command}"] = (hashlib.sha256(repr(ps.items()).encode()).hexdigest(),
+                                    result.converged, report.relative_residual <= gap,
+                                    result.iterations)
+print(json.dumps(out))
+"""
+    off = {"X86_V4", "AVX512_ICL", "AVX512_SPR"}
+    src = os.path.dirname(os.path.dirname(mixflow.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+
+    def run(**extra):
+        return json.loads(subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                         text=True, check=True,
+                                         env=dict(env, PYTHONPATH=src, **extra)).stdout)
+
+    full = run()
+    if not off & set(full.pop("targets")):
+        pytest.skip("numpy runs no AVX512 loops on this host, so there is none to turn off")
+    cut = run(NPY_DISABLE_CPU_FEATURES=",".join(sorted(off)))
+    assert not off & set(cut.pop("targets"))
+    for case, (digest, converged, certified, iterations) in full.items():
+        assert converged and certified, case
+        assert cut[case][:3] == [digest, converged, certified], case
+        assert abs(cut[case][3] - iterations) <= 0.25 * iterations, case
 
 
 def test_solve_symmetric_parallel_links_split_evenly(params):
