@@ -253,10 +253,10 @@ def _fail_first(indices, message):
 
 
 def _path_flow_arrays(network, texts):
-    """Flat arrays of path_flows.csv rows: od index, class index (0 rv, 1 av),
-    flow and link count per row, link index per (row, link) entry. Each check
-    runs over all rows at once, in the order one row meets them, and raises a
-    ValueError naming the first row that fails it."""
+    """Flat arrays of path_flows.csv rows: group 2 * od index + class index
+    (0 rv, 1 av), flow and link count per row, link index per (row, link)
+    entry. Each check runs over all rows at once, in the order one row meets
+    them, and raises a ValueError naming the first row that fails it."""
     n, n_od = len(texts), len(network.od_pairs)
     commas = np.array(list(map(str.count, texts, repeat(","))))
     _fail_first(np.flatnonzero(commas != 3), lambda i: f"bad row {texts[i]!r}")
@@ -271,8 +271,8 @@ def _path_flow_arrays(network, texts):
     _fail_first(np.flatnonzero(cls < 0), lambda i: f"unknown class {fields[4 * i + 1]!r}")
     _fail_first(np.flatnonzero((od < 0) | (od == n_od)),
                 lambda i: f"od index {int(fields[4 * i])} out of range")
-    demand = np.array([(q.demand_rv, q.demand_av) for q in network.od_pairs])[od, cls]
-    _fail_first(np.flatnonzero(demand <= 0),
+    group = 2 * od + cls
+    _fail_first(np.flatnonzero(network.group_demand[group] <= 0),
                 lambda i: f"od {od[i]} has no {fields[4 * i + 1]} demand")
     keys = fields[2::4]
     sizes = np.array(list(map(str.count, keys, repeat("-")))) + 1
@@ -308,14 +308,14 @@ def _path_flow_arrays(network, texts):
     # a duplicate is a later one of equal neighbours among the stably sorted
     # (group, link sequence) rows; loop-free paths fit n_nodes columns
     table = np.full((n, sizes.max() + 1), -1, dtype=np.int32)
-    table[:, 0] = 2 * od + cls
+    table[:, 0] = group
     table[np.repeat(np.arange(n), sizes),
           np.arange(link.size) - np.repeat(starts - 1, sizes)] = link
     order = np.lexsort(table.T[::-1])
     table = table[order]
     _fail_first(order[1:][(table[1:] == table[:-1]).all(axis=1)],
                 lambda i: f"duplicate row for path {keys[i]}")
-    return od, cls, flow, sizes, link
+    return group, flow, sizes, link
 
 
 def _row_error(network, texts):

@@ -1,7 +1,7 @@
 """Independent equilibrium verification and flow-comparison metrics.
 
 `certify_rows` reprices path flows from scratch: flat arrays with one row
-per path (od index, class, flow, link count) and one entry per (row, link).
+per path ((OD, class) group, flow, link count) and one entry per (row, link).
 Link flows and path costs are `np.bincount`s over the entries, rv perceived
 costs come from the cross-nested kernel of `costs`, and the residuals are
 segment reductions over (OD, class) groups. Nothing comes from `Assignment`
@@ -86,21 +86,22 @@ def _by_group(mask, values):
             for g in np.flatnonzero(mask).tolist()}
 
 
-def certify_rows(network, od, cls, flow, sizes, link, params):
-    """Equilibrium report of path-flow rows: each row's od index, class index
-    (0 rv, 1 av), flow and link count, and the link index of every
-    (row, link) entry, row by row."""
+def certify_rows(network, group, flow, sizes, link, params):
+    """Equilibrium report of path-flow rows: each row's (OD, class) group
+    2 * od index + class index (0 rv, 1 av), flow and link count, and the
+    link index of every (row, link) entry, row by row."""
     row = np.repeat(np.arange(flow.size), sizes)
+    cls = group % 2
     column = link + network.n_links * cls[row]
     state = cost_model.evaluate_links(
         network, *link_flows_from_paths(network, column, flow[row]), params)
     costs = np.bincount(row, np.concatenate([state.cost_rv, state.cost_av])[column], flow.size)
-    group = 2 * od + cls
-    demand = np.array([(q.demand_rv, q.demand_av) for q in network.od_pairs], float).ravel()
+    demand = network.group_demand
     # every rv row in one cross-nested evaluation; av perceived costs are observed
     rv = np.flatnonzero(cls == 0)
     if (bad := demand[group[rv]] <= 0).any():
-        raise ValueError(f"od {od[rv][bad].min()} class rv has flows but no positive demand")
+        raise ValueError(f"od {group[rv][bad].min() // 2} class rv has flows "
+                         "but no positive demand")
     rv_entry = cls[row] == 0
     entries = cost_model.cnl_entries(link[rv_entry], (np.cumsum(cls == 0) - 1)[row[rv_entry]],
                                      group[row[rv_entry]], network.lengths)
@@ -121,11 +122,10 @@ def certify(network, path_set, flows_by_group, params):
         if len(flows) != len(path_set.group(od, cls)):
             raise ValueError(f"od {od} class {cls}: {len(flows)} flows for "
                              f"{len(path_set.group(od, cls))} paths")
-    rows = [(od, VEHICLE_CLASSES.index(cls), f, p) for (od, cls), paths in path_set.items()
+    rows = [(2 * od + VEHICLE_CLASSES.index(cls), f, p) for (od, cls), paths in path_set.items()
             if (od, cls) in flows_by_group for p, f in zip(paths, flows_by_group[(od, cls)])]
-    od, cls, flow, paths = zip(*rows) if rows else ((),) * 4
-    return certify_rows(network, np.array(od, dtype=np.intp), np.array(cls, dtype=np.intp),
-                        np.array(flow, dtype=float),
+    group, flow, paths = zip(*rows) if rows else ((),) * 3
+    return certify_rows(network, np.array(group, dtype=np.intp), np.array(flow, dtype=float),
                         np.array([len(p.links) for p in paths], dtype=np.intp),
                         np.array([network.link_index[a] for p in paths for a in p.links],
                                  dtype=np.intp), params)

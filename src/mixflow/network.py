@@ -72,6 +72,7 @@ class Network:
     free_times: np.ndarray = field(init=False, repr=False, compare=False)
     caps_rv: np.ndarray = field(init=False, repr=False, compare=False)
     caps_av: np.ndarray = field(init=False, repr=False, compare=False)
+    group_demand: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.nodes = tuple(sorted(self.nodes))
@@ -90,6 +91,9 @@ class Network:
         self.free_times = np.array([l.free_time for l in self.links], dtype=float)
         self.caps_rv = np.array([l.cap_rv for l in self.links], dtype=float)
         self.caps_av = np.array([l.cap_av for l in self.links], dtype=float)
+        # the demand of (OD, class) group 2 * od index + class index
+        self.group_demand = np.array([(q.demand_rv, q.demand_av) for q in self.od_pairs],
+                                     dtype=float).reshape(-1)
 
     @property
     def n_links(self):

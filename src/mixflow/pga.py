@@ -70,32 +70,24 @@ def generate_paths(network, link_state, k, known=None):
     again, so a group whose known paths hold its k cheapest gets none."""
     path_set, graphs = PathSet(), {}
     known = PathSet() if known is None else known
-    for od_index, od in enumerate(network.od_pairs):
-        for cls in VEHICLE_CLASSES:
-            if od.demand(cls) <= 0:
-                continue
-            if cls not in graphs:
-                graphs[cls] = Graph(network, link_state.cost(cls))
-            for path in yen_k_shortest(network, link_state.cost(cls), od.origin, od.destination,
-                                       k, graph=graphs[cls], known=known.group(od_index, cls)):
-                path_set.add(od_index, cls, path)
+    for group in np.flatnonzero(~(network.group_demand <= 0)).tolist():
+        od, cls = network.od_pairs[group // 2], VEHICLE_CLASSES[group % 2]
+        if cls not in graphs:
+            graphs[cls] = Graph(network, link_state.cost(cls))
+        for path in yen_k_shortest(network, link_state.cost(cls), od.origin, od.destination,
+                                   k, graph=graphs[cls], known=known.group(group // 2, cls)):
+            path_set.add(group // 2, cls, path)
     return path_set
 
 
-def _carry_over(assignment, previous):
-    """The previous round's flows, or uniform ones in the first round.
-
-    Merging keeps the previous round's paths first in each group, so they
-    take their old flows and the new paths start empty.
-    """
-    if previous is None:
-        return assignment.uniform_flows()
-    carried = previous.flows_by_group()
-    flows = np.zeros(assignment.n_paths)
-    for g in assignment.groups:
-        old = carried[(g.od_index, g.vehicle_class)]
-        flows[g.start:g.start + len(old)] = old
-    return flows
+def _carry_over(assignment, previous, flows):
+    """Flows solved on the assignment `previous`, placed on `assignment`.
+    Merging keeps every group and its old paths first, so an old path moves
+    by its group's change of start; the new paths start empty."""
+    carried = np.zeros(assignment.n_paths)
+    carried[np.repeat(assignment.group_starts - previous.group_starts, previous.group_sizes)
+            + np.arange(previous.n_paths)] = flows
+    return carried
 
 
 def pga_solve(network, params, pga_config, solver_config):
@@ -115,9 +107,10 @@ def pga_solve(network, params, pga_config, solver_config):
         path_set, new_count = merge_path_sets(
             path_set, generate_paths(network, link_state, pga_config.k, known=path_set))
         gen_seconds = time.perf_counter() - tick
-        assignment = Assignment(network, path_set, params)
-        result = solve_assignment(assignment, inner_config,
-                                  initial_flows=_carry_over(assignment, result))
+        new = Assignment(network, path_set, params)
+        flows = None if result is None else _carry_over(new, assignment, result.flow.f)
+        assignment = new    # the old one is not held through the solve
+        result = solve_assignment(assignment, inner_config, initial_flows=flows)
         total = result.total_cost
         error = float("inf") if prev_total is None else (total - prev_total) / total
         outer.append(OuterRow(m, new_count, total, error,

@@ -111,27 +111,23 @@ class Assignment:
     def __init__(self, network, path_set, params):
         self.network = network
         self.params = params
+        ids = np.flatnonzero(~(network.group_demand <= 0))   # a NaN demand stays in
+        self.group_demands = network.group_demand[ids]
         self.groups = []
         n_paths = 0
-        for od_index, od in enumerate(network.od_pairs):
-            for cls in VEHICLE_CLASSES:
-                demand = od.demand(cls)
-                if demand <= 0:
-                    continue
-                paths = path_set.group(od_index, cls)
-                if not paths:
-                    raise ValueError(
-                        f"od {od_index} ({od.origin}->{od.destination}) has demand "
-                        f"{demand} for class {cls} but no paths")
-                self.groups.append(_Group(od_index, cls, demand, n_paths,
-                                          n_paths + len(paths), paths))
-                n_paths += len(paths)
+        for group, demand in zip(ids.tolist(), self.group_demands.tolist()):
+            od_index, cls = group // 2, VEHICLE_CLASSES[group % 2]
+            if not (paths := path_set.group(od_index, cls)):
+                od = network.od_pairs[od_index]
+                raise ValueError(f"od {od_index} ({od.origin}->{od.destination}) has demand "
+                                 f"{demand} for class {cls} but no paths")
+            self.groups.append(_Group(od_index, cls, demand, n_paths, n_paths + len(paths), paths))
+            n_paths += len(paths)
         if n_paths == 0:
             raise ValueError("network has no demand")
         self.n_paths = n_paths
         self.group_starts = np.asarray([g.start for g in self.groups], dtype=np.intp)
         self.group_sizes = np.asarray([g.stop - g.start for g in self.groups], dtype=np.intp)
-        self.group_demands = np.asarray([g.demand for g in self.groups])
         self.demand_per_path = np.repeat(self.group_demands, self.group_sizes)
         path_rv = np.repeat([g.vehicle_class == RV for g in self.groups], self.group_sizes)
         # one column per (link, class): link index, plus n_links for av entries
@@ -293,6 +289,10 @@ def solve_assignment(assignment, config, initial_flows=None, callback=None):
         if flows.shape != (assignment.n_paths,):
             raise ValueError(f"initial flows have shape {flows.shape}, "
                              f"expected ({assignment.n_paths},)")
+        if (bad := ~((flows >= 0) & (flows < np.inf))).any():   # NaN fails both
+            raise ValueError(f"initial flows: path {np.argmax(bad)} has flow "
+                             f"{flows[bad][0]}, expected finite and nonnegative")
+        _check_conservation(assignment, flows, 0)
     trace = []
     damping = None
     prev_volume = None
@@ -347,5 +347,7 @@ def _check_conservation(assignment, flows, iteration):
     if (drift > assignment.drift_limit).any():
         k = int(np.argmax(drift - assignment.drift_limit))
         g = assignment.groups[k]
-        raise SolverError(f"demand conservation drift {drift[k]:.3e} in od {g.od_index} "
-                          f"class {g.vehicle_class} at iteration {iteration}")
+        where = f"at iteration {iteration}" if iteration else "in the initial flows"
+        error = SolverError if iteration else ValueError    # the caller gave the initial flows
+        raise error(f"demand conservation drift {drift[k]:.3e} in od {g.od_index} "
+                    f"class {g.vehicle_class} {where}")

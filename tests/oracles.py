@@ -12,6 +12,8 @@ over dicts keyed by link id and (OD, class), the reference of the flat
 array certificate; it shares only the link cost model and the CNL kernel,
 which have oracles of their own. `build_path` is the per-path constructor
 the `path_flows.csv` reader's array checks are fuzzed against.
+`carry_over_by_groups` is PGA's carry-over of flows between rounds as it
+ran through a dict keyed by (OD, class), the reference of the offset scatter.
 """
 
 import heapq
@@ -347,3 +349,14 @@ def certify_by_paths(network, path_set, flows_by_group, params):
                 report.missing_demand[(od_index, cls)] = od.demand(cls)
                 report.feasibility_violation += od.demand(cls)
     return report
+
+
+def carry_over_by_groups(assignment, groups, flows):
+    """The flows of the previous round's `groups`, keyed by (od_index, class),
+    copied group by group to the start of each group of `assignment`."""
+    carried = {(g.od_index, g.vehicle_class): flows[g.start:g.stop] for g in groups}
+    placed = np.zeros(assignment.n_paths)
+    for g in assignment.groups:
+        old = carried[(g.od_index, g.vehicle_class)]
+        placed[g.start:g.start + len(old)] = old
+    return placed

@@ -7,11 +7,12 @@ from mixflow import pga
 from mixflow.costs import evaluate_links, free_flow_state
 from mixflow.fixtures import nguyen_network, sioux_falls_network
 from mixflow.network import RV, VEHICLE_CLASSES, Link, Network, ODPair
-from mixflow.paths import merge_path_sets, yen_k_shortest
+from mixflow.paths import PathSet, merge_path_sets, yen_k_shortest
 from mixflow.pga import PgaConfig, generate_paths, pga_solve
-from mixflow.solver import SolverConfig
+from mixflow.solver import Assignment, SolverConfig
 
 from conftest import diamond_network
+from oracles import carry_over_by_groups
 
 
 def test_pga_config_validation():
@@ -194,3 +195,46 @@ def test_known_paths_leave_pga_merges_unchanged_on_sioux_falls(params, monkeypat
         assert merged.items() == expected.items()
         left_out.append(len(expected.items()) - len(generated.items()))
     assert left_out[0] == 0 and left_out[2] > 900, left_out
+
+
+def test_carry_over_matches_per_group_oracle_on_sioux_falls(params, monkeypatch):
+    """Seed 7 PGA at k = 10, gap 5e-3: every round's offset carry-over equals
+    the group-by-group copy bit for bit; round 2 adds paths to 827 groups and
+    round 3 to 20."""
+    net = sioux_falls_network(params, seed=7)
+    grown = []
+
+    def checked(assignment, previous, flows):
+        carried = carry_over(assignment, previous, flows)
+        assert carried.tobytes() == carry_over_by_groups(assignment, previous.groups,
+                                                         flows).tobytes()
+        grown.append(int((assignment.group_sizes != previous.group_sizes).sum()))
+        return carried
+
+    carry_over = pga._carry_over
+    monkeypatch.setattr(pga, "_carry_over", checked)
+    result = pga_solve(net, params, PgaConfig(k=10), SolverConfig(gap_tol=5e-3))
+    assert grown == [827, 20]
+    assert [row.new_paths for row in result.outer] == [10560, 1303, 20]
+
+
+def test_carry_over_matches_per_group_oracle_when_groups_grow_unevenly(params):
+    """Nguyen, 2 paths per group, then 3 more for the first group and 1 for
+    the last: the groups between keep their paths and move by the offset."""
+    net = nguyen_network(params, seed=0)
+    state = free_flow_state(net, params)
+    old = generate_paths(net, state, 2)
+    extra = generate_paths(net, state, 5, known=old)
+    keys = [key for key, _ in old.items()]
+    grow = PathSet()
+    for key, count in ((keys[0], 3), (keys[-1], 1)):
+        for path in extra.group(*key)[:count]:
+            grow.add(*key, path)
+    new, added = merge_path_sets(old, grow)
+    assert added == 4
+    before, after = Assignment(net, old, params), Assignment(net, new, params)
+    assert (after.group_sizes - before.group_sizes).tolist() == [3] + [0] * 6 + [1]
+    flows = np.random.default_rng(0).uniform(0.0, 100.0, before.n_paths)
+    carried = pga._carry_over(after, before, flows)
+    assert carried.tobytes() == carry_over_by_groups(after, before.groups, flows).tobytes()
+    assert carried[:2].tolist() == flows[:2].tolist() and not carried[2:5].any()

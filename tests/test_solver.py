@@ -10,7 +10,7 @@ import mixflow
 from mixflow.costs import FLOW_FLOOR, ClassParams, evaluate_links, free_flow_state
 from mixflow.fixtures import (NGUYEN_OD_NODES, nguyen_network, sioux_falls_network,
                               synthesize_demand)
-from mixflow.network import AV, RV, Link, Network, ODPair
+from mixflow.network import AV, RV, VEHICLE_CLASSES, Link, Network, ODPair
 from mixflow.paths import PathSet, yen_k_shortest
 from mixflow.pga import generate_paths
 from mixflow.solver import (Assignment, BASELINE, H_FLOOR, STALL_WINDOW, SolverConfig,
@@ -52,6 +52,36 @@ def test_zero_demand_class_is_skipped(params):
     asn = Assignment(net, ps, params)
     assert [g.vehicle_class for g in asn.groups] == [AV]
     assert asn.n_paths == 2
+
+
+@pytest.mark.parametrize("penetration", [0.0, 0.5, 1.0])
+def test_group_demand_table_gives_the_groups_of_assignment_and_generator(penetration):
+    """`Network.group_demand[2 * od + class index]` is that OD's class demand;
+    its positive entries are the groups of `Assignment` and of the generator,
+    in order."""
+    params = ClassParams(penetration=penetration)
+    for net in (nguyen_network(params, seed=0), sioux_falls_network(params, seed=7)):
+        assert net.group_demand.dtype == float
+        assert net.group_demand.tolist() == [q for od in net.od_pairs
+                                             for q in (od.demand_rv, od.demand_av)]
+        positive = [(int(g) // 2, VEHICLE_CLASSES[g % 2])
+                    for g in np.flatnonzero(net.group_demand > 0)]
+        assert len(positive) == len(net.od_pairs) * (1 + (0 < penetration < 1))
+        paths = generate_paths(net, free_flow_state(net, params), 1)
+        assert [key for key, _ in paths.items()] == positive
+        asn = Assignment(net, paths, params)
+        assert [(g.od_index, g.vehicle_class) for g in asn.groups] == positive
+        assert asn.group_demands.tolist() == [net.group_demand[2 * od + VEHICLE_CLASSES.index(c)]
+                                              for od, c in positive]
+    assert Network(nodes=(1, 2), links=(), od_pairs=()).group_demand.shape == (0,)
+
+
+def test_nan_demand_group_stays_in_the_assignment(params):
+    net = parallel_network([(5.0, 800.0)], demand_rv=float("nan"), demand_av=5.0)
+    ps = PathSet()
+    for cls in (RV, AV):
+        ps.add(0, cls, build_path(net, (1,)))
+    assert [g.vehicle_class for g in Assignment(net, ps, params).groups] == [RV, AV]
 
 
 def test_missing_paths_for_demanded_group_rejected(params):
@@ -422,6 +452,40 @@ def test_solve_callback_sees_every_update(params):
     assert all(s == pytest.approx(900.0) for _, s in seen)
 
 
+def _nguyen_start(params):
+    """A Nguyen seed 0 assignment (3 paths per group) and its uniform flows."""
+    net = nguyen_network(params, seed=0)
+    asn = Assignment(net, generate_paths(net, free_flow_state(net, params), 3), params)
+    return asn, asn.uniform_flows()
+
+
+def test_initial_flows_over_demand_fail_before_the_loop(params):
+    """A start 10% over demand used to fail as a drift at iteration 1; one
+    within the drift limit still runs."""
+    asn, flows = _nguyen_start(params)
+    with pytest.raises(ValueError, match=r"^demand conservation drift 3\.411e\+01 in od 0 "
+                                         "class rv in the initial flows$"):
+        solve_assignment(asn, SolverConfig(), 1.1 * flows)
+    assert solve_assignment(asn, SolverConfig(max_iters=1), flows * (1 + 1e-12)).iterations == 1
+
+
+def test_negative_initial_flows_fail_before_the_loop(params):
+    """A negated start used to fail as a step beyond the feasibility bound."""
+    asn, flows = _nguyen_start(params)
+    with pytest.raises(ValueError, match=r"^initial flows: path 0 has flow -113\.7, "
+                                         "expected finite and nonnegative$"):
+        solve_assignment(asn, SolverConfig(), -flows)
+
+
+def test_nan_initial_flow_fails_before_the_loop(params):
+    """A NaN start used to fail as a non-finite perceived cost at iteration 1."""
+    asn, flows = _nguyen_start(params)
+    flows[4] = np.nan
+    with pytest.raises(ValueError, match=r"^initial flows: path 4 has flow nan, "
+                                         "expected finite and nonnegative$"):
+        solve_assignment(asn, SolverConfig(), flows)
+
+
 def test_solve_nguyen_passes_ncp_residual_oracle(params):
     net = nguyen_network(params, seed=0)
     ps = generate_paths(net, free_flow_state(net, params), 8)
@@ -722,3 +786,15 @@ def test_baseline_and_sioux_falls_never_fall_back(params):
     result = solve(net, ps, params, SolverConfig(gap_tol=5e-3, max_iters=5000))
     assert result.converged and result.iterations == 168
     assert result.fallback_at is None
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: on rv-only Nguyen demand the stall "
+                   "fallback's damped step stalls short of the gap (seed 0 ends at gap 0.0416)")
+def test_nguyen_rv_only_demand_converges_at_the_defaults():
+    """`mixflow solve --set penetration=0` on Nguyen demand seed 0: k = 10,
+    gap 1e-4, max_iters 10000. Every seed 0-7 exhausts the budget today."""
+    params = ClassParams(penetration=0.0)
+    net = nguyen_network(params, seed=0)
+    result = solve(net, generate_paths(net, free_flow_state(net, params), 10), params,
+                   SolverConfig())
+    assert result.converged, result.gap
