@@ -145,12 +145,10 @@ def write_link_flows_csv(path, network, x_rv, x_av):
 
 
 def write_path_flows_csv(path, result):
-    lines = ["od,class,path_key,flow"]
-    for g in result.groups:
-        for p, flow in zip(g.paths, result.flow.f[g.start:g.stop]):
-            # round-trip precision, so `check` certifies the flows the solver certified
-            lines.append(f"{g.od_index},{g.vehicle_class},{_path_key(p)},{float(flow)!r}")
-    _write(path, lines)
+    # round-trip precision, so `check` certifies the flows the solver certified
+    _write(path, ["od,class,path_key,flow"] + [
+        f"{g // 2},{VEHICLE_CLASSES[g % 2]},{_path_key(p)},{flow!r}"
+        for g, p, flow in zip(result.path_group.tolist(), result.paths, result.flow.f.tolist())])
 
 
 def write_trace_csv(path, trace):
@@ -168,8 +166,8 @@ def write_outer_trace_csv(path, rows):
 
 
 def write_path_dump(path, result):
-    _write(path, [format_path_line(g.od_index, g.vehicle_class, cost, p) for g in result.groups
-                  for p, cost in zip(g.paths, result.flow.path_costs[g.start:g.stop])])
+    rows = zip(result.path_group.tolist(), result.paths, result.flow.path_costs.tolist())
+    _write(path, [format_path_line(g // 2, VEHICLE_CLASSES[g % 2], cost, p) for g, p, cost in rows])
 
 
 def write_summary_json(path, payload):

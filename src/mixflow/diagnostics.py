@@ -4,8 +4,9 @@
 per path ((OD, class) group, flow, link count) and one entry per (row, link).
 Link flows and path costs are `np.bincount`s over the entries, rv perceived
 costs come from the cross-nested kernel of `costs`, and the residuals are
-segment reductions over (OD, class) groups. Nothing comes from `Assignment`
-or `solver`, so it certifies solver output rather than echo it.
+segment reductions over (OD, class) groups. `certify` reads only a
+`SolveResult`'s paths, groups and flows, never `Assignment`'s arrays, so it
+certifies solver output rather than echo it.
 """
 
 from __future__ import annotations
@@ -112,23 +113,14 @@ def certify_rows(network, group, flow, sizes, link, params):
     return ncp_residual(flow, costs, group, demand)
 
 
-def certify(network, path_set, flows_by_group, params):
-    """Equilibrium report of per-path flows keyed by (od_index, class).
-
-    `path_set` holds the paths the flows belong to, in the same order;
-    its groups without flows are skipped.
-    """
-    for (od, cls), flows in flows_by_group.items():
-        if len(flows) != len(path_set.group(od, cls)):
-            raise ValueError(f"od {od} class {cls}: {len(flows)} flows for "
-                             f"{len(path_set.group(od, cls))} paths")
-    rows = [(2 * od + VEHICLE_CLASSES.index(cls), f, p) for (od, cls), paths in path_set.items()
-            if (od, cls) in flows_by_group for p, f in zip(paths, flows_by_group[(od, cls)])]
-    group, flow, paths = zip(*rows) if rows else ((),) * 3
-    return certify_rows(network, np.array(group, dtype=np.intp), np.array(flow, dtype=float),
-                        np.array([len(p.links) for p in paths], dtype=np.intp),
-                        np.array([network.link_index[a] for p in paths for a in p.links],
-                                 dtype=np.intp), params)
+def certify(network, result, params):
+    """Equilibrium report of a SolveResult's flows, repriced from the link ids
+    of its paths rather than from the solver's arrays."""
+    paths = result.paths
+    return certify_rows(network, result.path_group, result.flow.f,
+                        np.fromiter((len(p.links) for p in paths), np.intp, len(paths)),
+                        np.fromiter((network.link_index[a] for p in paths for a in p.links),
+                                    np.intp), params)
 
 
 def flow_deviation(link_flows, reference_flows):

@@ -18,7 +18,7 @@ from itertools import chain
 import numpy as np
 
 from . import costs as cost_model
-from .network import RV, VEHICLE_CLASSES
+from .network import VEHICLE_CLASSES
 
 MODIFIED = "modified"
 BASELINE = "baseline"
@@ -78,26 +78,13 @@ class SolveResult:
     flow: FlowState
     trace: list          # one TraceRow per iteration; the last one reports `flow`
     converged: bool
-    groups: list         # the assignment's groups; group g owns flow.f[g.start:g.stop]
+    paths: tuple         # the assignment's paths; path k carries flow.f[k]
+    path_group: np.ndarray   # each path's (OD, class) group 2 * od_index + class index
     fallback_at: int = None   # stalled modified solve: its last modified iteration
 
     gap = property(lambda self: self.trace[-1].gap)
     total_cost = property(lambda self: self.trace[-1].total_cost)
     iterations = property(lambda self: len(self.trace))
-
-    def flows_by_group(self):
-        """Per-path flows keyed by (od_index, class), in group order."""
-        return {(g.od_index, g.vehicle_class): self.flow.f[g.start:g.stop] for g in self.groups}
-
-
-@dataclass
-class _Group:
-    od_index: int
-    vehicle_class: str
-    demand: float
-    start: int
-    stop: int
-    paths: tuple
 
 
 class Assignment:
@@ -105,7 +92,8 @@ class Assignment:
 
     Groups are ordered by (od_index, rv-before-av); only (OD, class) pairs
     with positive demand participate. Construction fails if any demanded
-    group has an empty path set.
+    group has an empty path set. `paths` holds the groups' paths in that
+    order, and `path_group` each path's group, 2 * od_index + class index.
     """
 
     def __init__(self, network, path_set, params):
@@ -113,31 +101,29 @@ class Assignment:
         self.params = params
         ids = np.flatnonzero(~(network.group_demand <= 0))   # a NaN demand stays in
         self.group_demands = network.group_demand[ids]
-        self.groups = []
-        n_paths = 0
+        groups = []
         for group, demand in zip(ids.tolist(), self.group_demands.tolist()):
             od_index, cls = group // 2, VEHICLE_CLASSES[group % 2]
             if not (paths := path_set.group(od_index, cls)):
                 od = network.od_pairs[od_index]
                 raise ValueError(f"od {od_index} ({od.origin}->{od.destination}) has demand "
                                  f"{demand} for class {cls} but no paths")
-            self.groups.append(_Group(od_index, cls, demand, n_paths, n_paths + len(paths), paths))
-            n_paths += len(paths)
-        if n_paths == 0:
+            groups.append(paths)
+        self.paths = tuple(chain.from_iterable(groups))
+        if not self.paths:
             raise ValueError("network has no demand")
-        self.n_paths = n_paths
-        self.group_starts = np.asarray([g.start for g in self.groups], dtype=np.intp)
-        self.group_sizes = np.asarray([g.stop - g.start for g in self.groups], dtype=np.intp)
+        self.n_paths = n_paths = len(self.paths)
+        self.group_sizes = np.fromiter(map(len, groups), np.intp, len(groups))
+        self.group_starts = np.cumsum(self.group_sizes) - self.group_sizes
+        self.path_group = np.repeat(ids, self.group_sizes)
         self.demand_per_path = np.repeat(self.group_demands, self.group_sizes)
-        path_rv = np.repeat([g.vehicle_class == RV for g in self.groups], self.group_sizes)
+        path_rv = self.path_group % 2 == 0
         # one column per (link, class): link index, plus n_links for av entries
         n_links = network.n_links
-        path_sizes = np.fromiter((len(p.links) for g in self.groups for p in g.paths),
-                                 np.intp, n_paths)
+        path_sizes = np.fromiter((len(p.links) for p in self.paths), np.intp, n_paths)
         self.entry_path = np.repeat(np.arange(n_paths, dtype=np.intp), path_sizes)
         self.entry_col = np.fromiter(
-            map(network.link_index.__getitem__,
-                chain.from_iterable(p.links for g in self.groups for p in g.paths)),
+            map(network.link_index.__getitem__, chain.from_iterable(p.links for p in self.paths)),
             np.intp, len(self.entry_path))
         self.entry_col[~path_rv[self.entry_path]] += n_links
         self.rv_paths = np.flatnonzero(path_rv)
@@ -146,7 +132,7 @@ class Assignment:
         rv_path = self.entry_path[self.entry_col < n_links]
         self.cnl_entries = cost_model.cnl_entries(
             self.entry_col[self.entry_col < n_links], (np.cumsum(path_rv) - 1)[rv_path],
-            np.repeat(np.arange(len(self.groups)), self.group_sizes)[rv_path], network.lengths)
+            self.path_group[rv_path], network.lengths)
         # every within-group pair (lo, hi) with lo < hi once, rv pairs first:
         # path k pairs with each later path of its group
         order = np.argsort(~path_rv, kind="stable")
@@ -311,6 +297,12 @@ def solve_assignment(assignment, config, initial_flows=None, callback=None):
             k = int(np.argmax(~np.isfinite(perceived)))
             raise SolverError(f"non-finite perceived cost at iteration {iteration}, "
                               f"path index {k}")
+        # the relative gap divides by the total, so a nonpositive one leaves it undefined
+        if not total > 0.0:
+            scale = params.nesting / params.dispersion
+            raise SolverError(f"total perceived cost {total:.6g} at iteration {iteration} is not "
+                              f"positive: nesting/dispersion ({scale:.6g}) is too large against "
+                              "the dollar-cost scale")
         direction = assignment.swap_directions(flows, perceived, degree_rv, degree_av)
         drain = max_relative_outflow(flows, direction, H_FLOOR)
         volume = swap_volume(direction)
@@ -319,9 +311,7 @@ def solve_assignment(assignment, config, initial_flows=None, callback=None):
         gap = relative_gap(assignment, flows, perceived, total)
         trace.append(TraceRow(iteration, gap, volume, total, step, damping,
                               (time.perf_counter() - tick) * 1e3))
-        # a negative gap means the cost normalization is out of domain
-        # (negative total perceived cost); never treat it as converged
-        if 0.0 <= gap <= config.gap_tol:
+        if gap <= config.gap_tol:
             converged = True
             break
         if iteration == config.max_iters:
@@ -339,15 +329,15 @@ def solve_assignment(assignment, config, initial_flows=None, callback=None):
             callback(iteration, flows, direction)
         prev_volume = volume
     return SolveResult(FlowState(flows, x_rv, x_av, link_state, observed),
-                       trace, converged, assignment.groups, restart or None)
+                       trace, converged, assignment.paths, assignment.path_group, restart or None)
 
 
 def _check_conservation(assignment, flows, iteration):
     drift = np.abs(assignment.group_sums(flows) - assignment.group_demands)
     if (drift > assignment.drift_limit).any():
         k = int(np.argmax(drift - assignment.drift_limit))
-        g = assignment.groups[k]
+        od, cls = divmod(int(assignment.path_group[assignment.group_starts[k]]), 2)
         where = f"at iteration {iteration}" if iteration else "in the initial flows"
         error = SolverError if iteration else ValueError    # the caller gave the initial flows
-        raise error(f"demand conservation drift {drift[k]:.3e} in od {g.od_index} "
-                    f"class {g.vehicle_class} {where}")
+        raise error(f"demand conservation drift {drift[k]:.3e} in od {od} "
+                    f"class {VEHICLE_CLASSES[cls]} {where}")

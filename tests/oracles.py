@@ -14,9 +14,12 @@ which have oracles of their own. `build_path` is the per-path constructor
 the `path_flows.csv` reader's array checks are fuzzed against.
 `carry_over_by_groups` is PGA's carry-over of flows between rounds as it
 ran through a dict keyed by (OD, class), the reference of the offset scatter.
+`groups_of` and `flows_by_group` are the per-group views of an assignment
+and of a solve result that the solver's flat arrays replaced.
 """
 
 import heapq
+from dataclasses import dataclass
 
 import numpy as np
 from mpmath import mp
@@ -351,12 +354,40 @@ def certify_by_paths(network, path_set, flows_by_group, params):
     return report
 
 
-def carry_over_by_groups(assignment, groups, flows):
-    """The flows of the previous round's `groups`, keyed by (od_index, class),
-    copied group by group to the start of each group of `assignment`."""
-    carried = {(g.od_index, g.vehicle_class): flows[g.start:g.stop] for g in groups}
+@dataclass
+class Group:
+    od_index: int
+    vehicle_class: str
+    demand: float
+    start: int
+    stop: int
+    paths: tuple
+
+
+def groups_of(assignment):
+    """One Group per (OD, class) group of `assignment`, in assignment order;
+    group g owns the paths and flows start:stop."""
+    starts = assignment.group_starts.tolist()
+    return [Group(g // 2, VEHICLE_CLASSES[g % 2], demand, start, start + size,
+                  assignment.paths[start:start + size])
+            for g, demand, start, size in zip(assignment.path_group[starts].tolist(),
+                                              assignment.group_demands.tolist(), starts,
+                                              assignment.group_sizes.tolist())]
+
+
+def flows_by_group(result):
+    """A solve result's per-path flows keyed by (od_index, class), in group order."""
+    ids, starts = np.unique(result.path_group, return_index=True)
+    return {(g // 2, VEHICLE_CLASSES[g % 2]): flows
+            for g, flows in zip(ids.tolist(), np.split(result.flow.f, starts[1:]))}
+
+
+def carry_over_by_groups(assignment, previous, flows):
+    """The flows solved on the assignment `previous`, keyed by (od_index,
+    class), copied group by group to the start of each group of `assignment`."""
+    carried = {(g.od_index, g.vehicle_class): flows[g.start:g.stop] for g in groups_of(previous)}
     placed = np.zeros(assignment.n_paths)
-    for g in assignment.groups:
+    for g in groups_of(assignment):
         old = carried[(g.od_index, g.vehicle_class)]
         placed[g.start:g.start + len(old)] = old
     return placed

@@ -281,7 +281,7 @@ def test_criterion_8_ncp_residual_bounded_by_gap_times_cost():
     """Every converged solve from criteria 1-7: residual <= G * TC."""
     assert len(_CONVERGED_SOLVES) >= 6
     for net, ps, params, result, gap_tol in _CONVERGED_SOLVES:
-        report = certify(net, ps, result.flows_by_group(), params)
+        report = certify(net, result, params)
         assert report.ncp_residual <= gap_tol * report.total_cost * (1.0 + 1e-9)
         assert report.feasibility_violation <= 1e-6 * sum(
             od.demand_rv + od.demand_av for od in net.od_pairs)

@@ -226,6 +226,20 @@ def test_solve_max_iters_exit_code(tmp_path, nguyen_files):
     assert json.loads(read(out / "summary.json"))["converged"] is False
 
 
+def test_ill_posed_solve_stops_at_its_first_nonpositive_total(tmp_path, nguyen_files, capsys):
+    """At nesting/dispersion = 100 $ the rv perceived costs of Nguyen seed 0
+    sum below zero, so the relative gap is undefined: the solve stops at
+    iteration 1 instead of running to max_iters."""
+    net_file, trips_file = nguyen_files
+    code = main(["solve", "--net", net_file, "--trips", trips_file, "--out-dir",
+                 str(tmp_path / "out"), "--set", "dispersion=0.01", "--set", "nesting=1.0",
+                 "--set", "penetration=0"])
+    assert code == 1
+    assert re.fullmatch(r"mixflow solve: total perceived cost -\S+ at iteration 1 is not "
+                        r"positive: nesting/dispersion \(100\) is too large against the "
+                        r"dollar-cost scale\n", capsys.readouterr().err)
+
+
 def test_solve_deterministic_outputs(tmp_path, nguyen_files):
     net_file, trips_file = nguyen_files
     outs = []

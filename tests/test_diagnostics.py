@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from mixflow.pga import generate_paths
 from mixflow.solver import SolverConfig, solve
 
 from conftest import diamond_network, parallel_network
-from oracles import build_path, certify_by_paths
+from oracles import build_path, certify_by_paths, flows_by_group
 
 
 def test_link_flows_zero_paths():
@@ -136,46 +138,25 @@ def test_residual_bounded_by_gap_times_total_cost(params):
         ps.add(0, AV, build_path(net, (lid,)))
     result = solve(net, ps, params, SolverConfig(gap_tol=1e-5))
     assert result.converged
-    report = certify(net, ps, result.flows_by_group(), params)
+    report = certify(net, result, params)
     assert report.ncp_residual <= 1e-5 * report.total_cost * (1.0 + 1e-9)
 
 
 def test_certify_rejects_rv_flows_without_demand(params):
-    # a hand-built network whose od has no rv demand, given rv flows anyway
+    # a hand-built network whose od has no rv demand, given rv flows anyway:
+    # rows of group 0 (od 0 rv) and 1 (od 0 av), each on the path 1-2
     net = diamond_network(demand_rv=0.0, demand_av=10.0)
-    ps = PathSet()
-    ps.add(0, RV, build_path(net, (1, 2)))
-    ps.add(0, AV, build_path(net, (1, 2)))
-    flows = {(0, RV): np.array([5.0]), (0, AV): np.array([10.0])}
+    link = np.array([net.link_index[a] for a in (1, 2)] * 2)
     with pytest.raises(ValueError, match="od 0 class rv has flows but no positive demand"):
-        certify(net, ps, flows, params)
-    flows.pop((0, RV))
-    assert certify(net, ps, flows, params).feasibility_violation == 0.0
-
-
-def test_certify_rejects_flows_without_paths(params):
-    net = diamond_network(demand_rv=10.0, demand_av=10.0)
-    ps = PathSet()
-    ps.add(0, AV, build_path(net, (1, 2)))
-    flows = {(0, AV): np.array([10.0]), (0, RV): np.array([10.0])}
-    with pytest.raises(ValueError, match="od 0 class rv: 1 flows for 0 paths"):
-        certify(net, ps, flows, params)
-
-
-def test_certify_rejects_a_flow_count_unlike_the_path_count(params):
-    net = diamond_network(demand_rv=0.0, demand_av=10.0)
-    ps = PathSet()
-    ps.add(0, AV, build_path(net, (1, 2)))
-    ps.add(0, AV, build_path(net, (3, 4)))
-    for flows in ([10.0], [4.0, 3.0, 3.0]):
-        with pytest.raises(ValueError, match=f"od 0 class av: {len(flows)} flows for 2 paths"):
-            certify(net, ps, {(0, AV): np.array(flows)}, params)
+        certify_rows(net, np.array([0, 1]), np.array([5.0, 10.0]), np.array([2, 2]), link, params)
+    report = certify_rows(net, np.array([1]), np.array([10.0]), np.array([2]), link[2:], params)
+    assert report.feasibility_violation == 0.0
 
 
 @pytest.fixture(scope="module", params=["nguyen0", "sioux_falls7"])
 def solved(request):
-    """Network, path set and solved flows by group of a Nguyen seed 0 (k 8,
-    gap 1e-4) or Sioux Falls seed 7 (k 10, gap 5e-3) solve."""
+    """Network, path set and SolveResult of a Nguyen seed 0 (k 8, gap 1e-4)
+    or Sioux Falls seed 7 (k 10, gap 5e-3) solve."""
     params = ClassParams()
     fixture, seed, k, gap = {"nguyen0": (nguyen_network, 0, 8, 1e-4),
                              "sioux_falls7": (sioux_falls_network, 7, 10, 5e-3)}[request.param]
@@ -183,7 +164,7 @@ def solved(request):
     ps = generate_paths(net, free_flow_state(net, params), k)
     result = solve(net, ps, params, SolverConfig(gap_tol=gap))
     assert result.converged
-    return net, ps, {key: np.array(f) for key, f in result.flows_by_group().items()}
+    return net, ps, result
 
 
 def _variants(net, ps, flows, rng):
@@ -227,25 +208,30 @@ def _assert_reports_match(report, expected, network):
 
 
 def test_certify_matches_path_by_path_oracle(solved):
-    net, ps, flows = solved
+    # a SolveResult carries every demanded group on the solve's own paths, so the
+    # single-path and missing-group variants reach `certify_rows` only through
+    # the reader in the test below
+    net, ps, result = solved
     rng = np.random.default_rng(5)
-    for name, path_set, flows_by_group, params in _variants(net, ps, flows, rng):
-        expected = certify_by_paths(net, path_set, flows_by_group, params)
+    for name, path_set, flows, params in _variants(net, ps, flows_by_group(result), rng):
+        if name in ("single-path groups", "missing groups"):
+            continue
+        expected = certify_by_paths(net, path_set, flows, params)
         assert np.isfinite(expected.ncp_residual), name
-        _assert_reports_match(certify(net, path_set, flows_by_group, params), expected, net)
+        varied = replace(result, flow=replace(result.flow, f=np.concatenate(list(flows.values()))))
+        _assert_reports_match(certify(net, varied, params), expected, net)
 
 
 def test_read_and_certify_rows_match_path_by_path_oracle(solved, tmp_path):
     # rows written in a random order, so every group is interleaved with others
-    net, ps, flows = solved
+    net, ps, result = solved
     rng = np.random.default_rng(6)
-    for name, path_set, flows_by_group, params in _variants(net, ps, flows, rng):
+    for name, path_set, flows, params in _variants(net, ps, flows_by_group(result), rng):
         rows = [f"{od},{cls},{'-'.join(map(str, p.links))},{float(f)!r}"
-                for (od, cls), paths in path_set.items() if (od, cls) in flows_by_group
-                for p, f in zip(paths, flows_by_group[(od, cls)])]
+                for (od, cls), paths in path_set.items() if (od, cls) in flows
+                for p, f in zip(paths, flows[(od, cls)])]
         csv = tmp_path / "path_flows.csv"
         csv.write_text("\n".join(["od,class,path_key,flow"] + list(rng.permutation(rows)))
                        + "\n", encoding="utf-8")
         report = certify_rows(net, *_read_path_flows_csv(csv, net), params)
-        _assert_reports_match(report, certify_by_paths(net, path_set, flows_by_group, params),
-                              net)
+        _assert_reports_match(report, certify_by_paths(net, path_set, flows, params), net)

@@ -12,7 +12,7 @@ from mixflow.pga import PgaConfig, generate_paths, pga_solve
 from mixflow.solver import Assignment, SolverConfig
 
 from conftest import diamond_network
-from oracles import carry_over_by_groups
+from oracles import carry_over_by_groups, flows_by_group
 
 
 def test_pga_config_validation():
@@ -75,7 +75,7 @@ def test_new_paths_start_from_carried_flows(params):
                        SolverConfig(gap_tol=1e-5))
     q_rv = net.od_pairs[0].demand_rv
     q_av = net.od_pairs[0].demand_av
-    for (_, cls), flows in result.solve.flows_by_group().items():
+    for (_, cls), flows in flows_by_group(result.solve).items():
         expected = q_rv if cls == RV else q_av
         assert flows.sum() == pytest.approx(expected, rel=1e-9)
 
@@ -206,7 +206,7 @@ def test_carry_over_matches_per_group_oracle_on_sioux_falls(params, monkeypatch)
 
     def checked(assignment, previous, flows):
         carried = carry_over(assignment, previous, flows)
-        assert carried.tobytes() == carry_over_by_groups(assignment, previous.groups,
+        assert carried.tobytes() == carry_over_by_groups(assignment, previous,
                                                          flows).tobytes()
         grown.append(int((assignment.group_sizes != previous.group_sizes).sum()))
         return carried
@@ -236,5 +236,5 @@ def test_carry_over_matches_per_group_oracle_when_groups_grow_unevenly(params):
     assert (after.group_sizes - before.group_sizes).tolist() == [3] + [0] * 6 + [1]
     flows = np.random.default_rng(0).uniform(0.0, 100.0, before.n_paths)
     carried = pga._carry_over(after, before, flows)
-    assert carried.tobytes() == carry_over_by_groups(after, before.groups, flows).tobytes()
+    assert carried.tobytes() == carry_over_by_groups(after, before, flows).tobytes()
     assert carried[:2].tolist() == flows[:2].tolist() and not carried[2:5].any()

@@ -12,7 +12,7 @@ from mixflow.fixtures import (NGUYEN_OD_NODES, nguyen_network, sioux_falls_netwo
                               synthesize_demand)
 from mixflow.network import AV, RV, VEHICLE_CLASSES, Link, Network, ODPair
 from mixflow.paths import PathSet, yen_k_shortest
-from mixflow.pga import generate_paths
+from mixflow.pga import PgaConfig, generate_paths, pga_solve
 from mixflow.solver import (Assignment, BASELINE, H_FLOOR, STALL_WINDOW, SolverConfig,
                             SolverError, max_relative_outflow,
                             relative_gap, solve, solve_assignment, step_size,
@@ -21,9 +21,9 @@ from mixflow import costs as cost_model
 from mixflow import diagnostics
 
 from conftest import parallel_network, random_network
-from oracles import (alpha_matrix, build_path, link_flows_by_paths, logit_shares,
-                     mp_cnl_commonality, mp_perceived_cost_rv, naive_cnl_commonality,
-                     naive_swap_direction)
+from oracles import (alpha_matrix, build_path, flows_by_group, groups_of, link_flows_by_paths,
+                     logit_shares, mp_cnl_commonality, mp_perceived_cost_rv,
+                     naive_cnl_commonality, naive_swap_direction)
 
 
 def test_init_uniform_splits_demand(params):
@@ -50,7 +50,7 @@ def test_zero_demand_class_is_skipped(params):
     for lid in (1, 2):
         ps.add(0, AV, build_path(net, (lid,)))
     asn = Assignment(net, ps, params)
-    assert [g.vehicle_class for g in asn.groups] == [AV]
+    assert [g.vehicle_class for g in groups_of(asn)] == [AV]
     assert asn.n_paths == 2
 
 
@@ -58,7 +58,15 @@ def test_zero_demand_class_is_skipped(params):
 def test_group_demand_table_gives_the_groups_of_assignment_and_generator(penetration):
     """`Network.group_demand[2 * od + class index]` is that OD's class demand;
     its positive entries are the groups of `Assignment` and of the generator,
-    in order."""
+    in order. An assignment's `paths` and `path_group`, and so a solve's, list
+    the path set's groups in `PathSet.items()` order: the row order of the
+    path writers."""
+
+    def flattened(path_set):
+        return (tuple(p for _, group in path_set.items() for p in group),
+                [2 * od + VEHICLE_CLASSES.index(c) for (od, c), group in path_set.items()
+                 for _ in group])
+
     params = ClassParams(penetration=penetration)
     for net in (nguyen_network(params, seed=0), sioux_falls_network(params, seed=7)):
         assert net.group_demand.dtype == float
@@ -70,10 +78,15 @@ def test_group_demand_table_gives_the_groups_of_assignment_and_generator(penetra
         paths = generate_paths(net, free_flow_state(net, params), 1)
         assert [key for key, _ in paths.items()] == positive
         asn = Assignment(net, paths, params)
-        assert [(g.od_index, g.vehicle_class) for g in asn.groups] == positive
+        assert [(g.od_index, g.vehicle_class) for g in groups_of(asn)] == positive
+        assert (asn.paths, asn.path_group.tolist()) == flattened(paths)
         assert asn.group_demands.tolist() == [net.group_demand[2 * od + VEHICLE_CLASSES.index(c)]
                                               for od, c in positive]
     assert Network(nodes=(1, 2), links=(), od_pairs=()).group_demand.shape == (0,)
+    if penetration == 0.5:
+        pga = pga_solve(sioux_falls_network(params, seed=7), params, PgaConfig(k=10),
+                        SolverConfig(gap_tol=5e-3))
+        assert (pga.solve.paths, pga.solve.path_group.tolist()) == flattened(pga.path_set)
 
 
 def test_nan_demand_group_stays_in_the_assignment(params):
@@ -81,7 +94,7 @@ def test_nan_demand_group_stays_in_the_assignment(params):
     ps = PathSet()
     for cls in (RV, AV):
         ps.add(0, cls, build_path(net, (1,)))
-    assert [g.vehicle_class for g in Assignment(net, ps, params).groups] == [RV, AV]
+    assert [g.vehicle_class for g in groups_of(Assignment(net, ps, params))] == [RV, AV]
 
 
 def test_missing_paths_for_demanded_group_rejected(params):
@@ -336,7 +349,7 @@ for name, net, k, gap in (("sioux_falls", sioux_falls_network(params, seed=7), 1
         runs.append(("pga", pga.path_set, pga.solve))
     for command, ps, result in runs:
         result = result or solve(net, ps, params, config)
-        report = diagnostics.certify(net, ps, result.flows_by_group(), params)
+        report = diagnostics.certify(net, result, params)
         out[f"{name} {command}"] = (hashlib.sha256(repr(ps.items()).encode()).hexdigest(),
                                     result.converged, report.relative_residual <= gap,
                                     result.iterations)
@@ -491,7 +504,7 @@ def test_solve_nguyen_passes_ncp_residual_oracle(params):
     ps = generate_paths(net, free_flow_state(net, params), 8)
     result = solve(net, ps, params, SolverConfig(gap_tol=1e-4, max_iters=20000))
     assert result.converged
-    report = diagnostics.certify(net, ps, result.flows_by_group(), params)
+    report = diagnostics.certify(net, result, params)
     assert report.relative_residual <= 1e-3
     assert report.feasibility_violation <= 1e-6 * sum(
         od.demand_rv + od.demand_av for od in net.od_pairs)
@@ -511,7 +524,7 @@ def test_nguyen_equilibrium_conditions_at_tight_gap(params):
     state = cost_model.evaluate_links(net, result.flow.x_rv, result.flow.x_av, params)
     observed = asn.path_costs(state)
     perceived = asn.perceived_costs(result.flow.f, observed)
-    for g in asn.groups:
+    for g in groups_of(asn):
         sl = slice(g.start, g.stop)
         flows = result.flow.f[sl]
         if g.vehicle_class == AV:
@@ -530,7 +543,7 @@ def test_solver_link_flows_match_independent_accumulation(params):
     net = nguyen_network(params, seed=0)
     ps = generate_paths(net, free_flow_state(net, params), 8)
     result = solve(net, ps, params, SolverConfig(gap_tol=1e-3, max_iters=20000))
-    x_rv, x_av = link_flows_by_paths(ps, result.flows_by_group(), net)
+    x_rv, x_av = link_flows_by_paths(ps, flows_by_group(result), net)
     assert np.allclose(result.flow.x_rv, x_rv, rtol=1e-9)
     assert np.allclose(result.flow.x_av, x_av, rtol=1e-9)
 
@@ -603,7 +616,7 @@ def test_flat_kernels_match_per_group_oracles_fuzz(penetration):
             perceived = asn.perceived_costs(flows, observed)
             phi = asn.swap_directions(flows, perceived, degree_rv, degree_av)
         lengths = {l.id: l.length for l in asn.network.links}
-        for g in asn.groups:
+        for g in groups_of(asn):
             sl = slice(g.start, g.stop)
             sizes.add(g.stop - g.start)
             if g.vehicle_class == RV:
@@ -636,7 +649,7 @@ def test_flat_kernels_match_per_group_oracles_fuzz(penetration):
 
 def _pair_list(asn):
     """(lo, hi, whether lo's group is rv) per swap pair, in list order."""
-    is_rv = {k: g.vehicle_class == RV for g in asn.groups for k in range(g.start, g.stop)}
+    is_rv = {k: g.vehicle_class == RV for g in groups_of(asn) for k in range(g.start, g.stop)}
     return [(lo, hi, is_rv[lo]) for lo, hi in zip(asn.pair_lo.tolist(), asn.pair_hi.tolist())]
 
 
@@ -661,7 +674,7 @@ def test_swap_pairs_list_each_within_group_pair_once_rv_first(params):
     assert [asn.n_rv_pairs for asn in (nguyen, sioux, sizes)] == [68, 528 * 45, 0]
     for asn in (nguyen, sioux, sizes):
         pairs = _pair_list(asn)
-        expected = {(lo, hi, g.vehicle_class == RV) for g in asn.groups
+        expected = {(lo, hi, g.vehicle_class == RV) for g in groups_of(asn)
                     for lo in range(g.start, g.stop) for hi in range(lo + 1, g.stop)}
         # each unordered within-group pair exactly once: a one-path group has
         # no pair, and no pair crosses groups or classes
@@ -669,7 +682,7 @@ def test_swap_pairs_list_each_within_group_pair_once_rv_first(params):
         # the first n_rv_pairs pairs are the rv ones
         n_rv = asn.n_rv_pairs
         assert [rv for _, _, rv in pairs] == [True] * n_rv + [False] * (len(pairs) - n_rv)
-    single = [g.start for g in sizes.groups if g.stop - g.start == 1]
+    single = [g.start for g in groups_of(sizes) if g.stop - g.start == 1]
     paired = np.concatenate([sizes.pair_lo, sizes.pair_hi])
     assert len(single) == 30 and not np.isin(single, paired).any()
 
@@ -726,7 +739,7 @@ def test_nguyen_modified_falls_back_only_where_the_gap_stalls(nguyen_modified_so
             continue
         # demand seeds 1, 5 and 7 never converged on the modified rule alone
         assert result.fallback_at == _stall_iteration(result.trace) is not None, seed
-        report = diagnostics.certify(net, ps, result.flows_by_group(), ClassParams())
+        report = diagnostics.certify(net, result, ClassParams())
         assert report.relative_residual <= 1e-4, seed
 
 
