@@ -219,8 +219,7 @@ def cmd_solve(rc):
     network = _load(rc)
     started = time.perf_counter()
     free_flow = cost_model.free_flow_state(network, rc.params)
-    path_set = generate_paths(network, free_flow, rc.pga.k)
-    result = solve(network, path_set, rc.params, rc.solver)
+    result = solve(network, *generate_paths(network, free_flow, rc.pga.k), rc.params, rc.solver)
     return _write_outputs(rc, "solve", network, result, time.perf_counter() - started)
 
 
@@ -357,10 +356,9 @@ def cmd_check(rc, flows_file):
         os.makedirs(rc.out_dir, exist_ok=True)
         _write(os.path.join(rc.out_dir, "report.csv"),
                ["key,value"] + [f"{k},{v}" for k, v in report.csv_rows()])
-    total_demand = sum(od.demand_rv + od.demand_av for od in network.od_pairs)
     certified = (not report.missing_demand
                  and report.relative_residual <= rc.check_tol
-                 and report.feasibility_violation <= rc.check_tol * total_demand)
+                 and report.feasibility_violation <= rc.check_tol * network.group_demand.sum())
     return EXIT_OK if certified else EXIT_RESIDUAL
 
 

@@ -1,4 +1,4 @@
-"""Loop-free paths, per-(OD, class) path sets, and Yen k-shortest search.
+"""Loop-free paths, path-set merging, and Yen k-shortest search.
 
 Path identity is the ordered link-id sequence: costs change every
 iteration, the link sequence never does. Parallel links are supported, so
@@ -12,7 +12,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .network import VEHICLE_CLASSES
+import numpy as np
 
 # relative margin of the A* stop rule, far above the float error of the bound
 _SLACK = 1e-9
@@ -24,50 +24,17 @@ class Path:
     nodes: tuple          # ordered node ids, len(links) + 1
 
 
-class PathSet:
-    """Ordered, duplicate-free path collections keyed by (od_index, class):
-    one insertion-ordered {link ids: path} dict per group."""
-
-    def __init__(self):
-        self._groups = {}
-
-    def add(self, od_index, vehicle_class, path):
-        """Insert a path; returns True when it was not already present."""
-        paths = self._groups.setdefault((od_index, vehicle_class), {})
-        if path.links in paths:
-            return False
-        paths[path.links] = path
-        return True
-
-    def group(self, od_index, vehicle_class):
-        return tuple(self._groups.get((od_index, vehicle_class), {}).values())
-
-    def items(self):
-        """Groups in deterministic order: by od_index, then `VEHICLE_CLASSES`."""
-        order = sorted(self._groups, key=lambda k: (k[0], VEHICLE_CLASSES.index(k[1])))
-        return [(k, tuple(self._groups[k].values())) for k in order]
-
-    def copy(self):
-        clone = PathSet()
-        clone._groups = {k: dict(v) for k, v in self._groups.items()}
-        return clone
-
-    def __len__(self):
-        return sum(map(len, self._groups.values()))
-
-
-def merge_path_sets(current, generated):
-    """Union by canonical key; returns (merged copy, count of new paths).
-
-    Paths of `current` keep their positions in each group; new ones follow.
-    """
-    merged = current.copy()
-    new_count = 0
-    for (od_index, vehicle_class), paths in generated.items():
-        for path in paths:
-            if merged.add(od_index, vehicle_class, path):
-                new_count += 1
-    return merged, new_count
+def merge_path_sets(paths, group, new_paths, new_group):
+    """The path set (`paths`, `group`) with (`new_paths`, `new_group`) added:
+    `(paths, group, positions)` in ascending group order, each group's old
+    paths first and in order, then its new ones; `positions[i]` is where old
+    path i went. Paths are not compared, so a new path must be new."""
+    groups = np.concatenate([np.asarray(group, np.intp), np.asarray(new_group, np.intp)])
+    order = np.argsort(groups, kind="stable")
+    positions = np.empty_like(order)
+    positions[order] = np.arange(order.size)
+    both = (*paths, *new_paths)
+    return tuple(map(both.__getitem__, order.tolist())), groups[order], positions[:len(paths)]
 
 
 class Graph:

@@ -2,11 +2,13 @@
 
 Alternates k-shortest-path generation on current per-class link costs with
 a loose inner equilibrium solve until the total cost stabilizes, then runs
-one final solve at the tight gap. Flows on existing paths carry over
-between outer iterations; newly generated paths start empty and pick up
-flow through the swap direction. Each round's Yen search starts from a
-group's known paths and returns only new ones, so a group whose known paths
-hold its k cheapest costs one pass of spur searches over them. `generate_paths`
+one final solve at the tight gap. A path set is its paths and their group
+ids 2 * od index + class index, in ascending group order. Merging keeps
+every old path, and its flow moves to the position the merge reports; new
+paths start empty and pick up flow through the swap direction. Each round's
+Yen search starts from a group's known paths and returns only new ones, so
+a group whose known paths hold its k cheapest costs one pass of spur
+searches over them. `generate_paths`
 is also the one-shot path generator of `mixflow solve`: its free-flow round is
 PGA's first.
 """
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import costs as cost_model
 from .network import VEHICLE_CLASSES
-from .paths import Graph, PathSet, merge_path_sets, yen_k_shortest
+from .paths import Graph, merge_path_sets, yen_k_shortest
 from .solver import Assignment, SolveResult, solve_assignment
 
 
@@ -57,43 +59,35 @@ class OuterRow:
 @dataclass
 class PgaResult:
     solve: SolveResult
-    path_set: PathSet
     outer: list
     outer_converged: bool
 
 
-def generate_paths(network, link_state, k, known=None):
+def generate_paths(network, link_state, k, known=(), known_group=()):
     """Up to k Yen paths for every demanded (OD, class) at the link state's
-    per-class costs, as a fresh PathSet; one `Graph` per class serves all
-    of that class's calls, built at its first demanded group. A group's
-    paths in the PathSet `known` count among its k and are not returned
-    again, so a group whose known paths hold its k cheapest gets none."""
-    path_set, graphs = PathSet(), {}
-    known = PathSet() if known is None else known
-    for group in np.flatnonzero(~(network.group_demand <= 0)).tolist():
+    per-class costs, as `(paths, group)` in ascending group order; one
+    `Graph` per class serves all of that class's calls, built at its first
+    demanded group. A group's paths in `known` (with ascending group ids
+    `known_group`) count among its k and are not returned again, so a group
+    whose known paths hold its k cheapest gets none."""
+    paths, sizes, graphs = [], [], {}
+    at = np.searchsorted(known_group, np.arange(network.group_demand.size + 1)).tolist()
+    groups = np.flatnonzero(~(network.group_demand <= 0))
+    for group in groups.tolist():
         od, cls = network.od_pairs[group // 2], VEHICLE_CLASSES[group % 2]
         if cls not in graphs:
             graphs[cls] = Graph(network, link_state.cost(cls))
-        for path in yen_k_shortest(network, link_state.cost(cls), od.origin, od.destination,
-                                   k, graph=graphs[cls], known=known.group(group // 2, cls)):
-            path_set.add(group // 2, cls, path)
-    return path_set
-
-
-def _carry_over(assignment, previous, flows):
-    """Flows solved on the assignment `previous`, placed on `assignment`.
-    Merging keeps every group and its old paths first, so an old path moves
-    by its group's change of start; the new paths start empty."""
-    carried = np.zeros(assignment.n_paths)
-    carried[np.repeat(assignment.group_starts - previous.group_starts, previous.group_sizes)
-            + np.arange(previous.n_paths)] = flows
-    return carried
+        found = yen_k_shortest(network, link_state.cost(cls), od.origin, od.destination, k,
+                               graph=graphs[cls], known=known[at[group]:at[group + 1]])
+        paths += found
+        sizes.append(len(found))
+    return paths, np.repeat(groups, sizes)
 
 
 def pga_solve(network, params, pga_config, solver_config):
     """Run generation/assignment rounds at pga_config.inner_gap, then the final
     solve at solver_config.gap_tol."""
-    path_set = PathSet()
+    paths, group, flows = (), (), None
     inner_config = replace(solver_config, gap_tol=pga_config.inner_gap)
     outer = []
     prev_total = None
@@ -104,21 +98,21 @@ def pga_solve(network, params, pga_config, solver_config):
         link_state = (cost_model.free_flow_state(network, params) if result is None
                       else result.flow.link_state)
         tick = time.perf_counter()
-        path_set, new_count = merge_path_sets(
-            path_set, generate_paths(network, link_state, pga_config.k, known=path_set))
+        paths, group, positions = merge_path_sets(
+            paths, group, *generate_paths(network, link_state, pga_config.k, paths, group))
         gen_seconds = time.perf_counter() - tick
-        new = Assignment(network, path_set, params)
-        flows = None if result is None else _carry_over(new, assignment, result.flow.f)
-        assignment = new    # the old one is not held through the solve
+        assignment = Assignment(network, paths, group, params)
+        if result is not None:    # every old path carries its flow over
+            flows = np.zeros(assignment.n_paths)
+            flows[positions] = result.flow.f
         result = solve_assignment(assignment, inner_config, initial_flows=flows)
         total = result.total_cost
         error = float("inf") if prev_total is None else (total - prev_total) / total
-        outer.append(OuterRow(m, new_count, total, error,
+        outer.append(OuterRow(m, len(paths) - positions.size, total, error,
                               result.iterations, time.perf_counter() - tick, gen_seconds))
         prev_total = total
         if m >= 2 and abs(error) <= pga_config.outer_tol:
             outer_converged = True
             break
     final = solve_assignment(assignment, solver_config, initial_flows=result.flow.f)
-    return PgaResult(solve=final, path_set=path_set, outer=outer,
-                     outer_converged=outer_converged)
+    return PgaResult(solve=final, outer=outer, outer_converged=outer_converged)

@@ -1,4 +1,4 @@
-"""Flow-swapping equilibrium solver over a fixed per-(OD, class) path set.
+"""Flow-swapping equilibrium solver over a fixed path set of (OD, class) groups.
 
 Each iteration reprices the network once at the current flows, computes a
 pairwise flow-exchange direction within every (OD, class) group, scales it
@@ -12,6 +12,7 @@ back to the baseline rule, restarted, for the rest of the run.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import chain
 
@@ -90,32 +91,44 @@ class SolveResult:
 class Assignment:
     """Array-backed view of a path set bound to one network and parameter set.
 
-    Groups are ordered by (od_index, rv-before-av); only (OD, class) pairs
-    with positive demand participate. Construction fails if any demanded
-    group has an empty path set. `paths` holds the groups' paths in that
-    order, and `path_group` each path's group, 2 * od_index + class index.
+    `paths` and `path_group`, each path's (OD, class) group 2 * od_index +
+    class index, hold the given paths sorted stably by group, less those of
+    groups without positive demand. Construction fails on a group id out of
+    range, a group that holds a link sequence twice, and a demanded group
+    without paths.
     """
 
-    def __init__(self, network, path_set, params):
+    def __init__(self, network, paths, path_group, params):
         self.network = network
         self.params = params
-        ids = np.flatnonzero(~(network.group_demand <= 0))   # a NaN demand stays in
+        path_group = np.asarray(path_group, dtype=np.intp)
+        n_groups = network.group_demand.size
+        if path_group.shape != (len(paths),):
+            raise ValueError(f"{path_group.size} group ids for {len(paths)} paths")
+        if (bad := (path_group < 0) | (path_group >= n_groups)).any():
+            raise ValueError(f"path group {path_group[bad][0]} is outside 0..{n_groups - 1}")
+        demanded = ~(network.group_demand <= 0)   # a NaN demand stays in
+        order = np.argsort(path_group, kind="stable")
+        order = order[demanded[path_group[order]]]
+        self.paths = tuple(map(paths.__getitem__, order.tolist()))
+        self.path_group = path_group[order]
+        keys = list(zip(self.path_group.tolist(), [p.links for p in self.paths]))
+        if len(set(keys)) < len(keys):
+            group, links = next(key for key, count in Counter(keys).items() if count > 1)
+            raise ValueError(f"od {group // 2} class {VEHICLE_CLASSES[group % 2]} holds "
+                             f"path {links} twice")
+        ids = np.flatnonzero(demanded)
         self.group_demands = network.group_demand[ids]
-        groups = []
-        for group, demand in zip(ids.tolist(), self.group_demands.tolist()):
-            od_index, cls = group // 2, VEHICLE_CLASSES[group % 2]
-            if not (paths := path_set.group(od_index, cls)):
-                od = network.od_pairs[od_index]
-                raise ValueError(f"od {od_index} ({od.origin}->{od.destination}) has demand "
-                                 f"{demand} for class {cls} but no paths")
-            groups.append(paths)
-        self.paths = tuple(chain.from_iterable(groups))
+        self.group_sizes = np.bincount(self.path_group, minlength=n_groups)[ids]
+        if not self.group_sizes.all():
+            group = int(ids[np.argmin(self.group_sizes)])
+            od, cls = network.od_pairs[group // 2], VEHICLE_CLASSES[group % 2]
+            raise ValueError(f"od {group // 2} ({od.origin}->{od.destination}) has demand "
+                             f"{network.group_demand[group]} for class {cls} but no paths")
         if not self.paths:
             raise ValueError("network has no demand")
         self.n_paths = n_paths = len(self.paths)
-        self.group_sizes = np.fromiter(map(len, groups), np.intp, len(groups))
         self.group_starts = np.cumsum(self.group_sizes) - self.group_sizes
-        self.path_group = np.repeat(ids, self.group_sizes)
         self.demand_per_path = np.repeat(self.group_demands, self.group_sizes)
         path_rv = self.path_group % 2 == 0
         # one column per (link, class): link index, plus n_links for av entries
@@ -232,15 +245,12 @@ def update_flows(flows, direction, step, demand_per_path):
     return np.maximum(new, 0.0, out=new)
 
 
-def relative_gap(assignment, flows, perceived, total=None):
+def relative_gap(assignment, flows, perceived, total):
     """Demand-weighted excess perceived cost over each group minimum,
-    normalized by total perceived cost (`total`, when the caller has it)."""
-    denominator = total_cost(flows, perceived) if total is None else total
-    if denominator == 0.0:
-        raise ValueError("zero total perceived cost; no demand to measure")
+    normalized by `total`, the total perceived cost."""
     group_min = np.minimum.reduceat(perceived, assignment.group_starts)
     excess = perceived - np.repeat(group_min, assignment.group_sizes)
-    return float((flows * excess).sum()) / denominator
+    return float((flows * excess).sum()) / total
 
 
 def total_cost(flows, perceived):
@@ -249,8 +259,9 @@ def total_cost(flows, perceived):
     return float((flows * perceived).sum())
 
 
-def solve(network, path_set, params, config, initial_flows=None, callback=None):
-    """Run the flow-swapping loop until the relative gap meets config.gap_tol.
+def solve(network, paths, path_group, params, config, initial_flows=None, callback=None):
+    """Run the flow-swapping loop on `Assignment(network, paths, path_group,
+    params)` until the relative gap meets config.gap_tol.
 
     Returns a SolveResult whose flow state is the iterate the reported gap
     certifies, priced as that iteration priced it (the terminating
@@ -258,7 +269,7 @@ def solve(network, path_set, params, config, initial_flows=None, callback=None):
     converged=False, not raised. The optional callback(iteration, flows,
     direction) fires after every applied update.
     """
-    assignment = Assignment(network, path_set, params)
+    assignment = Assignment(network, paths, path_group, params)
     return solve_assignment(assignment, config, initial_flows, callback)
 
 

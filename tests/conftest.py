@@ -1,9 +1,11 @@
 import os
 
+import numpy as np
 import pytest
 
 from mixflow.costs import ClassParams
-from mixflow.network import Link, Network, ODPair
+from mixflow.network import VEHICLE_CLASSES, Link, Network, ODPair
+from mixflow.paths import Path
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -18,6 +20,14 @@ def parallel_network(specs, demand_rv=0.0, demand_av=0.0):
                   for i, (ft, cap) in enumerate(specs))
     return Network(nodes=(1, 2), links=links,
                    od_pairs=(ODPair(1, 2, demand_rv, demand_av),))
+
+
+def parallel_paths(network, *classes):
+    """Every link of a `parallel_network` as a path of od 0, once for each
+    class in `classes`: `(paths, group ids)`."""
+    paths = [Path((link.id,), (1, 2)) for link in network.links]
+    return paths * len(classes), np.repeat([VEHICLE_CLASSES.index(c) for c in classes],
+                                           len(paths))
 
 
 def diamond_network(demand_rv=10.0, demand_av=10.0):

@@ -15,7 +15,8 @@ the `path_flows.csv` reader's array checks are fuzzed against.
 `carry_over_by_groups` is PGA's carry-over of flows between rounds as it
 ran through a dict keyed by (OD, class), the reference of the offset scatter.
 `groups_of` and `flows_by_group` are the per-group views of an assignment
-and of a solve result that the solver's flat arrays replaced.
+and of a solve result that the solver's flat arrays replaced; the path-by-
+path oracles take paths keyed by (od_index, class), as `groups_of` gives them.
 """
 
 import heapq
@@ -50,9 +51,9 @@ def enumerate_simple_paths(network, origin, destination):
     return results
 
 
-def incidence(path_set, od_index, vehicle_class, link_id, path):
-    """1 if the link belongs to a path registered in the set, else 0."""
-    if path.links not in {p.links for p in path_set.group(od_index, vehicle_class)}:
+def incidence(path_groups, od_index, vehicle_class, link_id, path):
+    """1 if the link belongs to a path in `path_groups[(od_index, class)]`, else 0."""
+    if path.links not in {p.links for p in path_groups.get((od_index, vehicle_class), ())}:
         raise KeyError(f"unknown path key {path.links}")
     return int(link_id in path.links)
 
@@ -288,10 +289,10 @@ def cnl_entries_by_paths(groups, link_lengths):
                                  n_nests)
 
 
-def link_flows_by_paths(path_set, flows_by_group, network):
-    """Per-class link flows accumulated path by path."""
+def link_flows_by_paths(path_groups, flows_by_group, network):
+    """Per-class link flows accumulated path by path over `path_groups`."""
     x = {RV: np.zeros(network.n_links), AV: np.zeros(network.n_links)}
-    for (od_index, cls), paths in path_set.items():
+    for (od_index, cls), paths in path_groups.items():
         flows = flows_by_group.get((od_index, cls))
         if flows is None:
             continue
@@ -321,16 +322,16 @@ def ncp_residual_by_groups(flows_by_group, costs_by_group, demand_by_group):
                              residual / total if total > 0 else float("inf"))
 
 
-def certify_by_paths(network, path_set, flows_by_group, params):
-    """Equilibrium report of per-path flows keyed by (od_index, class), path
-    by path: link flows, per-path cost sums over link-id dicts, one CNL
-    evaluation of every rv group, and the group-by-group residual loop."""
-    x_rv, x_av = link_flows_by_paths(path_set, flows_by_group, network)
+def certify_by_paths(network, path_groups, flows_by_group, params):
+    """Equilibrium report of paths and per-path flows keyed by (od_index,
+    class), path by path: link flows, per-path cost sums over link-id dicts,
+    one CNL evaluation of every rv group, and the group-by-group residual loop."""
+    x_rv, x_av = link_flows_by_paths(path_groups, flows_by_group, network)
     state = cost_model.evaluate_links(network, x_rv, x_av, params)
     cost_by_id = {cls: {l.id: state.cost(cls)[i] for i, l in enumerate(network.links)}
                   for cls in VEHICLE_CLASSES}
     costs_by_group = {key: np.array([path_cost_by_id(p.links, cost_by_id[key[1]]) for p in paths])
-                      for key, paths in path_set.items() if key in flows_by_group}
+                      for key, paths in path_groups.items() if key in flows_by_group}
     demand_by_group = {key: network.od_pairs[key[0]].demand(key[1]) for key in costs_by_group}
     rv = [key for key in costs_by_group if key[1] == RV]
     sizes = [len(costs_by_group[key]) for key in rv]
@@ -338,7 +339,7 @@ def certify_by_paths(network, path_set, flows_by_group, params):
     flows = np.array([f for key in rv for f in flows_by_group[key]], dtype=float)
     lengths = {l.id: l.length for l in network.links}
     commonality = cost_model.cnl_commonalities(
-        cnl_entries_by_paths([path_set.group(*key) for key in rv], lengths),
+        cnl_entries_by_paths([path_groups[key] for key in rv], lengths),
         observed, params.dispersion, params.nesting)
     perceived = cost_model.perceived_cost_rv(
         observed, flows, np.repeat([demand_by_group[key] for key in rv], sizes),

@@ -13,22 +13,22 @@ from mixflow.costs import ClassParams, evaluate_links, free_flow_state
 from mixflow.diagnostics import certify, flow_deviation
 from mixflow.fixtures import nguyen_network, sioux_falls_network
 from mixflow.network import AV, RV, Link, Network, ODPair
-from mixflow.paths import PathSet, yen_k_shortest
+from mixflow.paths import yen_k_shortest
 from mixflow.pga import PgaConfig, generate_paths, pga_solve
 from mixflow.solver import Assignment, SolverConfig, solve, solve_assignment
 from mixflow import costs as cost_model
 
-from conftest import parallel_network, random_network
+from conftest import parallel_network, parallel_paths, random_network
 from oracles import (alpha_matrix, build_path, k_cheapest_paths, logit_shares,
                      mp_cnl_commonality, mp_perceived_cost_rv, path_cost)
 
 _CONVERGED_SOLVES = []
 
 
-def register(network, path_set, params, result, gap_tol):
+def register(network, params, result, gap_tol):
     assert result.converged
     assert 0.0 <= result.gap <= gap_tol
-    _CONVERGED_SOLVES.append((network, path_set, params, result, gap_tol))
+    _CONVERGED_SOLVES.append((network, params, result, gap_tol))
 
 
 def test_criterion_1_av_user_equilibrium_fixed_point():
@@ -41,11 +41,9 @@ def test_criterion_1_av_user_equilibrium_fixed_point():
                Link(3, 1, 2, 20.0, 20.0, 600.0, 1200.0)),
         od_pairs=(ODPair(1, 2, 0.0, 2500.0),),
     )
-    ps = PathSet()
-    for lid in (1, 2, 3):
-        ps.add(0, AV, build_path(net, (lid,)))
+    ps = parallel_paths(net, AV)
     started = time.perf_counter()
-    result = solve(net, ps, params, SolverConfig(gap_tol=1e-6, max_iters=50000))
+    result = solve(net, *ps, params, SolverConfig(gap_tol=1e-6, max_iters=50000))
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
     assert result.converged and result.gap <= 1e-6
@@ -58,18 +56,16 @@ def test_criterion_1_av_user_equilibrium_fixed_point():
     assert spread <= 1e-5
     # unused paths may not undercut the equilibrium cost
     assert np.all(costs[~used] >= costs[used].max() - 1e-9)
-    register(net, ps, params, result, 1e-6)
+    register(net, params, result, 1e-6)
 
 
 def test_criterion_2_rv_logit_degenerate_fixed_point():
     """u = 1, two disjoint paths: shares equal the logit split within 0.5%."""
     params = ClassParams(nesting=1.0, dispersion=0.1)
     net = parallel_network([(25.0, 1e9), (26.0, 1e9)], demand_rv=1000.0)
-    ps = PathSet()
-    for lid in (1, 2):
-        ps.add(0, RV, build_path(net, (lid,)))
+    ps = parallel_paths(net, RV)
     started = time.perf_counter()
-    result = solve(net, ps, params,
+    result = solve(net, *ps, params,
                    SolverConfig(gap_tol=1e-4, max_iters=50000, gamma_growth=5.0))
     elapsed = time.perf_counter() - started
     assert elapsed < 1.0
@@ -79,7 +75,7 @@ def test_criterion_2_rv_logit_degenerate_fixed_point():
     shares = result.flow.f / 1000.0
     oracle = logit_shares(state.cost_rv, params.dispersion)
     assert np.abs(shares - oracle).max() <= 0.005
-    register(net, ps, params, result, 1e-4)
+    register(net, params, result, 1e-4)
 
 
 def _overlap_network():
@@ -93,11 +89,7 @@ def _overlap_network():
                Link(4, 1, 3, 20.0, 20.0, big, big)),
         od_pairs=(ODPair(1, 3, 900.0, 0.0),),
     )
-    ps = PathSet()
-    ps.add(0, RV, build_path(net, (1, 2)))
-    ps.add(0, RV, build_path(net, (1, 3)))
-    ps.add(0, RV, build_path(net, (4,)))
-    return net, ps
+    return net, ([build_path(net, links) for links in ((1, 2), (1, 3), (4,))], [0, 0, 0])
 
 
 def test_criterion_3_cnl_overlap_effect():
@@ -105,7 +97,7 @@ def test_criterion_3_cnl_overlap_effect():
     net, ps = _overlap_network()
 
     nested = ClassParams(nesting=0.5, dispersion=0.1)
-    result = solve(net, ps, nested,
+    result = solve(net, *ps, nested,
                    SolverConfig(gap_tol=1e-4, max_iters=50000, gamma_growth=5.0))
     assert result.converged
     disjoint_share = result.flow.f[2] / 900.0
@@ -114,7 +106,7 @@ def test_criterion_3_cnl_overlap_effect():
     # extended-precision equilibrium: with equal observed costs the shares
     # are proportional to exp(commonality)
     lengths = {l.id: l.length for l in net.links}
-    alpha = alpha_matrix(ps.group(0, RV), lengths)
+    alpha = alpha_matrix(ps[0], lengths)
     h = mp_cnl_commonality(alpha, [25.0, 25.0, 25.0], 0.1, 0.5)
     target = np.exp(h[2]) / np.exp(h).sum()
     assert disjoint_share == pytest.approx(target, abs=0.005)
@@ -123,20 +115,20 @@ def test_criterion_3_cnl_overlap_effect():
     # of all three paths must agree
     state = evaluate_links(net, result.flow.x_rv, result.flow.x_av, nested)
     cost_by_id = {l.id: state.cost_rv[i] for i, l in enumerate(net.links)}
-    observed = [path_cost(p, cost_by_id) for p in ps.group(0, RV)]
+    observed = [path_cost(p, cost_by_id) for p in ps[0]]
     h_conv = mp_cnl_commonality(alpha, observed, 0.1, 0.5)
     perceived = [mp_perceived_cost_rv(observed[k], result.flow.f[k], 900.0,
                                       h_conv[k], 0.1, 0.5) for k in range(3)]
     spread = (max(perceived) - min(perceived)) / abs(min(perceived))
     assert spread <= 10.0 * 1e-4
-    register(net, ps, nested, result, 1e-4)
+    register(net, nested, result, 1e-4)
 
     plain = ClassParams(nesting=1.0, dispersion=0.1)
-    result_mnl = solve(net, ps, plain,
+    result_mnl = solve(net, *ps, plain,
                        SolverConfig(gap_tol=1e-4, max_iters=50000, gamma_growth=5.0))
     assert result_mnl.converged
     assert result_mnl.flow.f[2] / 900.0 == pytest.approx(1.0 / 3.0, abs=0.005)
-    register(net, ps, plain, result_mnl, 1e-4)
+    register(net, plain, result_mnl, 1e-4)
 
 
 def test_criterion_4_conservation_and_nonnegativity_fuzz():
@@ -149,7 +141,7 @@ def test_criterion_4_conservation_and_nonnegativity_fuzz():
         networks += 1
         net = random_network(rng, n_nodes=int(rng.integers(4, 11)))
         ps = generate_paths(net, free_flow_state(net, params), int(rng.integers(2, 5)))
-        assignment = Assignment(net, ps, params)
+        assignment = Assignment(net, *ps, params)
         demands = assignment.group_demands
         checks = []
 
@@ -177,14 +169,14 @@ def test_criterion_5_modified_beats_baseline_twofold():
     started = time.perf_counter()
     runs = {}
     for mode in ("modified", "baseline"):
-        runs[mode] = solve(net, ps, params,
+        runs[mode] = solve(net, *ps, params,
                            SolverConfig(gap_tol=1e-4, max_iters=100000, mode=mode))
         assert runs[mode].converged
     elapsed = time.perf_counter() - started
     assert elapsed < 30.0
     assert runs["modified"].iterations <= runs["baseline"].iterations / 2
-    register(net, ps, params, runs["modified"], 1e-4)
-    register(net, ps, params, runs["baseline"], 1e-4)
+    register(net, params, runs["modified"], 1e-4)
+    register(net, params, runs["baseline"], 1e-4)
 
 
 def test_criterion_6_yen_equals_enumeration():
@@ -241,10 +233,10 @@ def test_criterion_7_pga_consistency_and_dev_pattern():
     assert len(enumerate_simple_paths(net, 1, 9)) == 12
 
     full = generate_paths(net, free_flow_state(net, params), 12)
-    assert len(full) == 24  # all 12 paths for both classes
+    assert len(full[0]) == 24  # all 12 paths for both classes
 
     tight = SolverConfig(gap_tol=1e-6, max_iters=150000)
-    direct = solve(net, full, params, tight)
+    direct = solve(net, *full, params, tight)
     assert direct.converged
     res12 = pga_solve(net, params, PgaConfig(k=12), tight)
     assert res12.solve.converged
@@ -258,8 +250,8 @@ def test_criterion_7_pga_consistency_and_dev_pattern():
         if (~carrying).any():
             assert np.abs(xd - xp)[~carrying].max() <= 1e-6 * total
 
-    register(net, full, params, direct, 1e-6)
-    register(net, res12.path_set, params, res12.solve, 1e-6)
+    register(net, params, direct, 1e-6)
+    register(net, params, res12.solve, 1e-6)
 
     # dev(k) pattern against the k = 12 reference (short, loose runs:
     # restricted 2-path groups orbit the equilibrium without settling)
@@ -280,7 +272,7 @@ def test_criterion_7_pga_consistency_and_dev_pattern():
 def test_criterion_8_ncp_residual_bounded_by_gap_times_cost():
     """Every converged solve from criteria 1-7: residual <= G * TC."""
     assert len(_CONVERGED_SOLVES) >= 6
-    for net, ps, params, result, gap_tol in _CONVERGED_SOLVES:
+    for net, params, result, gap_tol in _CONVERGED_SOLVES:
         report = certify(net, result, params)
         assert report.ncp_residual <= gap_tol * report.total_cost * (1.0 + 1e-9)
         assert report.feasibility_violation <= 1e-6 * sum(
@@ -296,7 +288,7 @@ def test_criterion_9_sioux_falls_scale_smoke():
     assert len(net.links) == 76
     assert len(net.od_pairs) == 528
     ps = generate_paths(net, free_flow_state(net, params), 10)
-    result = solve(net, ps, params, SolverConfig(gap_tol=0.005, max_iters=5000))
+    result = solve(net, *ps, params, SolverConfig(gap_tol=0.005, max_iters=5000))
     elapsed = time.perf_counter() - started
     assert result.converged
     assert result.iterations <= 5000

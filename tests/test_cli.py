@@ -13,7 +13,7 @@ from mixflow.cli import (CONFIG_KEYS, _path_flow_arrays, build_run_config, main,
 from mixflow.costs import ClassParams, evaluate_links
 from mixflow.fixtures import nguyen_network, sioux_falls_network
 from mixflow.network import Link, Network, ODPair, ParseError, write_network
-from mixflow.paths import PathSet, yen_k_shortest
+from mixflow.paths import yen_k_shortest
 from mixflow.solver import STALL_WINDOW
 
 from conftest import diamond_network
@@ -709,11 +709,11 @@ def test_pga_path_dump_prices_path_flows_rows_at_the_final_flows(tmp_path):
     dump = [line.split() for line in read(out / "paths.txt").splitlines()]
     assert len(dump) == len(rows) == 50
     paths = [build_path(net, tuple(int(a) for a in key.split("-"))) for _, _, key, _ in rows]
-    path_set, flows = PathSet(), {}
+    path_groups, flows = {}, {}
     for (od, cls, _, flow), p in zip(rows, paths):
-        path_set.add(int(od), cls, p)
+        path_groups.setdefault((int(od), cls), []).append(p)
         flows.setdefault((int(od), cls), []).append(float(flow))
-    x_rv, x_av = link_flows_by_paths(path_set, flows, net)
+    x_rv, x_av = link_flows_by_paths(path_groups, flows, net)
     state = evaluate_links(net, x_rv, x_av, params)
     cost_by_id = {cls: {l.id: state.cost(cls)[i] for i, l in enumerate(net.links)}
                   for cls in ("rv", "av")}

@@ -9,12 +9,11 @@ from mixflow.diagnostics import (EquilibriumReport, certify, certify_rows, flow_
                                  link_flows_from_paths, ncp_residual, r_squared)
 from mixflow.fixtures import nguyen_network, sioux_falls_network
 from mixflow.network import AV, RV
-from mixflow.paths import PathSet
 from mixflow.pga import generate_paths
-from mixflow.solver import SolverConfig, solve
+from mixflow.solver import Assignment, SolverConfig, solve
 
-from conftest import diamond_network, parallel_network
-from oracles import build_path, certify_by_paths, flows_by_group
+from conftest import diamond_network, parallel_network, parallel_paths
+from oracles import certify_by_paths, flows_by_group, groups_of
 
 
 def test_link_flows_zero_paths():
@@ -133,10 +132,8 @@ def test_report_text_and_csv_rows():
 
 def test_residual_bounded_by_gap_times_total_cost(params):
     net = parallel_network([(5.0, 500.0), (6.0, 700.0), (8.0, 400.0)], demand_av=1500.0)
-    ps = PathSet()
-    for lid in (1, 2, 3):
-        ps.add(0, AV, build_path(net, (lid,)))
-    result = solve(net, ps, params, SolverConfig(gap_tol=1e-5))
+    ps = parallel_paths(net, AV)
+    result = solve(net, *ps, params, SolverConfig(gap_tol=1e-5))
     assert result.converged
     report = certify(net, result, params)
     assert report.ncp_residual <= 1e-5 * report.total_cost * (1.0 + 1e-9)
@@ -155,30 +152,30 @@ def test_certify_rejects_rv_flows_without_demand(params):
 
 @pytest.fixture(scope="module", params=["nguyen0", "sioux_falls7"])
 def solved(request):
-    """Network, path set and SolveResult of a Nguyen seed 0 (k 8, gap 1e-4)
-    or Sioux Falls seed 7 (k 10, gap 5e-3) solve."""
+    """Network, paths by (OD, class) and SolveResult of a Nguyen seed 0 (k 8,
+    gap 1e-4) or Sioux Falls seed 7 (k 10, gap 5e-3) solve."""
     params = ClassParams()
     fixture, seed, k, gap = {"nguyen0": (nguyen_network, 0, 8, 1e-4),
                              "sioux_falls7": (sioux_falls_network, 7, 10, 5e-3)}[request.param]
     net = fixture(params, seed=seed)
     ps = generate_paths(net, free_flow_state(net, params), k)
-    result = solve(net, ps, params, SolverConfig(gap_tol=gap))
+    result = solve(net, *ps, params, SolverConfig(gap_tol=gap))
     assert result.converged
-    return net, ps, result
+    return net, {(g.od_index, g.vehicle_class): g.paths
+                 for g in groups_of(Assignment(net, *ps, params))}, result
 
 
 def _variants(net, ps, flows, rng):
-    """(name, path set, flows by group, params) cases around one solve."""
+    """(name, paths by group, flows by group, params) cases around one solve."""
     params = ClassParams()
     keys = list(flows)
     perturbed = {key: f * rng.uniform(0.5, 1.5, size=f.size) for key, f in flows.items()}
     for key in rng.choice(len(keys), size=len(keys) // 4, replace=False):
         f = perturbed[keys[key]]
         f[rng.integers(0, f.size)] = float(rng.choice([0.0, -1.0, -1e-3]))
-    single = PathSet()
-    single_flows = {}
+    single, single_flows = {}, {}
     for key, paths in ps.items():
-        single.add(*key, paths[0])
+        single[key] = paths[:1]
         single_flows[key] = np.array([float(flows[key].sum()) * rng.uniform(0.9, 1.1)])
     dropped = {key: flows[key] for i, key in enumerate(keys) if i % 7 != 3}
     yield "solved", ps, flows, params

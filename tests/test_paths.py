@@ -7,7 +7,7 @@ import pytest
 from mixflow.costs import ClassParams, free_flow_state
 from mixflow.fixtures import sioux_falls_network
 from mixflow.network import AV, RV, VEHICLE_CLASSES, Link, Network, ODPair
-from mixflow.paths import (Graph, Path, PathSet, _shortest, format_path_line,
+from mixflow.paths import (Graph, Path, _shortest, format_path_line,
                            merge_path_sets, yen_k_shortest)
 
 from conftest import diamond_network, random_network
@@ -364,14 +364,14 @@ def test_yen_from_known_paths_returns_the_others_among_the_k_cheapest():
         k = 1 + case % 8
         kind = kinds[case % len(kinds)]
         costs = _TIE_COSTS[kind](rng, net.n_links)
-        known, drawn = PathSet(), costs
+        known, drawn = {}, costs    # link ids -> path, so that each is known once
         for _ in range(int(rng.integers(1, 3))):
             drawn = drawn * rng.choice([1.0, 0.5, 2.0], size=net.n_links) \
                 if rng.random() < 0.5 else drawn * rng.uniform(0.8, 1.25, size=net.n_links)
             for path in yen_k_shortest(net, drawn, od.origin, od.destination,
                                        int(rng.integers(1, k + 3))):
-                known.add(0, RV, path)
-        paths = known.group(0, RV)
+                known.setdefault(path.links, path)
+        paths = tuple(known.values())
         links = {p.links for p in paths}
         plain = yen_k_shortest(net, costs, od.origin, od.destination, k)
         expected = [p for p in plain if p.links not in links]
@@ -418,47 +418,33 @@ def test_yen_from_known_paths_edge_cases():
         assert yen_k_shortest(*ends, 1, known=every[:1]) == [], case
 
 
-def _two_sets(net):
-    first = PathSet()
-    first.add(0, RV, build_path(net, (1, 2)))
-    second = PathSet()
-    second.add(0, RV, build_path(net, (3, 4)))
-    second.add(0, AV, build_path(net, (1, 2)))
-    return first, second
-
-
-def test_merge_with_itself_adds_nothing():
-    net = diamond_network()
-    first, _ = _two_sets(net)
-    merged, new_count = merge_path_sets(first, first)
-    assert new_count == 0
-    assert len(merged) == len(first)
-
-
 def test_merge_disjoint_sets():
     net = diamond_network()
-    first, second = _two_sets(net)
-    merged, new_count = merge_path_sets(first, second)
-    assert new_count == 2
-    assert len(merged) == 3
-    again, count2 = merge_path_sets(merged, second)
-    assert count2 == 0
-    assert len(again) == 3
+    p12, p34 = build_path(net, (1, 2)), build_path(net, (3, 4))
+    paths, group, positions = merge_path_sets([p12], [0], [p34, p12], [0, 1])
+    assert paths == (p12, p34, p12) and group.tolist() == [0, 0, 1]
+    assert positions.tolist() == [0]
+    paths, group, positions = merge_path_sets((), (), [p12], [1])
+    assert paths == (p12,) and group.tolist() == [1] and positions.size == 0
 
 
 def test_merge_preserves_existing_order():
-    net = diamond_network()
-    first, second = _two_sets(net)
-    merged, _ = merge_path_sets(first, second)
-    assert merged.group(0, RV)[0].links == (1, 2)
-    assert merged.group(0, RV)[1].links == (3, 4)
+    """Groups come out ascending, each with its old paths first in their
+    order and then its new ones in theirs, whatever order the new groups
+    come in; `positions` says where each old path went."""
+    a, b, c, d, e, f = (Path((i,), (1, 2)) for i in range(1, 7))
+    paths, group, positions = merge_path_sets((a, b, c), [0, 0, 3], [d, e, f], [3, 0, 1])
+    assert paths == (a, b, e, f, c, d)
+    assert group.tolist() == [0, 0, 0, 1, 3, 3]
+    assert positions.tolist() == [0, 1, 4]
+    paths, group, positions = merge_path_sets((a, b), [1, 2], [], [])
+    assert paths == (a, b) and group.tolist() == [1, 2] and positions.tolist() == [0, 1]
 
 
 def test_incidence_membership_and_errors():
     net = diamond_network()
-    ps = PathSet()
     path = build_path(net, (1, 2))
-    ps.add(0, RV, path)
+    ps = {(0, RV): (path,)}
     assert incidence(ps, 0, RV, 1, path) == 1
     assert incidence(ps, 0, RV, 3, path) == 0
     stranger = build_path(net, (3, 4))
@@ -469,20 +455,9 @@ def test_incidence_membership_and_errors():
 def test_incidence_length_identity():
     net = diamond_network()
     path = build_path(net, (3, 4))
-    ps = PathSet()
-    ps.add(0, AV, path)
+    ps = {(0, AV): (path,)}
     total = sum(incidence(ps, 0, AV, l.id, path) * l.length for l in net.links)
     assert total == pytest.approx(30.0, rel=1e-12)    # links 3 and 4: 10 + 20 miles
-
-
-def test_path_set_iteration_order():
-    net = diamond_network()
-    ps = PathSet()
-    ps.add(1, AV, build_path(net, (1, 2)))
-    ps.add(0, AV, build_path(net, (1, 2)))
-    ps.add(0, RV, build_path(net, (3, 4)))
-    keys = [key for key, _ in ps.items()]
-    assert keys == [(0, RV), (0, AV), (1, AV)]
 
 
 def test_format_path_line():

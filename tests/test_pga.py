@@ -7,9 +7,9 @@ from mixflow import pga
 from mixflow.costs import evaluate_links, free_flow_state
 from mixflow.fixtures import nguyen_network, sioux_falls_network
 from mixflow.network import RV, VEHICLE_CLASSES, Link, Network, ODPair
-from mixflow.paths import PathSet, merge_path_sets, yen_k_shortest
+from mixflow.paths import merge_path_sets, yen_k_shortest
 from mixflow.pga import PgaConfig, generate_paths, pga_solve
-from mixflow.solver import Assignment, SolverConfig
+from mixflow.solver import Assignment, SolverConfig, solve_assignment
 
 from conftest import diamond_network
 from oracles import carry_over_by_groups, flows_by_group
@@ -65,7 +65,7 @@ def test_path_set_grows_monotonically(params):
         total += row.new_paths
         sizes.append(total)
     assert sizes == sorted(sizes)
-    assert len(result.path_set) == total
+    assert len(result.solve.paths) == total
 
 
 def test_new_paths_start_from_carried_flows(params):
@@ -127,11 +127,12 @@ def test_generate_paths_equals_per_call_yen(params):
     for net, k in ((nguyen_network(params, seed=0), 8),
                    (sioux_falls_network(params, seed=7), 5)):
         state = free_flow_state(net, params)
-        expected = [((i, cls), tuple(yen_k_shortest(net, state.cost(cls), od.origin,
-                                                    od.destination, k)))
-                    for i, od in enumerate(net.od_pairs) for cls in VEHICLE_CLASSES
-                    if od.demand(cls) > 0]
-        assert generate_paths(net, state, k).items() == expected
+        expected = [(2 * i + c, path) for i, od in enumerate(net.od_pairs)
+                    for c, cls in enumerate(VEHICLE_CLASSES) if od.demand(cls) > 0
+                    for path in yen_k_shortest(net, state.cost(cls), od.origin,
+                                               od.destination, k)]
+        paths, group = generate_paths(net, state, k)
+        assert list(zip(group.tolist(), paths)) == expected
 
 
 # sha256 of generate_paths on Sioux Falls, keyed by (demand seed, k, state);
@@ -148,11 +149,10 @@ _GENERATED_DIGESTS = {
 }
 
 
-def _digest(path_set):
+def _digest(paths, group):
     h = hashlib.sha256()
-    for (od_index, cls), paths in path_set.items():
-        for p in paths:
-            h.update(f"{od_index} {cls} {p.links} {p.nodes}\n".encode())
+    for g, p in zip(group.tolist(), paths):
+        h.update(f"{g // 2} {VEHICLE_CLASSES[g % 2]} {p.links} {p.nodes}\n".encode())
     return h.hexdigest()
 
 
@@ -167,74 +167,93 @@ def test_generated_paths_pinned_on_sioux_falls(params):
                                 rng.uniform(0, 1500, net.n_links), params)
         for k in (4, 10):
             for name, state in (("free", free_flow_state(net, params)), ("loaded", loaded)):
-                got[(seed, k, name)] = _digest(generate_paths(net, state, k))
+                got[(seed, k, name)] = _digest(*generate_paths(net, state, k))
     assert got == _GENERATED_DIGESTS
 
 
 def test_known_paths_leave_pga_merges_unchanged_on_sioux_falls(params, monkeypatch):
     """Seed 7 PGA at k = 10, gap 5e-3: in every round, merging what
     `generate_paths` returns with the round's path set as `known` gives the
-    same groups, in the same order, as merging its output without `known`,
-    while the last round leaves most groups out."""
+    same groups, in the same order, as merging in the paths of a generation
+    without `known` that the round's set does not hold yet, while the last
+    round leaves most groups out."""
     net = sioux_falls_network(params, seed=7)
     rounds = []
 
-    def recorded(network, link_state, k, known=None):
-        rounds.append((link_state, known))
-        return generate_paths(network, link_state, k, known=known)
+    def recorded(network, link_state, k, known=(), known_group=()):
+        rounds.append((link_state, known, known_group))
+        return generate_paths(network, link_state, k, known, known_group)
 
     monkeypatch.setattr(pga, "generate_paths", recorded)
     pga_solve(net, params, PgaConfig(k=10), SolverConfig(gap_tol=5e-3))
     assert len(rounds) == 3
     left_out = []
-    for link_state, known in rounds:
-        generated = generate_paths(net, link_state, 10, known=known)
-        merged, count = merge_path_sets(known, generated)
-        expected, expected_count = merge_path_sets(known, generate_paths(net, link_state, 10))
-        assert count == expected_count
-        assert merged.items() == expected.items()
-        left_out.append(len(expected.items()) - len(generated.items()))
+    for link_state, known, known_group in rounds:
+        generated, group = generate_paths(net, link_state, 10, known, known_group)
+        merged = merge_path_sets(known, known_group, generated, group)
+        held = set(zip(map(int, known_group), (p.links for p in known)))
+        plain, plain_group = generate_paths(net, link_state, 10)
+        fresh = [(p, g) for p, g in zip(plain, plain_group.tolist()) if (g, p.links) not in held]
+        expected = merge_path_sets(known, known_group, [p for p, _ in fresh],
+                                   [g for _, g in fresh])
+        assert len(generated) == len(fresh)
+        assert merged[0] == expected[0] and merged[1].tolist() == expected[1].tolist()
+        left_out.append(np.unique(expected[1]).size - np.unique(group).size)
     assert left_out[0] == 0 and left_out[2] > 900, left_out
 
 
 def test_carry_over_matches_per_group_oracle_on_sioux_falls(params, monkeypatch):
-    """Seed 7 PGA at k = 10, gap 5e-3: every round's offset carry-over equals
-    the group-by-group copy bit for bit; round 2 adds paths to 827 groups and
-    round 3 to 20."""
+    """Seed 7 PGA at k = 10, gap 5e-3: in every round, a solve's flows placed
+    at the positions `merge_path_sets` gives its paths equal the group-by-group
+    copy bit for bit, and so do the next solve's initial flows; round 2 adds
+    paths to 827 groups and round 3 to 20."""
     net = sioux_falls_network(params, seed=7)
-    grown = []
+    merges, solves = [], []
 
-    def checked(assignment, previous, flows):
-        carried = carry_over(assignment, previous, flows)
-        assert carried.tobytes() == carry_over_by_groups(assignment, previous,
-                                                         flows).tobytes()
-        grown.append(int((assignment.group_sizes != previous.group_sizes).sum()))
-        return carried
+    def merge(*args):
+        merges.append(merge_path_sets(*args))
+        return merges[-1]
 
-    carry_over = pga._carry_over
-    monkeypatch.setattr(pga, "_carry_over", checked)
+    def solve(assignment, config, initial_flows=None):
+        solves.append((assignment, initial_flows,
+                       solve_assignment(assignment, config, initial_flows=initial_flows)))
+        return solves[-1][2]
+
+    monkeypatch.setattr(pga, "merge_path_sets", merge)
+    monkeypatch.setattr(pga, "solve_assignment", solve)
     result = pga_solve(net, params, PgaConfig(k=10), SolverConfig(gap_tol=5e-3))
+    assert len(merges) == 3 and len(solves) == 4    # three rounds and the final solve
+    grown = []
+    for m in (1, 2):
+        previous, _, solved = solves[m - 1]
+        assignment, initial, _ = solves[m]
+        carried = np.zeros(assignment.n_paths)
+        carried[merges[m][2]] = solved.flow.f
+        expected = carry_over_by_groups(assignment, previous, solved.flow.f)
+        assert carried.tobytes() == expected.tobytes() == initial.tobytes()
+        grown.append(int((assignment.group_sizes != previous.group_sizes).sum()))
     assert grown == [827, 20]
     assert [row.new_paths for row in result.outer] == [10560, 1303, 20]
 
 
 def test_carry_over_matches_per_group_oracle_when_groups_grow_unevenly(params):
     """Nguyen, 2 paths per group, then 3 more for the first group and 1 for
-    the last: the groups between keep their paths and move by the offset."""
+    the last, given last group first: the groups between keep their paths
+    and move by the offset."""
     net = nguyen_network(params, seed=0)
     state = free_flow_state(net, params)
-    old = generate_paths(net, state, 2)
-    extra = generate_paths(net, state, 5, known=old)
-    keys = [key for key, _ in old.items()]
-    grow = PathSet()
-    for key, count in ((keys[0], 3), (keys[-1], 1)):
-        for path in extra.group(*key)[:count]:
-            grow.add(*key, path)
-    new, added = merge_path_sets(old, grow)
-    assert added == 4
-    before, after = Assignment(net, old, params), Assignment(net, new, params)
+    old, old_group = generate_paths(net, state, 2)
+    extra, extra_group = generate_paths(net, state, 5, old, old_group)
+    first, last = (extra_group == old_group[0]).tolist(), (extra_group == old_group[-1]).tolist()
+    grow = [p for p, keep in zip(extra, last) if keep][:1] + [
+        p for p, keep in zip(extra, first) if keep][:3]
+    new, new_group, positions = merge_path_sets(old, old_group, grow,
+                                                [old_group[-1]] + [old_group[0]] * 3)
+    before = Assignment(net, old, old_group, params)
+    after = Assignment(net, new, new_group, params)
     assert (after.group_sizes - before.group_sizes).tolist() == [3] + [0] * 6 + [1]
     flows = np.random.default_rng(0).uniform(0.0, 100.0, before.n_paths)
-    carried = pga._carry_over(after, before, flows)
+    carried = np.zeros(after.n_paths)
+    carried[positions] = flows
     assert carried.tobytes() == carry_over_by_groups(after, before, flows).tobytes()
     assert carried[:2].tolist() == flows[:2].tolist() and not carried[2:5].any()

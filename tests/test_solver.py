@@ -11,7 +11,7 @@ from mixflow.costs import FLOW_FLOOR, ClassParams, evaluate_links, free_flow_sta
 from mixflow.fixtures import (NGUYEN_OD_NODES, nguyen_network, sioux_falls_network,
                               synthesize_demand)
 from mixflow.network import AV, RV, VEHICLE_CLASSES, Link, Network, ODPair
-from mixflow.paths import PathSet, yen_k_shortest
+from mixflow.paths import yen_k_shortest
 from mixflow.pga import PgaConfig, generate_paths, pga_solve
 from mixflow.solver import (Assignment, BASELINE, H_FLOOR, STALL_WINDOW, SolverConfig,
                             SolverError, max_relative_outflow,
@@ -20,7 +20,7 @@ from mixflow.solver import (Assignment, BASELINE, H_FLOOR, STALL_WINDOW, SolverC
 from mixflow import costs as cost_model
 from mixflow import diagnostics
 
-from conftest import parallel_network, random_network
+from conftest import parallel_network, parallel_paths, random_network
 from oracles import (alpha_matrix, build_path, flows_by_group, groups_of, link_flows_by_paths,
                      logit_shares, mp_cnl_commonality, mp_perceived_cost_rv,
                      naive_cnl_commonality, naive_swap_direction)
@@ -28,28 +28,22 @@ from oracles import (alpha_matrix, build_path, flows_by_group, groups_of, link_f
 
 def test_init_uniform_splits_demand(params):
     net = parallel_network([(5.0, 800.0)] * 4, demand_av=100.0)
-    ps = PathSet()
-    for lid in (1, 2, 3, 4):
-        ps.add(0, AV, build_path(net, (lid,)))
-    asn = Assignment(net, ps, params)
+    ps = parallel_paths(net, AV)
+    asn = Assignment(net, *ps, params)
     flows = asn.uniform_flows()
     assert np.allclose(flows, 25.0)
 
 
 def test_init_uniform_single_path_gets_everything(params):
     net = parallel_network([(5.0, 800.0)], demand_av=42.0)
-    ps = PathSet()
-    ps.add(0, AV, build_path(net, (1,)))
-    asn = Assignment(net, ps, params)
+    asn = Assignment(net, *parallel_paths(net, AV), params)
     assert np.allclose(asn.uniform_flows(), 42.0)
 
 
 def test_zero_demand_class_is_skipped(params):
     net = parallel_network([(5.0, 800.0)] * 2, demand_av=100.0)  # rv demand 0
-    ps = PathSet()
-    for lid in (1, 2):
-        ps.add(0, AV, build_path(net, (lid,)))
-    asn = Assignment(net, ps, params)
+    ps = parallel_paths(net, AV)
+    asn = Assignment(net, *ps, params)
     assert [g.vehicle_class for g in groups_of(asn)] == [AV]
     assert asn.n_paths == 2
 
@@ -58,15 +52,9 @@ def test_zero_demand_class_is_skipped(params):
 def test_group_demand_table_gives_the_groups_of_assignment_and_generator(penetration):
     """`Network.group_demand[2 * od + class index]` is that OD's class demand;
     its positive entries are the groups of `Assignment` and of the generator,
-    in order. An assignment's `paths` and `path_group`, and so a solve's, list
-    the path set's groups in `PathSet.items()` order: the row order of the
-    path writers."""
-
-    def flattened(path_set):
-        return (tuple(p for _, group in path_set.items() for p in group),
-                [2 * od + VEHICLE_CLASSES.index(c) for (od, c), group in path_set.items()
-                 for _ in group])
-
+    in order. An assignment's `paths` and `path_group`, and so a solve's, are
+    the generator's paths and groups in its order: the row order of the path
+    writers."""
     params = ClassParams(penetration=penetration)
     for net in (nguyen_network(params, seed=0), sioux_falls_network(params, seed=7)):
         assert net.group_demand.dtype == float
@@ -75,43 +63,78 @@ def test_group_demand_table_gives_the_groups_of_assignment_and_generator(penetra
         positive = [(int(g) // 2, VEHICLE_CLASSES[g % 2])
                     for g in np.flatnonzero(net.group_demand > 0)]
         assert len(positive) == len(net.od_pairs) * (1 + (0 < penetration < 1))
-        paths = generate_paths(net, free_flow_state(net, params), 1)
-        assert [key for key, _ in paths.items()] == positive
-        asn = Assignment(net, paths, params)
+        paths, group = generate_paths(net, free_flow_state(net, params), 1)
+        assert [(g // 2, VEHICLE_CLASSES[g % 2]) for g in group.tolist()] == positive
+        asn = Assignment(net, paths, group, params)
         assert [(g.od_index, g.vehicle_class) for g in groups_of(asn)] == positive
-        assert (asn.paths, asn.path_group.tolist()) == flattened(paths)
+        assert asn.paths == tuple(paths) and asn.path_group.tolist() == group.tolist()
         assert asn.group_demands.tolist() == [net.group_demand[2 * od + VEHICLE_CLASSES.index(c)]
                                               for od, c in positive]
     assert Network(nodes=(1, 2), links=(), od_pairs=()).group_demand.shape == (0,)
-    if penetration == 0.5:
-        pga = pga_solve(sioux_falls_network(params, seed=7), params, PgaConfig(k=10),
-                        SolverConfig(gap_tol=5e-3))
-        assert (pga.solve.paths, pga.solve.path_group.tolist()) == flattened(pga.path_set)
 
 
 def test_nan_demand_group_stays_in_the_assignment(params):
     net = parallel_network([(5.0, 800.0)], demand_rv=float("nan"), demand_av=5.0)
-    ps = PathSet()
-    for cls in (RV, AV):
-        ps.add(0, cls, build_path(net, (1,)))
-    assert [g.vehicle_class for g in groups_of(Assignment(net, ps, params))] == [RV, AV]
+    asn = Assignment(net, *parallel_paths(net, RV, AV), params)
+    assert [g.vehicle_class for g in groups_of(asn)] == [RV, AV]
 
 
 def test_missing_paths_for_demanded_group_rejected(params):
     net = parallel_network([(5.0, 800.0)] * 2, demand_rv=50.0, demand_av=50.0)
-    ps = PathSet()
-    ps.add(0, AV, build_path(net, (1,)))  # rv group left empty
-    with pytest.raises(ValueError, match="no paths"):
-        Assignment(net, ps, params)
+    with pytest.raises(ValueError, match="no paths"):    # rv group left empty
+        Assignment(net, [build_path(net, (1,))], [1], params)
+
+
+def test_path_set_with_a_repeated_path_or_a_foreign_group_rejected(params):
+    """A group that holds a link sequence twice used to be deduplicated
+    silently; a negative group id would wrap around to the last group."""
+    net = parallel_network([(5.0, 800.0)] * 2, demand_rv=50.0, demand_av=50.0)
+    paths, group = parallel_paths(net, RV, AV)
+    with pytest.raises(ValueError, match=r"^od 0 class av holds path \(2,\) twice$"):
+        Assignment(net, paths + paths[1:2], np.append(group, 1), params)
+    for bad in (-1, 2):
+        with pytest.raises(ValueError, match=rf"^path group {bad} is outside 0\.\.1$"):
+            Assignment(net, paths, np.append(group[:-1], bad), params)
+    with pytest.raises(ValueError, match="^3 group ids for 4 paths$"):
+        Assignment(net, paths, group[:3], params)
+
+
+def test_path_set_order_and_zero_demand_groups_do_not_matter(params):
+    """Nguyen with av demand on only half its ODs: the generator's path set,
+    shuffled and joined by paths of the groups without demand, gives the same
+    assignment and solve as the generator's own ascending order."""
+    net = nguyen_network(params, seed=0)
+    demand = net.group_demand.copy()
+    demand[1::4] = 0.0
+    net = Network(net.nodes, net.links, tuple(
+        ODPair(od.origin, od.destination, rv, av)
+        for od, (rv, av) in zip(net.od_pairs, demand.reshape(-1, 2).tolist())))
+    state = free_flow_state(net, params)
+    paths, group = generate_paths(net, state, 4)
+    assert set(group.tolist()) == set(np.flatnonzero(net.group_demand > 0).tolist())
+    # 4 av paths of each OD without av demand; the groups interleave at
+    # random, and each group's paths keep their order
+    idle = np.flatnonzero(net.group_demand == 0)
+    everything = list(paths) + [path for g in idle.tolist() for path in yen_k_shortest(
+        net, state.cost(AV), net.od_pairs[g // 2].origin, net.od_pairs[g // 2].destination, 4)]
+    every_group = np.concatenate([group, np.repeat(idle, 4)])
+    queues = {g: iter(np.flatnonzero(every_group == g).tolist())
+              for g in set(every_group.tolist())}
+    order = [next(queues[g]) for g in np.random.default_rng(5).permutation(every_group).tolist()]
+    shuffled = Assignment(net, [everything[i] for i in order], every_group[order], params)
+    sorted_ = Assignment(net, paths, group, params)
+    assert shuffled.paths == sorted_.paths == tuple(paths)
+    assert shuffled.path_group.tolist() == sorted_.path_group.tolist() == group.tolist()
+    config = SolverConfig(gap_tol=1e-4)
+    got, expected = solve_assignment(shuffled, config), solve_assignment(sorted_, config)
+    assert got.flow.f.tobytes() == expected.flow.f.tobytes()
+    assert [row.gap for row in got.trace] == [row.gap for row in expected.trace]
 
 
 def swap_direction(flows, perceived, degree):
     """Swap direction of one av group of len(flows) parallel links."""
     net = parallel_network([(5.0, 800.0)] * len(flows), demand_av=1.0)
-    ps = PathSet()
-    for lid in range(1, len(flows) + 1):
-        ps.add(0, AV, build_path(net, (lid,)))
-    asn = Assignment(net, ps, ClassParams())
+    asn = Assignment(net, *parallel_paths(net, AV), ClassParams())
     return asn.swap_directions(np.asarray(flows, dtype=float),
                                np.asarray(perceived, dtype=float), 1.0, degree)
 
@@ -150,11 +173,8 @@ def test_swap_direction_matches_naive_oracle_and_sums_to_zero():
 @pytest.mark.parametrize("degree", [0.85, 1.0])
 def test_swap_direction_ties_and_empty_dearer_paths_move_nothing(degree):
     net = parallel_network([(5.0, 800.0)] * 3, demand_rv=30.0, demand_av=30.0)
-    ps = PathSet()
-    for cls in (RV, AV):
-        for lid in (1, 2, 3):
-            ps.add(0, cls, build_path(net, (lid,)))
-    asn = Assignment(net, ps, ClassParams())
+    ps = parallel_paths(net, RV, AV)
+    asn = Assignment(net, *ps, ClassParams())
     # equal perceived costs within each group, whatever the flows
     flows = np.array([7.0, 13.0, 10.0, 0.0, 25.0, 5.0])
     phi = asn.swap_directions(flows, np.array([4.25] * 3 + [6.5] * 3), degree, degree)
@@ -252,22 +272,21 @@ def test_update_flows_raises_on_real_negative():
 
 def _tiny_assignment(params):
     net = parallel_network([(5.0, 800.0), (6.0, 900.0)], demand_av=10.0)
-    ps = PathSet()
-    for lid in (1, 2):
-        ps.add(0, AV, build_path(net, (lid,)))
-    return Assignment(net, ps, params)
+    return Assignment(net, *parallel_paths(net, AV), params)
 
 
 def test_relative_gap_frozen(params):
     asn = _tiny_assignment(params)
-    gap = relative_gap(asn, np.array([5.0, 5.0]), np.array([10.0, 20.0]))
+    flows, perceived = np.array([5.0, 5.0]), np.array([10.0, 20.0])
+    gap = relative_gap(asn, flows, perceived, total_cost(flows, perceived))
     assert gap == pytest.approx(1.0 / 3.0)
     assert gap == pytest.approx(0.3333, abs=1e-4)
 
 
 def test_relative_gap_zero_when_flow_on_minimum(params):
     asn = _tiny_assignment(params)
-    assert relative_gap(asn, np.array([10.0, 0.0]), np.array([4.0, 9.0])) == 0.0
+    flows, perceived = np.array([10.0, 0.0]), np.array([4.0, 9.0])
+    assert relative_gap(asn, flows, perceived, total_cost(flows, perceived)) == 0.0
 
 
 def test_relative_gap_in_unit_interval_for_positive_costs(params):
@@ -278,14 +297,8 @@ def test_relative_gap_in_unit_interval_for_positive_costs(params):
         costs = rng.uniform(0.1, 30.0, size=2)
         if flows @ costs == 0:
             continue
-        gap = relative_gap(asn, flows, costs)
+        gap = relative_gap(asn, flows, costs, total_cost(flows, costs))
         assert 0.0 <= gap < 1.0
-
-
-def test_relative_gap_rejects_zero_denominator(params):
-    asn = _tiny_assignment(params)
-    with pytest.raises(ValueError):
-        relative_gap(asn, np.zeros(2), np.array([1.0, 1.0]))
 
 
 def test_total_cost():
@@ -307,7 +320,8 @@ rng = np.random.default_rng(3)
 flows, costs = rng.uniform(0.0, 100.0, 21000), rng.uniform(1.0, 50.0, 21000)
 group = np.arange(21000) // 7
 asn = SimpleNamespace(group_starts=np.arange(0, 21000, 7), group_sizes=np.full(3000, 7))
-print(total_cost(flows, costs).hex(), relative_gap(asn, flows, costs).hex(),
+total = total_cost(flows, costs)
+print(total.hex(), relative_gap(asn, flows, costs, total).hex(),
       ncp_residual(flows, costs, group, np.bincount(group, flows)).total_cost.hex())
 """
     src = os.path.dirname(os.path.dirname(mixflow.__file__))
@@ -346,11 +360,12 @@ for name, net, k, gap in (("sioux_falls", sioux_falls_network(params, seed=7), 1
     runs = [("solve", generate_paths(net, free_flow_state(net, params), k), None)]
     if name == "sioux_falls":
         pga = pga_solve(net, params, PgaConfig(k=k), config)
-        runs.append(("pga", pga.path_set, pga.solve))
-    for command, ps, result in runs:
-        result = result or solve(net, ps, params, config)
+        runs.append(("pga", (pga.solve.paths, pga.solve.path_group), pga.solve))
+    for command, (paths, group), result in runs:
+        result = result or solve(net, paths, group, params, config)
         report = diagnostics.certify(net, result, params)
-        out[f"{name} {command}"] = (hashlib.sha256(repr(ps.items()).encode()).hexdigest(),
+        digest = hashlib.sha256(repr((paths, group.tolist())).encode()).hexdigest()
+        out[f"{name} {command}"] = (digest,
                                     result.converged, report.relative_residual <= gap,
                                     result.iterations)
 print(json.dumps(out))
@@ -377,10 +392,8 @@ print(json.dumps(out))
 
 def test_solve_symmetric_parallel_links_split_evenly(params):
     net = parallel_network([(5.0, 1000.0), (5.0, 1000.0)], demand_av=600.0)
-    ps = PathSet()
-    for lid in (1, 2):
-        ps.add(0, AV, build_path(net, (lid,)))
-    result = solve(net, ps, params, SolverConfig(gap_tol=1e-8))
+    ps = parallel_paths(net, AV)
+    result = solve(net, *ps, params, SolverConfig(gap_tol=1e-8))
     assert result.converged
     assert np.allclose(result.flow.f, [300.0, 300.0])
     assert result.gap <= 1e-8
@@ -389,10 +402,8 @@ def test_solve_symmetric_parallel_links_split_evenly(params):
 def test_solve_mnl_degenerate_matches_logit_oracle():
     params = ClassParams(nesting=1.0, dispersion=0.1)
     net = parallel_network([(25.0, 1e9), (26.0, 1e9)], demand_rv=1000.0)
-    ps = PathSet()
-    for lid in (1, 2):
-        ps.add(0, RV, build_path(net, (lid,)))
-    result = solve(net, ps, params,
+    ps = parallel_paths(net, RV)
+    result = solve(net, *ps, params,
                    SolverConfig(gap_tol=1e-4, max_iters=50000, gamma_growth=5.0))
     assert result.converged
     state = evaluate_links(net, result.flow.x_rv, result.flow.x_av, params)
@@ -404,10 +415,8 @@ def test_solve_mnl_degenerate_matches_logit_oracle():
 def test_solve_zero_direction_at_three_path_fixed_point(params):
     # crafted: equal perceived costs across a group leave phi identically zero
     net = parallel_network([(5.0, 700.0)] * 3, demand_av=300.0)
-    ps = PathSet()
-    for lid in (1, 2, 3):
-        ps.add(0, AV, build_path(net, (lid,)))
-    asn = Assignment(net, ps, params)
+    ps = parallel_paths(net, AV)
+    asn = Assignment(net, *ps, params)
     flows = asn.uniform_flows()
     x_rv, x_av = asn.link_flows(flows)
     state = cost_model.evaluate_links(net, x_rv, x_av, params)
@@ -421,10 +430,8 @@ def test_solve_zero_direction_at_three_path_fixed_point(params):
 
 def test_solve_flags_max_iters_without_raising(params):
     net = parallel_network([(5.0, 400.0), (9.0, 300.0)], demand_av=900.0)
-    ps = PathSet()
-    for lid in (1, 2):
-        ps.add(0, AV, build_path(net, (lid,)))
-    result = solve(net, ps, params, SolverConfig(gap_tol=1e-12, max_iters=3))
+    ps = parallel_paths(net, AV)
+    result = solve(net, *ps, params, SolverConfig(gap_tol=1e-12, max_iters=3))
     assert not result.converged
     assert result.iterations == 3
     assert len(result.trace) == 3
@@ -437,7 +444,7 @@ def test_result_carries_the_pricing_of_its_iterate(params, config):
     """The flow state holds the link state and path costs its last trace row
     was computed from, exactly as a fresh evaluation at its flows gives them."""
     net = nguyen_network(params, seed=0)
-    asn = Assignment(net, generate_paths(net, free_flow_state(net, params), 8), params)
+    asn = Assignment(net, *generate_paths(net, free_flow_state(net, params), 8), params)
     result = solve_assignment(asn, config)
     assert result.converged == (config.max_iters == 5000)
     assert result.iterations == len(result.trace) == (310 if result.converged else 40)
@@ -449,17 +456,16 @@ def test_result_carries_the_pricing_of_its_iterate(params, config):
         assert np.array_equal(getattr(flow.link_state, name), getattr(fresh, name)), name
     assert np.array_equal(flow.path_costs, asn.path_costs(fresh))
     perceived = asn.perceived_costs(flow.f, flow.path_costs)
-    assert result.total_cost == total_cost(flow.f, perceived) == result.trace[-1].total_cost
-    assert result.gap == relative_gap(asn, flow.f, perceived) == result.trace[-1].gap
+    total = total_cost(flow.f, perceived)
+    assert result.total_cost == total == result.trace[-1].total_cost
+    assert result.gap == relative_gap(asn, flow.f, perceived, total) == result.trace[-1].gap
 
 
 def test_solve_callback_sees_every_update(params):
     net = parallel_network([(5.0, 400.0), (9.0, 300.0)], demand_av=900.0)
-    ps = PathSet()
-    for lid in (1, 2):
-        ps.add(0, AV, build_path(net, (lid,)))
+    ps = parallel_paths(net, AV)
     seen = []
-    solve(net, ps, params, SolverConfig(gap_tol=1e-12, max_iters=5),
+    solve(net, *ps, params, SolverConfig(gap_tol=1e-12, max_iters=5),
           callback=lambda n, f, phi: seen.append((n, f.sum())))
     assert [n for n, _ in seen] == [1, 2, 3, 4]  # terminal iteration not applied
     assert all(s == pytest.approx(900.0) for _, s in seen)
@@ -468,7 +474,7 @@ def test_solve_callback_sees_every_update(params):
 def _nguyen_start(params):
     """A Nguyen seed 0 assignment (3 paths per group) and its uniform flows."""
     net = nguyen_network(params, seed=0)
-    asn = Assignment(net, generate_paths(net, free_flow_state(net, params), 3), params)
+    asn = Assignment(net, *generate_paths(net, free_flow_state(net, params), 3), params)
     return asn, asn.uniform_flows()
 
 
@@ -502,7 +508,7 @@ def test_nan_initial_flow_fails_before_the_loop(params):
 def test_solve_nguyen_passes_ncp_residual_oracle(params):
     net = nguyen_network(params, seed=0)
     ps = generate_paths(net, free_flow_state(net, params), 8)
-    result = solve(net, ps, params, SolverConfig(gap_tol=1e-4, max_iters=20000))
+    result = solve(net, *ps, params, SolverConfig(gap_tol=1e-4, max_iters=20000))
     assert result.converged
     report = diagnostics.certify(net, result, params)
     assert report.relative_residual <= 1e-3
@@ -518,9 +524,9 @@ def test_nguyen_equilibrium_conditions_at_tight_gap(params):
     net = nguyen_network(params, seed=0)
     ps = generate_paths(net, free_flow_state(net, params), 8)
     gap_tol = 1e-6
-    result = solve(net, ps, params, SolverConfig(gap_tol=gap_tol, max_iters=300000))
+    result = solve(net, *ps, params, SolverConfig(gap_tol=gap_tol, max_iters=300000))
     assert result.converged
-    asn = Assignment(net, ps, params)
+    asn = Assignment(net, *ps, params)
     state = cost_model.evaluate_links(net, result.flow.x_rv, result.flow.x_av, params)
     observed = asn.path_costs(state)
     perceived = asn.perceived_costs(result.flow.f, observed)
@@ -542,8 +548,10 @@ def test_nguyen_equilibrium_conditions_at_tight_gap(params):
 def test_solver_link_flows_match_independent_accumulation(params):
     net = nguyen_network(params, seed=0)
     ps = generate_paths(net, free_flow_state(net, params), 8)
-    result = solve(net, ps, params, SolverConfig(gap_tol=1e-3, max_iters=20000))
-    x_rv, x_av = link_flows_by_paths(ps, flows_by_group(result), net)
+    result = solve(net, *ps, params, SolverConfig(gap_tol=1e-3, max_iters=20000))
+    paths = {(g.od_index, g.vehicle_class): g.paths
+             for g in groups_of(Assignment(net, *ps, params))}
+    x_rv, x_av = link_flows_by_paths(paths, flows_by_group(result), net)
     assert np.allclose(result.flow.x_rv, x_rv, rtol=1e-9)
     assert np.allclose(result.flow.x_av, x_av, rtol=1e-9)
 
@@ -558,7 +566,7 @@ def test_conservation_and_nonnegativity_under_fuzz():
         def check(n, flows, phi, asn_sums=[]):
             assert flows.min() >= 0.0
 
-        result = solve(net, ps, params,
+        result = solve(net, *ps, params,
                        SolverConfig(gap_tol=1e-12, max_iters=30), callback=check)
         total = sum(od.demand_rv + od.demand_av for od in net.od_pairs)
         assert result.flow.f.sum() == pytest.approx(total, rel=1e-9)
@@ -588,14 +596,15 @@ def _ragged_assignment(rng, params, penetration):
         q = float(rng.uniform(100.0, 900.0))
         od_pairs.append(ODPair(origin, destination, (1 - penetration) * q, penetration * q))
     net = _grid_network(4, tuple(od_pairs))
-    ps = PathSet()
+    paths, group = [], []
     for od_index, od in enumerate(net.od_pairs):
         for cls in (RV, AV):
             if od.demand(cls) > 0:
                 k = int(rng.integers(1, 16))
-                for path in yen_k_shortest(net, net.free_times, od.origin, od.destination, k):
-                    ps.add(od_index, cls, path)
-    return Assignment(net, ps, params)
+                found = yen_k_shortest(net, net.free_times, od.origin, od.destination, k)
+                paths += found
+                group += [2 * od_index + VEHICLE_CLASSES.index(cls)] * len(found)
+    return Assignment(net, paths, group, params)
 
 
 @pytest.mark.parametrize("penetration", [0.0, 0.5, 1.0])
@@ -655,9 +664,9 @@ def _pair_list(asn):
 
 def test_swap_pairs_list_each_within_group_pair_once_rv_first(params):
     net = nguyen_network(params, seed=0)
-    nguyen = Assignment(net, generate_paths(net, free_flow_state(net, params), 8), params)
+    nguyen = Assignment(net, *generate_paths(net, free_flow_state(net, params), 8), params)
     net = sioux_falls_network(params, seed=7)
-    sioux = Assignment(net, generate_paths(net, free_flow_state(net, params), 10), params)
+    sioux = Assignment(net, *generate_paths(net, free_flow_state(net, params), 10), params)
     # 240 av groups, 30 of each size 1..8, one parallel link per path
     links, od_pairs = [], []
     for i, size in enumerate(s for s in range(1, 9) for _ in range(30)):
@@ -666,10 +675,8 @@ def test_swap_pairs_list_each_within_group_pair_once_rv_first(params):
                        1600.0) for k in range(size)]
     net = Network(nodes=tuple(range(1, 2 * len(od_pairs) + 1)), links=tuple(links),
                   od_pairs=tuple(od_pairs))
-    ps = PathSet()
-    for link in links:
-        ps.add(link.from_node // 2, AV, build_path(net, (link.id,)))
-    sizes = Assignment(net, ps, params)
+    sizes = Assignment(net, [build_path(net, (link.id,)) for link in links],
+                       [link.from_node // 2 * 2 + 1 for link in links], params)
     assert [asn.pair_lo.size for asn in (nguyen, sioux, sizes)] == [136, 1056 * 45, 2520]
     assert [asn.n_rv_pairs for asn in (nguyen, sioux, sizes)] == [68, 528 * 45, 0]
     for asn in (nguyen, sioux, sizes):
@@ -693,7 +700,7 @@ def test_nguyen_baseline_iteration_counts_are_pinned(params):
     for seed in range(8):
         net = nguyen_network(params, seed=seed)
         ps = generate_paths(net, free_flow_state(net, params), 8)
-        result = solve(net, ps, params, SolverConfig(gap_tol=1e-4, max_iters=5000,
+        result = solve(net, *ps, params, SolverConfig(gap_tol=1e-4, max_iters=5000,
                                                      mode=BASELINE))
         assert result.converged
         counts.append(result.iterations)
@@ -722,7 +729,7 @@ def nguyen_modified_solves():
         net = nguyen_network(params, seed=seed)
         ps = generate_paths(net, free_flow_state(net, params), 8)
         updates = []
-        result = solve(net, ps, params, SolverConfig(gap_tol=1e-4, max_iters=5000),
+        result = solve(net, *ps, params, SolverConfig(gap_tol=1e-4, max_iters=5000),
                        callback=lambda n, f, phi: updates.append((f, phi)))
         solves[seed] = (net, ps, result, updates)
     return solves
@@ -760,7 +767,7 @@ def test_fallback_takes_the_baseline_step_from_gamma_init(nguyen_modified_solves
             assert row.step == pytest.approx(1.0 / (drain * row.damping), rel=1e-12), (seed, n)
         # ... along the unit-degree direction
         params = ClassParams()
-        asn = Assignment(net, ps, params)
+        asn = Assignment(net, *ps, params)
         before, direction = updates[at - 1][0], updates[at][1]
         state = evaluate_links(net, *asn.link_flows(before), params)
         perceived = asn.perceived_costs(before, asn.path_costs(state))
@@ -781,7 +788,7 @@ def test_one_ulp_demand_change_keeps_nguyen_modified_outcome(nguyen_modified_sol
             nudged[od] = float(np.nextafter(demand[od], np.inf))
             net = nguyen_network(params, demand=nudged)
             ps = generate_paths(net, free_flow_state(net, params), 8)
-            moved = solve(net, ps, params, SolverConfig(gap_tol=1e-4, max_iters=5000))
+            moved = solve(net, *ps, params, SolverConfig(gap_tol=1e-4, max_iters=5000))
             assert moved.converged == result.converged, (seed, od)
             assert abs(moved.iterations - result.iterations) <= 0.25 * result.iterations, \
                 (seed, od, moved.iterations, result.iterations)
@@ -791,12 +798,12 @@ def test_baseline_and_sioux_falls_never_fall_back(params):
     # baseline demand seed 2 at gap 1e-7 stalls, and must keep its rule
     net = nguyen_network(params, seed=2)
     ps = generate_paths(net, free_flow_state(net, params), 8)
-    result = solve(net, ps, params, SolverConfig(gap_tol=1e-7, max_iters=2300, mode=BASELINE))
+    result = solve(net, *ps, params, SolverConfig(gap_tol=1e-7, max_iters=2300, mode=BASELINE))
     assert _stall_iteration(result.trace) is not None
     assert result.fallback_at is None
     net = sioux_falls_network(params, seed=7)
     ps = generate_paths(net, free_flow_state(net, params), 10)
-    result = solve(net, ps, params, SolverConfig(gap_tol=5e-3, max_iters=5000))
+    result = solve(net, *ps, params, SolverConfig(gap_tol=5e-3, max_iters=5000))
     assert result.converged and result.iterations == 168
     assert result.fallback_at is None
 
@@ -808,6 +815,6 @@ def test_nguyen_rv_only_demand_converges_at_the_defaults():
     gap 1e-4, max_iters 10000. Every seed 0-7 exhausts the budget today."""
     params = ClassParams(penetration=0.0)
     net = nguyen_network(params, seed=0)
-    result = solve(net, generate_paths(net, free_flow_state(net, params), 10), params,
+    result = solve(net, *generate_paths(net, free_flow_state(net, params), 10), params,
                    SolverConfig())
     assert result.converged, result.gap
