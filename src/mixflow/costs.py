@@ -35,8 +35,6 @@ class ClassParams:
     fuel_price: float = 5.5         # $/gallon
     dispersion: float = 0.1         # 1/$, logit cost sensitivity
     nesting: float = 0.5            # (0, 1], 1 degenerates to plain logit
-    swap_degree_rv: float = 0.85
-    swap_degree_av: float = 1.0
     penetration: float = 0.5        # av share of total demand
     av_capacity_ratio: float = 2.0  # cap_av fallback multiplier
 
@@ -50,8 +48,6 @@ class ClassParams:
             raise ValueError("expected finite vot_rv >= vot_av >= 0")
         if not 0 <= self.fuel_price < np.inf:
             raise ValueError("fuel_price must be nonnegative and finite")
-        if not (0 < self.swap_degree_rv < np.inf and 0 < self.swap_degree_av < np.inf):
-            raise ValueError("swap_degree_rv and swap_degree_av must be positive and finite")
         if not 0 <= self.penetration <= 1:
             raise ValueError("penetration must lie in [0, 1]")
         if not 0 < self.av_capacity_ratio < np.inf:

@@ -174,15 +174,14 @@ def _meta_value(line):
 def parse_net_text(text, path="<net>"):
     """Parse TNTP-style net text into (n_nodes, raw link rows).
 
-    Rows are (from, to, cap_rv, length, free_time, cap_av_or_None). The
-    optional capacity_av column is located through a `~` comment header
-    naming the columns; trailing unnamed fields are ignored.
+    Rows are (from, to, cap_rv, length, free_time, cap_av_or_None). A `~`
+    header naming a capacity_av column locates it; unnamed trailing fields
+    and an `<END OF METADATA>` line, which is optional, are ignored.
     """
     n_nodes = None
     n_links = links_line = None
     av_col = None
     rows = []
-    in_body = False
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -199,14 +198,9 @@ def parse_net_text(text, path="<net>"):
                     n_nodes = int(_meta_value(line))
                 elif upper.startswith("<NUMBER OF LINKS>"):
                     n_links, links_line = int(_meta_value(line)), line_no
-                elif upper.startswith("<END OF METADATA>"):
-                    in_body = True
             except ValueError:
                 raise ParseError(path, line_no, f"bad metadata line: {line!r}") from None
             continue
-        if not in_body:
-            # tolerate files without an explicit end-of-metadata marker
-            in_body = True
         tokens = [t for t in line.replace(";", " ").split() if t]
         if len(tokens) < 5:
             raise ParseError(path, line_no, f"expected at least 5 fields, got {len(tokens)}")

@@ -6,14 +6,14 @@ by a step bounded through the largest relative outflow, and applies it.
 The modified step rule reuses the swap-volume ratio when the volume is
 shrinking; the baseline configuration always takes the damped step. A
 modified solve whose gap has not halved in STALL_WINDOW iterations falls
-back to the baseline rule, restarted, for the rest of the run.
+back to the baseline rule, damped from GAMMA_INIT, for the rest of the run.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -26,6 +26,8 @@ BASELINE = "baseline"
 
 H_FLOOR = 1e-10   # outflow-rate floor at (near-)equilibrium
 STALL_WINDOW = 500   # modified iterations without the gap halving before the fallback
+GAMMA_INIT = 9.5     # damping of a rule's first step
+SWAP_DEGREES = {MODIFIED: (0.85, 1.0), BASELINE: (1.0, 1.0)}   # rule -> (rv, av) degree
 
 
 class SolverError(RuntimeError):
@@ -35,7 +37,6 @@ class SolverError(RuntimeError):
 @dataclass(frozen=True)
 class SolverConfig:
     gap_tol: float = 1e-4
-    gamma_init: float = 9.5        # first-iteration step damping
     gamma_growth: float = 1e-4     # additive damping increment per iteration
     max_iters: int = 10000
     mode: str = MODIFIED
@@ -44,8 +45,6 @@ class SolverConfig:
         # every check is written so that NaN fails it
         if not 0 < self.gap_tol < np.inf:
             raise ValueError("gap_tol must be positive and finite")
-        if not 0 < self.gamma_init < np.inf:
-            raise ValueError("gamma_init must be positive and finite")
         if not 0 <= self.gamma_growth < np.inf:
             raise ValueError("gamma_growth must be nonnegative and finite")
         if self.max_iters < 1:
@@ -93,15 +92,17 @@ class Assignment:
 
     `paths` and `path_group`, each path's (OD, class) group 2 * od_index +
     class index, hold the given paths sorted stably by group, less those of
-    groups without positive demand. Construction fails on a group id out of
-    range, a group that holds a link sequence twice, and a demanded group
-    without paths.
+    groups without positive demand. Construction fails on a non-integer or
+    out-of-range group id, a group that holds a link sequence twice, and a
+    demanded group without paths.
     """
 
     def __init__(self, network, paths, path_group, params):
         self.network = network
         self.params = params
-        path_group = np.asarray(path_group, dtype=np.intp)
+        if (path_group := np.asarray(path_group)).dtype.kind not in "iu" and path_group.size:
+            raise ValueError(f"path group ids have dtype {path_group.dtype}, expected integers")
+        path_group = path_group.astype(np.intp, copy=False)
         n_groups = network.group_demand.size
         if path_group.shape != (len(paths),):
             raise ValueError(f"{path_group.size} group ids for {len(paths)} paths")
@@ -216,21 +217,20 @@ def swap_volume(direction):
     return float(np.abs(direction).sum())
 
 
-def step_size(iteration, drain, volume, prev_volume, prev_damping, config):
-    """Step and damping for this iteration of the rule in force.
+def step_size(drain, volume, prev_volume, damping, mode, gamma_growth):
+    """Step and damping of rule `mode` for this iteration, given the damping
+    of its last one.
 
-    `iteration` counts from 1 where the rule took over: the start of the
-    solve, or a stall fallback. That first iteration takes the damped step
-    at gamma_init. Afterwards the damping grows additively each iteration;
-    the modified rule switches to the volume-ratio step whenever the swap
-    volume is not increasing, while the baseline rule keeps the damped step
-    throughout.
+    A rule's first step, at the start of the solve or after a stall fallback
+    (`damping` None), is damped at GAMMA_INIT. Afterwards the damping grows
+    by `gamma_growth` each iteration; the modified rule switches to the
+    volume-ratio step whenever the swap volume is not increasing, while the
+    baseline rule keeps the damped step throughout.
     """
-    if iteration == 1:
-        damping = config.gamma_init
-        return 1.0 / (drain * damping), damping
-    damping = prev_damping + config.gamma_growth
-    if config.mode == BASELINE or volume > prev_volume:
+    if damping is None:
+        return 1.0 / (drain * GAMMA_INIT), GAMMA_INIT
+    damping += gamma_growth
+    if mode == BASELINE or volume > prev_volume:
         return 1.0 / (drain * damping), damping
     return (volume / prev_volume) / drain, damping
 
@@ -275,10 +275,6 @@ def solve(network, paths, path_group, params, config, initial_flows=None, callba
 
 def solve_assignment(assignment, config, initial_flows=None, callback=None):
     params = assignment.params
-    if config.mode == BASELINE:
-        degree_rv = degree_av = 1.0
-    else:
-        degree_rv, degree_av = params.swap_degree_rv, params.swap_degree_av
     if initial_flows is None:
         flows = assignment.uniform_flows()
     else:
@@ -291,10 +287,9 @@ def solve_assignment(assignment, config, initial_flows=None, callback=None):
                              f"{flows[bad][0]}, expected finite and nonnegative")
         _check_conservation(assignment, flows, 0)
     trace = []
-    damping = None
+    mode, damping, fallback_at = config.mode, None, None   # the rule in force
     prev_volume = None
     converged = False
-    restart = 0                   # iterations before the rule in force took over
     mark_gap = mark_at = None     # the last gap at most half the one marked before it
     for iteration in range(1, config.max_iters + 1):
         tick = time.perf_counter()
@@ -314,12 +309,11 @@ def solve_assignment(assignment, config, initial_flows=None, callback=None):
             raise SolverError(f"total perceived cost {total:.6g} at iteration {iteration} is not "
                               f"positive: nesting/dispersion ({scale:.6g}) is too large against "
                               "the dollar-cost scale")
-        direction = assignment.swap_directions(flows, perceived, degree_rv, degree_av)
+        gap = relative_gap(assignment, flows, perceived, total)
+        direction = assignment.swap_directions(flows, perceived, *SWAP_DEGREES[mode])
         drain = max_relative_outflow(flows, direction, H_FLOOR)
         volume = swap_volume(direction)
-        step, damping = step_size(iteration - restart, drain, volume, prev_volume, damping,
-                                  config)
-        gap = relative_gap(assignment, flows, perceived, total)
+        step, damping = step_size(drain, volume, prev_volume, damping, mode, config.gamma_growth)
         trace.append(TraceRow(iteration, gap, volume, total, step, damping,
                               (time.perf_counter() - tick) * 1e3))
         if gap <= config.gap_tol:
@@ -329,18 +323,16 @@ def solve_assignment(assignment, config, initial_flows=None, callback=None):
             break
         if mark_at is None or gap <= 0.5 * mark_gap:
             mark_gap, mark_at = gap, iteration
-        elif config.mode == MODIFIED and iteration - mark_at >= STALL_WINDOW:
-            # stalled: the next iterations run the baseline rule from gamma_init
-            restart = iteration
-            config = replace(config, mode=BASELINE)
-            degree_rv = degree_av = 1.0
+        elif mode == MODIFIED and iteration - mark_at >= STALL_WINDOW:
+            # stalled: the next iterations run the baseline rule from GAMMA_INIT
+            mode, damping, fallback_at = BASELINE, None, iteration
         flows = update_flows(flows, direction, step, assignment.demand_per_path)
         _check_conservation(assignment, flows, iteration)
         if callback is not None:
             callback(iteration, flows, direction)
         prev_volume = volume
     return SolveResult(FlowState(flows, x_rv, x_av, link_state, observed),
-                       trace, converged, assignment.paths, assignment.path_group, restart or None)
+                       trace, converged, assignment.paths, assignment.path_group, fallback_at)
 
 
 def _check_conservation(assignment, flows, iteration):

@@ -52,9 +52,10 @@ def test_config_file_parsing():
 
 def test_build_run_config_rejects_unknown_keys():
     # threads, lambda2 and seed did nothing or were only recorded; flow_floor,
-    # h_floor and final_gap were never set to another value. All are gone
+    # h_floor and final_gap were never set to another value. All are gone, and
+    # gamma_init and the swap degrees are solver constants of the step rules
     for key in ("not_a_key", "threads", "lambda2", "seed", "flow_floor", "h_floor",
-                "final_gap", "gap_tol"):
+                "final_gap", "gap_tol", "gamma_init", "swap_degree_rv", "swap_degree_av"):
         with pytest.raises(ValueError, match="unknown config key"):
             build_run_config(None, {key: "1"})
 
@@ -63,9 +64,8 @@ def test_build_run_config_rejects_unknown_keys():
 KEY_SAMPLES = {
     "vot_rv": ("2.5", 2.5), "vot_av": ("0.25", 0.25), "fuel_price": ("4", 4.0),
     "dispersion": ("0.2", 0.2), "nesting": ("0.75", 0.75),
-    "swap_degree_rv": ("0.9", 0.9), "swap_degree_av": ("1.5", 1.5),
     "penetration": ("0.3", 0.3), "av_capacity_ratio": ("1.5", 1.5),
-    "gap": ("1e-3", 1e-3), "gamma_init": ("8", 8.0), "gamma_growth": ("2e-3", 2e-3),
+    "gap": ("1e-3", 1e-3), "gamma_growth": ("2e-3", 2e-3),
     "max_iters": ("77", 77), "mode": ("baseline", "baseline"),
     "k": ("5", 5), "outer_tol": ("0.05", 0.05), "inner_gap": ("0.2", 0.2),
     "max_outer": ("3", 3),
@@ -75,7 +75,7 @@ KEY_SAMPLES = {
 
 
 def test_every_config_key_reaches_its_field_with_its_type():
-    assert len(CONFIG_KEYS) == 22
+    assert len(CONFIG_KEYS) == 19
     assert set(CONFIG_KEYS) == set(KEY_SAMPLES)
     rc = build_run_config(None, {key: text for key, (text, _) in KEY_SAMPLES.items()})
     for key, (_, expected) in KEY_SAMPLES.items():

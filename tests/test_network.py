@@ -67,6 +67,20 @@ def test_standard_tntp_trailing_fields_ignored():
     assert rows == [(1, 2, 1000.0, 2.0, 2.0, None)]
 
 
+def test_end_of_metadata_marker_is_optional(tmp_path, params):
+    net = nguyen_network(params, seed=1)
+    net_file, trips_file = tmp_path / "n.tntp", tmp_path / "t.tntp"
+    write_network(net, net_file, trips_file)
+    bare = tmp_path / "bare.tntp"
+    text = net_file.read_text(encoding="utf-8")
+    bare.write_text(text.replace("<END OF METADATA>\n", ""), encoding="utf-8")
+    assert "<END OF METADATA>" in text and "END" not in bare.read_text(encoding="utf-8")
+    marked = load_network(str(net_file), str(trips_file), params)
+    unmarked = load_network(str(bare), str(trips_file), params)
+    assert (unmarked.nodes, unmarked.links, unmarked.od_pairs) == \
+        (marked.nodes, marked.links, marked.od_pairs)
+
+
 def test_trips_parser_multiple_entries_per_line():
     trips = parse_trips_text("<TOTAL OD FLOW> 30\n<END OF METADATA>\n"
                              "Origin 1\n 2 : 10; 3 : 20;\n")

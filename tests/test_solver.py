@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from mixflow.fixtures import (NGUYEN_OD_NODES, nguyen_network, sioux_falls_netwo
 from mixflow.network import AV, RV, VEHICLE_CLASSES, Link, Network, ODPair
 from mixflow.paths import yen_k_shortest
 from mixflow.pga import PgaConfig, generate_paths, pga_solve
-from mixflow.solver import (Assignment, BASELINE, H_FLOOR, STALL_WINDOW, SolverConfig,
+from mixflow.solver import (Assignment, BASELINE, GAMMA_INIT, H_FLOOR, MODIFIED,
+                            STALL_WINDOW, SWAP_DEGREES, SolverConfig,
                             SolverError, max_relative_outflow,
                             relative_gap, solve, solve_assignment, step_size,
                             swap_volume, total_cost, update_flows)
@@ -97,6 +99,14 @@ def test_path_set_with_a_repeated_path_or_a_foreign_group_rejected(params):
             Assignment(net, paths, np.append(group[:-1], bad), params)
     with pytest.raises(ValueError, match="^3 group ids for 4 paths$"):
         Assignment(net, paths, group[:3], params)
+    # a non-integer id would truncate: both av paths would form group 1
+    av_net = parallel_network([(5.0, 800.0)] * 2, demand_av=50.0)
+    av_paths, _ = parallel_paths(av_net, AV)
+    with pytest.raises(ValueError, match="^path group ids have dtype float64, expected integers$"):
+        Assignment(av_net, av_paths, [1.7, 1.2], params)
+    # an empty [] has a float dtype, and is still read as no paths
+    with pytest.raises(ValueError, match="has demand 50.0 for class av but no paths$"):
+        Assignment(av_net, [], [], params)
 
 
 def test_path_set_order_and_zero_demand_groups_do_not_matter(params):
@@ -214,35 +224,30 @@ def test_swap_volume():
 
 
 def test_step_size_first_iteration():
-    config = SolverConfig()
-    step, damping = step_size(1, 2.0, 100.0, None, None, config)
+    step, damping = step_size(2.0, 100.0, None, None, MODIFIED, SolverConfig().gamma_growth)
     assert damping == 9.5
     assert step == pytest.approx(1.0 / 19.0)
     assert step == pytest.approx(0.05263, abs=1e-5)
 
 
 def test_step_size_ratio_branch():
-    config = SolverConfig(gamma_growth=0.0)
-    step, _ = step_size(2, 2.0, 50.0, 100.0, 9.5, config)
+    step, _ = step_size(2.0, 50.0, 100.0, 9.5, MODIFIED, 0.0)
     assert step == pytest.approx(0.25)
 
 
 def test_step_size_damped_branch():
-    config = SolverConfig(gamma_growth=0.0)
-    step, damping = step_size(2, 2.0, 150.0, 100.0, 10.0, config)
+    step, damping = step_size(2.0, 150.0, 100.0, 10.0, MODIFIED, 0.0)
     assert damping == 10.0
     assert step == pytest.approx(0.05)
 
 
 def test_step_size_damping_grows_every_iteration():
-    config = SolverConfig(gamma_growth=0.5)
-    _, damping = step_size(2, 1.0, 50.0, 100.0, 9.5, config)
+    _, damping = step_size(1.0, 50.0, 100.0, 9.5, MODIFIED, 0.5)
     assert damping == 10.0
 
 
 def test_step_size_baseline_always_damped():
-    config = SolverConfig(mode=BASELINE, gamma_growth=0.0)
-    step, _ = step_size(2, 2.0, 50.0, 100.0, 10.0, config)
+    step, _ = step_size(2.0, 50.0, 100.0, 10.0, BASELINE, 0.0)
     assert step == pytest.approx(0.05)
 
 
@@ -751,14 +756,14 @@ def test_nguyen_modified_falls_back_only_where_the_gap_stalls(nguyen_modified_so
 
 
 def test_fallback_takes_the_baseline_step_from_gamma_init(nguyen_modified_solves):
-    config = SolverConfig()
+    gamma_growth = SolverConfig().gamma_growth
     for seed in (1, 5, 7):
         net, ps, result, updates = nguyen_modified_solves[seed]
         at, trace = result.fallback_at, result.trace
-        assert trace[at - 1].damping != config.gamma_init
-        assert trace[at].damping == config.gamma_init     # iteration at + 1
+        assert trace[at - 1].damping != GAMMA_INIT
+        assert trace[at].damping == GAMMA_INIT     # iteration at + 1
         for n in range(at + 2, result.iterations + 1):
-            assert trace[n - 1].damping == trace[n - 2].damping + config.gamma_growth
+            assert trace[n - 1].damping == trace[n - 2].damping + gamma_growth
         # the step of every applied fallback update is the damped one
         for n in range(at + 1, result.iterations):
             before, direction = updates[n - 2][0], updates[n - 1][1]
@@ -774,7 +779,28 @@ def test_fallback_takes_the_baseline_step_from_gamma_init(nguyen_modified_solves
         unit = asn.swap_directions(before, perceived, 1.0, 1.0)
         assert np.allclose(direction, unit, rtol=1e-12, atol=0.0)
         assert not np.allclose(direction, asn.swap_directions(
-            before, perceived, params.swap_degree_rv, params.swap_degree_av))
+            before, perceived, *SWAP_DEGREES[MODIFIED]))
+
+
+def test_fallback_continues_as_a_fresh_baseline_solve(nguyen_modified_solves):
+    """After the fallback, a stalled modified solve is a `baseline` solve
+    started from the flows of its last modified update, bit for bit: the same
+    trace rows after `fallback_at` and the same final flows."""
+    params = ClassParams()
+    fields = attrgetter("gap", "swap_volume", "total_cost", "step", "damping")
+    fell_back = {}
+    for seed, (net, ps, result, updates) in nguyen_modified_solves.items():
+        at = result.fallback_at
+        if at is None:
+            continue
+        fresh = solve(net, *ps, params,
+                      SolverConfig(gap_tol=1e-4, max_iters=5000 - at, mode=BASELINE),
+                      initial_flows=updates[at - 1][0])
+        assert list(map(fields, fresh.trace)) == list(map(fields, result.trace[at:])), seed
+        assert np.array_equal(fresh.flow.f, result.flow.f), seed
+        assert fresh.converged and fresh.fallback_at is None, seed
+        fell_back[seed] = (at, fresh.iterations)
+    assert fell_back == {1: (793, 1218), 5: (759, 2), 7: (787, 2)}
 
 
 def test_one_ulp_demand_change_keeps_nguyen_modified_outcome(nguyen_modified_solves):
