@@ -138,9 +138,9 @@ def _write(path, lines):
         fh.write("\n".join(lines) + "\n")
 
 
-def write_link_flows_csv(path, network, x_rv, x_av):
+def write_link_flows_csv(path, network, x):
     lines = ["link_id,x_rv,x_av"]
-    lines += [f"{l.id},{_fmt(x_rv[i])},{_fmt(x_av[i])}" for i, l in enumerate(network.links)]
+    lines += [f"{l.id},{_fmt(x[0, i])},{_fmt(x[1, i])}" for i, l in enumerate(network.links)]
     _write(path, lines)
 
 
@@ -186,8 +186,7 @@ def _write_outputs(rc, command, network, final, wall, pga=None):
     """Write the solve outputs of `solve` or `pga` (`pga` is the PgaResult)."""
     out = rc.out_dir or "."
     os.makedirs(out, exist_ok=True)
-    write_link_flows_csv(os.path.join(out, "link_flows.csv"), network,
-                         final.flow.x_rv, final.flow.x_av)
+    write_link_flows_csv(os.path.join(out, "link_flows.csv"), network, final.flow.x)
     write_path_flows_csv(os.path.join(out, "path_flows.csv"), final)
     write_trace_csv(os.path.join(out, "trace.csv"), final.trace)
     summary = {
@@ -235,7 +234,8 @@ def cmd_ksp(rc, origin, destination, k, vehicle_class):
     if not rc.net:
         raise ValueError("--net is required")
     network = load_network(rc.net, rc.trips, rc.params)
-    link_costs = cost_model.free_flow_state(network, rc.params).cost(vehicle_class)
+    link_costs = cost_model.free_flow_state(network, rc.params).cost[
+        VEHICLE_CLASSES.index(vehicle_class)]
     paths = yen_k_shortest(network, link_costs, origin, destination, k)
     for p in paths:
         cost = sum(link_costs[network.link_index[a]] for a in p.links)

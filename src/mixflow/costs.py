@@ -5,6 +5,8 @@ burn, per-class generalized link cost, additive path cost, and the
 cross-nested-logit perceived path cost with its overlap commonality term.
 The BPR, fuel and dollar-cost formulas are ufunc arithmetic that `evaluate_links`
 runs on arrays; `np.power`, not `**`, gives one link the array loop's bits.
+Per-class link arrays use the (class, link) layout of `Network.caps`: row i
+is class VEHICLE_CLASSES[i], so the flat index is class index * n_links + link.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .network import RV
 
 BPR_COEF = 0.15
 BPR_POWER = 4.0
@@ -56,20 +56,16 @@ class ClassParams:
 
 @dataclass
 class LinkState:
-    """Per-link quantities at one flow vector."""
+    """Per-link quantities at one (class, link) flow array."""
 
     mixed_cap: np.ndarray
     minutes: np.ndarray
-    cost_rv: np.ndarray
-    cost_av: np.ndarray
-
-    def cost(self, vehicle_class):
-        return self.cost_rv if vehicle_class == RV else self.cost_av
+    cost: np.ndarray       # (class, link) generalized cost
 
 
-def link_travel_time(x_rv, x_av, free_time, capacity):
-    """BPR travel time in minutes at the given per-class flows."""
-    return free_time * (1.0 + BPR_COEF * np.power((x_rv + x_av) / capacity, BPR_POWER))
+def link_travel_time(total, free_time, capacity):
+    """BPR travel time in minutes at the given total (all-class) flow."""
+    return free_time * (1.0 + BPR_COEF * np.power(total / capacity, BPR_POWER))
 
 
 def fuel_gallons(length, minutes):
@@ -83,23 +79,21 @@ def link_generalized_cost(minutes, gallons, vot, fuel_price):
     return minutes * vot + fuel_price * gallons
 
 
-def evaluate_links(network, x_rv, x_av, params):
-    """Evaluate every per-link quantity at one pair of link-flow arrays."""
-    total = x_rv + x_av
+def evaluate_links(network, x, params):
+    """Evaluate every per-link quantity at one (class, link) flow array."""
+    total = x[0] + x[1]
     # flow-share-weighted harmonic mean of the class capacities; cap_rv at zero flow
-    cap = np.divide(total, x_rv / network.caps_rv + x_av / network.caps_av,
-                    out=network.caps_rv.copy(), where=total > 0)
-    minutes = link_travel_time(x_rv, x_av, network.free_times, cap)
+    shares = x / network.caps
+    cap = np.divide(total, shares[0] + shares[1], out=network.caps[0].copy(), where=total > 0)
+    minutes = link_travel_time(total, network.free_times, cap)
     gallons = fuel_gallons(network.lengths, minutes)
-    return LinkState(cap, minutes,
-                     link_generalized_cost(minutes, gallons, params.vot_rv, params.fuel_price),
-                     link_generalized_cost(minutes, gallons, params.vot_av, params.fuel_price))
+    vot = np.array([[params.vot_rv], [params.vot_av]])
+    return LinkState(cap, minutes, link_generalized_cost(minutes, gallons, vot, params.fuel_price))
 
 
 def free_flow_state(network, params):
     """Every per-link quantity at zero flow."""
-    zeros = np.zeros(network.n_links)
-    return evaluate_links(network, zeros, zeros, params)
+    return evaluate_links(network, np.zeros((2, network.n_links)), params)
 
 
 @dataclass(frozen=True)

@@ -47,11 +47,10 @@ class EquilibriumReport:
 
 
 def link_flows_from_paths(network, column, entry_flow):
-    """Per-class link flows: the flow of every (row, link) entry summed
+    """(class, link) link flows: the flow of every (row, link) entry summed
     into its column, the link index plus n_links for av rows."""
     n = network.n_links
-    x = np.bincount(column, entry_flow, 2 * n)
-    return x[:n], x[n:]
+    return np.bincount(column, entry_flow, 2 * n).reshape(2, n)
 
 
 def ncp_residual(flows, costs, group, demand):
@@ -95,8 +94,8 @@ def certify_rows(network, group, flow, sizes, link, params):
     cls = group % 2
     column = link + network.n_links * cls[row]
     state = cost_model.evaluate_links(
-        network, *link_flows_from_paths(network, column, flow[row]), params)
-    costs = np.bincount(row, np.concatenate([state.cost_rv, state.cost_av])[column], flow.size)
+        network, link_flows_from_paths(network, column, flow[row]), params)
+    costs = np.bincount(row, state.cost.ravel()[column], flow.size)
     demand = network.group_demand
     # every rv row in one cross-nested evaluation; av perceived costs are observed
     rv = np.flatnonzero(cls == 0)

@@ -54,9 +54,6 @@ class ODPair:
     demand_rv: float     # veh/h
     demand_av: float     # veh/h
 
-    def demand(self, vehicle_class):
-        return self.demand_rv if vehicle_class == RV else self.demand_av
-
 
 @dataclass
 class Network:
@@ -70,8 +67,7 @@ class Network:
     out_links: dict = field(init=False, repr=False, compare=False)
     lengths: np.ndarray = field(init=False, repr=False, compare=False)
     free_times: np.ndarray = field(init=False, repr=False, compare=False)
-    caps_rv: np.ndarray = field(init=False, repr=False, compare=False)
-    caps_av: np.ndarray = field(init=False, repr=False, compare=False)
+    caps: np.ndarray = field(init=False, repr=False, compare=False)
     group_demand: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -89,8 +85,9 @@ class Network:
                 self.out_links[link.from_node].append(i)
         self.lengths = np.array([l.length for l in self.links], dtype=float)
         self.free_times = np.array([l.free_time for l in self.links], dtype=float)
-        self.caps_rv = np.array([l.cap_rv for l in self.links], dtype=float)
-        self.caps_av = np.array([l.cap_av for l in self.links], dtype=float)
+        # (class, link) layout: row i is VEHICLE_CLASSES[i], flat index i * n_links + link
+        self.caps = np.array([[l.cap_rv for l in self.links], [l.cap_av for l in self.links]],
+                             dtype=float)
         # the demand of (OD, class) group 2 * od index + class index
         self.group_demand = np.array([(q.demand_rv, q.demand_av) for q in self.od_pairs],
                                      dtype=float).reshape(-1)

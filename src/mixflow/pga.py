@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import costs as cost_model
-from .network import VEHICLE_CLASSES
 from .paths import Graph, merge_path_sets, yen_k_shortest
 from .solver import Assignment, SolveResult, solve_assignment
 
@@ -74,10 +73,10 @@ def generate_paths(network, link_state, k, known=(), known_group=()):
     at = np.searchsorted(known_group, np.arange(network.group_demand.size + 1)).tolist()
     groups = np.flatnonzero(~(network.group_demand <= 0))
     for group in groups.tolist():
-        od, cls = network.od_pairs[group // 2], VEHICLE_CLASSES[group % 2]
+        od, cls = network.od_pairs[group // 2], group % 2
         if cls not in graphs:
-            graphs[cls] = Graph(network, link_state.cost(cls))
-        found = yen_k_shortest(network, link_state.cost(cls), od.origin, od.destination, k,
+            graphs[cls] = Graph(network, link_state.cost[cls])
+        found = yen_k_shortest(network, link_state.cost[cls], od.origin, od.destination, k,
                                graph=graphs[cls], known=known[at[group]:at[group + 1]])
         paths += found
         sizes.append(len(found))

@@ -67,9 +67,8 @@ class TraceRow:
 @dataclass
 class FlowState:
     f: np.ndarray                       # per-path flows in assignment order
-    x_rv: np.ndarray                    # per-link rv flows
-    x_av: np.ndarray                    # per-link av flows
-    link_state: cost_model.LinkState    # link costs at x_rv, x_av
+    x: np.ndarray                       # (class, link) link flows
+    link_state: cost_model.LinkState    # link costs at x
     path_costs: np.ndarray              # observed per-path costs at link_state
 
 
@@ -132,7 +131,7 @@ class Assignment:
         self.group_starts = np.cumsum(self.group_sizes) - self.group_sizes
         self.demand_per_path = np.repeat(self.group_demands, self.group_sizes)
         path_rv = self.path_group % 2 == 0
-        # one column per (link, class): link index, plus n_links for av entries
+        # each entry's column in the flat (class, link) layout: link index, plus n_links for av
         n_links = network.n_links
         path_sizes = np.fromiter((len(p.links) for p in self.paths), np.intp, n_paths)
         self.entry_path = np.repeat(np.arange(n_paths, dtype=np.intp), path_sizes)
@@ -163,12 +162,10 @@ class Assignment:
 
     def link_flows(self, flows):
         n = self.network.n_links
-        x = np.bincount(self.entry_col, weights=flows[self.entry_path], minlength=2 * n)
-        return x[:n], x[n:]
+        return np.bincount(self.entry_col, flows[self.entry_path], 2 * n).reshape(2, n)
 
     def path_costs(self, link_state):
-        per_entry = np.concatenate([link_state.cost_rv, link_state.cost_av])[self.entry_col]
-        return np.bincount(self.entry_path, per_entry, self.n_paths)
+        return np.bincount(self.entry_path, link_state.cost.ravel()[self.entry_col], self.n_paths)
 
     def perceived_costs(self, flows, path_cost_vec):
         params = self.params
@@ -293,8 +290,8 @@ def solve_assignment(assignment, config, initial_flows=None, callback=None):
     mark_gap = mark_at = None     # the last gap at most half the one marked before it
     for iteration in range(1, config.max_iters + 1):
         tick = time.perf_counter()
-        x_rv, x_av = assignment.link_flows(flows)
-        link_state = cost_model.evaluate_links(assignment.network, x_rv, x_av, params)
+        x = assignment.link_flows(flows)
+        link_state = cost_model.evaluate_links(assignment.network, x, params)
         observed = assignment.path_costs(link_state)
         perceived = assignment.perceived_costs(flows, observed)
         total = total_cost(flows, perceived)
@@ -331,7 +328,7 @@ def solve_assignment(assignment, config, initial_flows=None, callback=None):
         if callback is not None:
             callback(iteration, flows, direction)
         prev_volume = volume
-    return SolveResult(FlowState(flows, x_rv, x_av, link_state, observed),
+    return SolveResult(FlowState(flows, x, link_state, observed),
                        trace, converged, assignment.paths, assignment.path_group, fallback_at)
 
 

@@ -290,7 +290,7 @@ def cnl_entries_by_paths(groups, link_lengths):
 
 
 def link_flows_by_paths(path_groups, flows_by_group, network):
-    """Per-class link flows accumulated path by path over `path_groups`."""
+    """(class, link) link flows accumulated path by path over `path_groups`."""
     x = {RV: np.zeros(network.n_links), AV: np.zeros(network.n_links)}
     for (od_index, cls), paths in path_groups.items():
         flows = flows_by_group.get((od_index, cls))
@@ -299,7 +299,7 @@ def link_flows_by_paths(path_groups, flows_by_group, network):
         for path, flow in zip(paths, flows):
             for link_id in path.links:
                 x[cls][network.link_index[link_id]] += flow
-    return x[RV], x[AV]
+    return np.array([x[RV], x[AV]])
 
 
 def ncp_residual_by_groups(flows_by_group, costs_by_group, demand_by_group):
@@ -326,13 +326,14 @@ def certify_by_paths(network, path_groups, flows_by_group, params):
     """Equilibrium report of paths and per-path flows keyed by (od_index,
     class), path by path: link flows, per-path cost sums over link-id dicts,
     one CNL evaluation of every rv group, and the group-by-group residual loop."""
-    x_rv, x_av = link_flows_by_paths(path_groups, flows_by_group, network)
-    state = cost_model.evaluate_links(network, x_rv, x_av, params)
-    cost_by_id = {cls: {l.id: state.cost(cls)[i] for i, l in enumerate(network.links)}
-                  for cls in VEHICLE_CLASSES}
+    state = cost_model.evaluate_links(
+        network, link_flows_by_paths(path_groups, flows_by_group, network), params)
+    cost_by_id = {cls: {l.id: state.cost[c][i] for i, l in enumerate(network.links)}
+                  for c, cls in enumerate(VEHICLE_CLASSES)}
     costs_by_group = {key: np.array([path_cost_by_id(p.links, cost_by_id[key[1]]) for p in paths])
                       for key, paths in path_groups.items() if key in flows_by_group}
-    demand_by_group = {key: network.od_pairs[key[0]].demand(key[1]) for key in costs_by_group}
+    demand_by_group = {(od_index, cls): od.demand_rv if cls == RV else od.demand_av
+                       for od_index, od in enumerate(network.od_pairs) for cls in VEHICLE_CLASSES}
     rv = [key for key in costs_by_group if key[1] == RV]
     sizes = [len(costs_by_group[key]) for key in rv]
     observed = np.array([c for key in rv for c in costs_by_group[key]], dtype=float)
@@ -347,11 +348,10 @@ def certify_by_paths(network, path_groups, flows_by_group, params):
     costs_by_group.update(zip(rv, np.split(perceived, np.cumsum(sizes)[:-1])))
     report = ncp_residual_by_groups({key: flows_by_group[key] for key in costs_by_group},
                                     costs_by_group, demand_by_group)
-    for od_index, od in enumerate(network.od_pairs):
-        for cls in VEHICLE_CLASSES:
-            if od.demand(cls) > 0 and (od_index, cls) not in costs_by_group:
-                report.missing_demand[(od_index, cls)] = od.demand(cls)
-                report.feasibility_violation += od.demand(cls)
+    for key, demand in demand_by_group.items():
+        if demand > 0 and key not in costs_by_group:
+            report.missing_demand[key] = demand
+            report.feasibility_violation += demand
     return report
 
 

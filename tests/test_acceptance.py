@@ -48,8 +48,8 @@ def test_criterion_1_av_user_equilibrium_fixed_point():
     assert elapsed < 1.0
     assert result.converged and result.gap <= 1e-6
 
-    state = evaluate_links(net, result.flow.x_rv, result.flow.x_av, params)
-    costs = state.cost_av
+    state = evaluate_links(net, result.flow.x, params)
+    costs = state.cost[1]
     used = result.flow.f > 1e-6 * 2500.0
     assert used.sum() >= 2
     spread = (costs[used].max() - costs[used].min()) / costs[used].min()
@@ -71,9 +71,9 @@ def test_criterion_2_rv_logit_degenerate_fixed_point():
     assert elapsed < 1.0
     assert result.converged
 
-    state = evaluate_links(net, result.flow.x_rv, result.flow.x_av, params)
+    state = evaluate_links(net, result.flow.x, params)
     shares = result.flow.f / 1000.0
-    oracle = logit_shares(state.cost_rv, params.dispersion)
+    oracle = logit_shares(state.cost[0], params.dispersion)
     assert np.abs(shares - oracle).max() <= 0.005
     register(net, params, result, 1e-4)
 
@@ -113,8 +113,8 @@ def test_criterion_3_cnl_overlap_effect():
 
     # at the converged point the perceived costs (extended-precision Eq forms)
     # of all three paths must agree
-    state = evaluate_links(net, result.flow.x_rv, result.flow.x_av, nested)
-    cost_by_id = {l.id: state.cost_rv[i] for i, l in enumerate(net.links)}
+    state = evaluate_links(net, result.flow.x, nested)
+    cost_by_id = {l.id: state.cost[0, i] for i, l in enumerate(net.links)}
     observed = [path_cost(p, cost_by_id) for p in ps[0]]
     h_conv = mp_cnl_commonality(alpha, observed, 0.1, 0.5)
     perceived = [mp_perceived_cost_rv(observed[k], result.flow.f[k], 900.0,
@@ -242,8 +242,7 @@ def test_criterion_7_pga_consistency_and_dev_pattern():
     assert res12.solve.converged
 
     total = sum(od.demand_rv + od.demand_av for od in net.od_pairs)
-    for xd, xp in ((direct.flow.x_rv, res12.solve.flow.x_rv),
-                   (direct.flow.x_av, res12.solve.flow.x_av)):
+    for xd, xp in zip(direct.flow.x, res12.solve.flow.x):
         carrying = xd > 1e-6 * total
         rel = np.abs(xd - xp)[carrying] / xd[carrying]
         assert rel.max() <= 1e-4
@@ -259,9 +258,9 @@ def test_criterion_7_pga_consistency_and_dev_pattern():
     flows = {}
     for k in (2, 4, 8, 12):
         flows[k] = pga_solve(net, params, PgaConfig(k=k), loose).solve.flow
-    for cls_flows in ("x_rv", "x_av"):
-        ref = getattr(flows[12], cls_flows)
-        devs = [flow_deviation(getattr(flows[k], cls_flows), ref)
+    for cls in (0, 1):
+        ref = flows[12].x[cls]
+        devs = [flow_deviation(flows[k].x[cls], ref)
                 for k in (2, 4, 8, 12)]
         assert devs[-1] == 0.0
         for earlier, later in zip(devs, devs[1:]):

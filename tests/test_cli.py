@@ -10,7 +10,8 @@ import pytest
 import mixflow
 from mixflow.cli import (CONFIG_KEYS, _path_flow_arrays, build_run_config, main,
                          parse_config_text)
-from mixflow.costs import ClassParams, evaluate_links
+from mixflow.costs import (ClassParams, evaluate_links, fuel_gallons, link_generalized_cost,
+                           link_travel_time)
 from mixflow.fixtures import nguyen_network, sioux_falls_network
 from mixflow.network import Link, Network, ODPair, ParseError, write_network
 from mixflow.paths import yen_k_shortest
@@ -287,16 +288,26 @@ def test_pga_matches_direct_solve_total_cost(tmp_path, diamond_files):
     assert tc_pga == pytest.approx(tc_solve, rel=1e-4)
 
 
-def test_ksp_lists_paths_in_cost_order(diamond_files, capsys):
+@pytest.mark.parametrize("vehicle_class", ["rv", "av"])
+def test_ksp_lists_paths_in_cost_order(diamond_files, capsys, vehicle_class):
     net_file, trips_file = diamond_files
     code = main(["ksp", "--net", net_file, "--trips", trips_file,
-                 "--origin", "1", "--dest", "4", "--k", "5"])
+                 "--origin", "1", "--dest", "4", "--k", "5", "--vehicle-class", vehicle_class])
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2
     costs = [float(line.split()[0]) for line in lines]
     assert costs == sorted(costs)
     assert lines[0].split()[1] == "1-2-4"
+    # the path's free-flow dollar cost at the given class's value of time, link by link
+    params = ClassParams()
+    vot = params.vot_rv if vehicle_class == "rv" else params.vot_av
+    expected = 0.0
+    for link in diamond_network().links[:2]:    # 1->2 and 2->4
+        minutes = link_travel_time(0.0, link.free_time, link.cap_rv)
+        expected += link_generalized_cost(minutes, fuel_gallons(link.length, minutes), vot,
+                                          params.fuel_price)
+    assert lines[0].split()[0] == format(expected, ".6g")
 
 
 def test_ksp_without_trips(diamond_files, capsys):
@@ -713,10 +724,9 @@ def test_pga_path_dump_prices_path_flows_rows_at_the_final_flows(tmp_path):
     for (od, cls, _, flow), p in zip(rows, paths):
         path_groups.setdefault((int(od), cls), []).append(p)
         flows.setdefault((int(od), cls), []).append(float(flow))
-    x_rv, x_av = link_flows_by_paths(path_groups, flows, net)
-    state = evaluate_links(net, x_rv, x_av, params)
-    cost_by_id = {cls: {l.id: state.cost(cls)[i] for i, l in enumerate(net.links)}
-                  for cls in ("rv", "av")}
+    state = evaluate_links(net, link_flows_by_paths(path_groups, flows, net), params)
+    cost_by_id = {cls: {l.id: state.cost[c][i] for i, l in enumerate(net.links)}
+                  for c, cls in enumerate(("rv", "av"))}
     for (od, cls, _, _), p, (d_od, d_cls, d_cost, d_nodes) in zip(rows, paths, dump):
         assert (d_od, d_cls, d_nodes) == (od, cls, "-".join(str(n) for n in p.nodes))
         assert float(d_cost) == pytest.approx(path_cost(p, cost_by_id[cls]), rel=5e-6)

@@ -51,15 +51,15 @@ def test_mixed_capacity_bracketing_randomized():
 
 
 def test_link_travel_time_free_flow():
-    assert link_travel_time(0.0, 0.0, 7.5, 1000.0) == 7.5
+    assert link_travel_time(0.0, 7.5, 1000.0) == 7.5
 
 
 def test_link_travel_time_at_capacity():
-    assert link_travel_time(600.0, 400.0, 10.0, 1000.0) == pytest.approx(11.5)
+    assert link_travel_time(600.0 + 400.0, 10.0, 1000.0) == pytest.approx(11.5)
 
 
 def test_link_travel_time_at_double_capacity():
-    assert link_travel_time(1500.0, 500.0, 10.0, 1000.0) == pytest.approx(34.0)
+    assert link_travel_time(1500.0 + 500.0, 10.0, 1000.0) == pytest.approx(34.0)
 
 
 def test_link_travel_time_monotone_per_class():
@@ -68,9 +68,9 @@ def test_link_travel_time_monotone_per_class():
         cap = float(rng.uniform(200.0, 4000.0))
         t0 = float(rng.uniform(1.0, 20.0))
         x_rv, x_av, bump = rng.uniform(0.0, 3000.0, size=3)
-        base = link_travel_time(x_rv, x_av, t0, cap)
-        assert link_travel_time(x_rv + bump, x_av, t0, cap) >= base
-        assert link_travel_time(x_rv, x_av + bump, t0, cap) >= base
+        base = link_travel_time(x_rv + x_av, t0, cap)
+        assert link_travel_time(x_rv + bump + x_av, t0, cap) >= base
+        assert link_travel_time(x_rv + (x_av + bump), t0, cap) >= base
         assert base >= t0
 
 
@@ -81,8 +81,8 @@ def test_composite_time_monotone_when_caps_equal():
     for _ in range(100):
         x_rv, x_av = rng.uniform(0.0, 2000.0, size=2)
         scale = float(rng.uniform(1.0, 3.0))
-        lo = link_travel_time(x_rv, x_av, 8.0, mixed_capacity(x_rv, x_av, cap, cap))
-        hi = link_travel_time(scale * x_rv, scale * x_av, 8.0,
+        lo = link_travel_time(x_rv + x_av, 8.0, mixed_capacity(x_rv, x_av, cap, cap))
+        hi = link_travel_time(scale * x_rv + scale * x_av, 8.0,
                               mixed_capacity(scale * x_rv, scale * x_av, cap, cap))
         assert hi >= lo
 
@@ -311,11 +311,10 @@ def test_perceived_cost_rv_floor_guards_zero_flow():
 
 def test_evaluate_links_respects_free_flow(params):
     net = random_network(np.random.default_rng(9))
-    zeros = np.zeros(net.n_links)
-    state = evaluate_links(net, zeros, zeros, params)
+    state = evaluate_links(net, np.zeros((2, net.n_links)), params)
     assert np.allclose(state.minutes, net.free_times)
-    assert np.allclose(state.mixed_cap, net.caps_rv)
-    assert np.all(state.cost_rv >= state.cost_av)
+    assert np.allclose(state.mixed_cap, net.caps[0])
+    assert np.all(state.cost[0] >= state.cost[1])
 
 
 def test_evaluate_links_equals_scalar_helpers_bit_for_bit(params):
@@ -323,21 +322,22 @@ def test_evaluate_links_equals_scalar_helpers_bit_for_bit(params):
     net = random_network(rng)
     n = net.n_links
     for _ in range(5):
-        x_rv, x_av = rng.uniform(0.0, 3000.0, size=(2, n))
+        x = rng.uniform(0.0, 3000.0, size=(2, n))
+        x_rv, x_av = x
         x_rv[rng.random(n) < 0.3] = 0.0
         x_av[rng.random(n) < 0.3] = 0.0
         x_rv[0] = x_av[0] = 0.0
-        state = evaluate_links(net, x_rv, x_av, params)
+        state = evaluate_links(net, x, params)
         for i, link in enumerate(net.links):
             q_rv, q_av = float(x_rv[i]), float(x_av[i])
             cap = mixed_capacity(q_rv, q_av, link.cap_rv, link.cap_av)
-            minutes = link_travel_time(q_rv, q_av, link.free_time, cap)
+            minutes = link_travel_time(q_rv + q_av, link.free_time, cap)
             gallons = fuel_gallons(link.length, minutes)
             assert state.mixed_cap[i] == cap
             assert state.minutes[i] == minutes
-            assert state.cost_rv[i] == link_generalized_cost(minutes, gallons, params.vot_rv,
+            assert state.cost[0, i] == link_generalized_cost(minutes, gallons, params.vot_rv,
                                                              params.fuel_price)
-            assert state.cost_av[i] == link_generalized_cost(minutes, gallons, params.vot_av,
+            assert state.cost[1, i] == link_generalized_cost(minutes, gallons, params.vot_av,
                                                              params.fuel_price)
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from mixflow.costs import ClassParams, free_flow_state
 from mixflow.fixtures import sioux_falls_network
-from mixflow.network import AV, RV, VEHICLE_CLASSES, Link, Network, ODPair
+from mixflow.network import AV, RV, Link, Network, ODPair
 from mixflow.paths import (Graph, Path, _shortest, format_path_line,
                            merge_path_sets, yen_k_shortest)
 
@@ -265,8 +265,7 @@ def test_yen_matches_plain_yen_on_sioux_falls():
     net = sioux_falls_network(params, seed=7)
     state = free_flow_state(net, params)
     for od in net.od_pairs[::25]:
-        for cls in VEHICLE_CLASSES:
-            costs = state.cost(cls)
+        for costs in state.cost:
             expected = plain_yen(net, costs, od.origin, od.destination, 10)
             got = yen_k_shortest(net, costs, od.origin, od.destination, 10)
             assert [p.links for p in got] == [links for _, _, links in expected]

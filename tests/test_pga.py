@@ -114,9 +114,9 @@ def test_sioux_falls_dev_shrinks_with_k(params):
                         SolverConfig(gap_tol=0.01, max_iters=3000))
         assert res.solve.converged
         flows[k] = res.solve.flow
-    for attr in ("x_rv", "x_av"):
-        ref = getattr(flows[10], attr)
-        devs = [flow_deviation(getattr(flows[k], attr), ref) for k in (4, 7, 10)]
+    for cls in (0, 1):
+        ref = flows[10].x[cls]
+        devs = [flow_deviation(flows[k].x[cls], ref) for k in (4, 7, 10)]
         assert devs[-1] == 0.0
         for earlier, later in zip(devs, devs[1:]):
             assert later <= earlier + 0.01
@@ -128,8 +128,8 @@ def test_generate_paths_equals_per_call_yen(params):
                    (sioux_falls_network(params, seed=7), 5)):
         state = free_flow_state(net, params)
         expected = [(2 * i + c, path) for i, od in enumerate(net.od_pairs)
-                    for c, cls in enumerate(VEHICLE_CLASSES) if od.demand(cls) > 0
-                    for path in yen_k_shortest(net, state.cost(cls), od.origin,
+                    for c, demand in enumerate((od.demand_rv, od.demand_av)) if demand > 0
+                    for path in yen_k_shortest(net, state.cost[c], od.origin,
                                                od.destination, k)]
         paths, group = generate_paths(net, state, k)
         assert list(zip(group.tolist(), paths)) == expected
@@ -163,8 +163,8 @@ def test_generated_paths_pinned_on_sioux_falls(params):
     for seed in (3, 7):
         net = sioux_falls_network(params, seed=seed)
         rng = np.random.default_rng(seed)
-        loaded = evaluate_links(net, rng.uniform(0, 1500, net.n_links),
-                                rng.uniform(0, 1500, net.n_links), params)
+        loaded = evaluate_links(net, np.array([rng.uniform(0, 1500, net.n_links),
+                                               rng.uniform(0, 1500, net.n_links)]), params)
         for k in (4, 10):
             for name, state in (("free", free_flow_state(net, params)), ("loaded", loaded)):
                 got[(seed, k, name)] = _digest(*generate_paths(net, state, k))

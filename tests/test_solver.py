@@ -126,7 +126,7 @@ def test_path_set_order_and_zero_demand_groups_do_not_matter(params):
     # random, and each group's paths keep their order
     idle = np.flatnonzero(net.group_demand == 0)
     everything = list(paths) + [path for g in idle.tolist() for path in yen_k_shortest(
-        net, state.cost(AV), net.od_pairs[g // 2].origin, net.od_pairs[g // 2].destination, 4)]
+        net, state.cost[1], net.od_pairs[g // 2].origin, net.od_pairs[g // 2].destination, 4)]
     every_group = np.concatenate([group, np.repeat(idle, 4)])
     queues = {g: iter(np.flatnonzero(every_group == g).tolist())
               for g in set(every_group.tolist())}
@@ -411,9 +411,9 @@ def test_solve_mnl_degenerate_matches_logit_oracle():
     result = solve(net, *ps, params,
                    SolverConfig(gap_tol=1e-4, max_iters=50000, gamma_growth=5.0))
     assert result.converged
-    state = evaluate_links(net, result.flow.x_rv, result.flow.x_av, params)
+    state = evaluate_links(net, result.flow.x, params)
     shares = result.flow.f / 1000.0
-    expected = logit_shares(state.cost_rv, params.dispersion)
+    expected = logit_shares(state.cost[0], params.dispersion)
     assert np.abs(shares - expected).max() < 0.005
 
 
@@ -423,8 +423,7 @@ def test_solve_zero_direction_at_three_path_fixed_point(params):
     ps = parallel_paths(net, AV)
     asn = Assignment(net, *ps, params)
     flows = asn.uniform_flows()
-    x_rv, x_av = asn.link_flows(flows)
-    state = cost_model.evaluate_links(net, x_rv, x_av, params)
+    state = cost_model.evaluate_links(net, asn.link_flows(flows), params)
     perceived = asn.perceived_costs(flows, asn.path_costs(state))
     phi = asn.swap_directions(flows, perceived, 0.85, 1.0)
     assert np.allclose(phi, 0.0)
@@ -454,10 +453,9 @@ def test_result_carries_the_pricing_of_its_iterate(params, config):
     assert result.converged == (config.max_iters == 5000)
     assert result.iterations == len(result.trace) == (310 if result.converged else 40)
     flow = result.flow
-    x_rv, x_av = asn.link_flows(flow.f)
-    assert np.array_equal(flow.x_rv, x_rv) and np.array_equal(flow.x_av, x_av)
-    fresh = evaluate_links(net, flow.x_rv, flow.x_av, params)
-    for name in ("mixed_cap", "minutes", "cost_rv", "cost_av"):
+    assert np.array_equal(flow.x, asn.link_flows(flow.f))
+    fresh = evaluate_links(net, flow.x, params)
+    for name in ("mixed_cap", "minutes", "cost"):
         assert np.array_equal(getattr(flow.link_state, name), getattr(fresh, name)), name
     assert np.array_equal(flow.path_costs, asn.path_costs(fresh))
     perceived = asn.perceived_costs(flow.f, flow.path_costs)
@@ -532,7 +530,7 @@ def test_nguyen_equilibrium_conditions_at_tight_gap(params):
     result = solve(net, *ps, params, SolverConfig(gap_tol=gap_tol, max_iters=300000))
     assert result.converged
     asn = Assignment(net, *ps, params)
-    state = cost_model.evaluate_links(net, result.flow.x_rv, result.flow.x_av, params)
+    state = cost_model.evaluate_links(net, result.flow.x, params)
     observed = asn.path_costs(state)
     perceived = asn.perceived_costs(result.flow.f, observed)
     for g in groups_of(asn):
@@ -557,8 +555,8 @@ def test_solver_link_flows_match_independent_accumulation(params):
     paths = {(g.od_index, g.vehicle_class): g.paths
              for g in groups_of(Assignment(net, *ps, params))}
     x_rv, x_av = link_flows_by_paths(paths, flows_by_group(result), net)
-    assert np.allclose(result.flow.x_rv, x_rv, rtol=1e-9)
-    assert np.allclose(result.flow.x_av, x_av, rtol=1e-9)
+    assert np.allclose(result.flow.x[0], x_rv, rtol=1e-9)
+    assert np.allclose(result.flow.x[1], x_av, rtol=1e-9)
 
 
 def test_conservation_and_nonnegativity_under_fuzz():
@@ -603,12 +601,12 @@ def _ragged_assignment(rng, params, penetration):
     net = _grid_network(4, tuple(od_pairs))
     paths, group = [], []
     for od_index, od in enumerate(net.od_pairs):
-        for cls in (RV, AV):
-            if od.demand(cls) > 0:
+        for c, demand in enumerate((od.demand_rv, od.demand_av)):
+            if demand > 0:
                 k = int(rng.integers(1, 16))
                 found = yen_k_shortest(net, net.free_times, od.origin, od.destination, k)
                 paths += found
-                group += [2 * od_index + VEHICLE_CLASSES.index(cls)] * len(found)
+                group += [2 * od_index + c] * len(found)
     return Assignment(net, paths, group, params)
 
 
@@ -774,7 +772,7 @@ def test_fallback_takes_the_baseline_step_from_gamma_init(nguyen_modified_solves
         params = ClassParams()
         asn = Assignment(net, *ps, params)
         before, direction = updates[at - 1][0], updates[at][1]
-        state = evaluate_links(net, *asn.link_flows(before), params)
+        state = evaluate_links(net, asn.link_flows(before), params)
         perceived = asn.perceived_costs(before, asn.path_costs(state))
         unit = asn.swap_directions(before, perceived, 1.0, 1.0)
         assert np.allclose(direction, unit, rtol=1e-12, atol=0.0)
