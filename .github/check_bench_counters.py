@@ -1,11 +1,12 @@
-"""Compare the deterministic counters of the traced Sioux Falls smoke runs
+"""Compare the deterministic counters of the traced benchmark smoke runs
 with their committed values in .github/bench_counters.json.
 
 Run after `python3 perfbench/run.py --workload <name> --seed 1 --seconds 1
 --trace 1 --short` for every workload in that file. Exits 1, listing each
 counter that differs, so that a change to a call or iteration count must
-come with a change to the committed file. Nguyen is left out: its
-iteration counts follow numpy's SIMD dispatch level.
+come with a change to the committed file. Nguyen is gated on its Yen and
+`Assignment` build calls only: its iteration counts follow numpy's SIMD
+dispatch level, while its call counts do not.
 """
 
 import json

@@ -27,7 +27,6 @@ BASELINE = "baseline"
 H_FLOOR = 1e-10   # outflow-rate floor at (near-)equilibrium
 STALL_WINDOW = 500   # modified iterations without the gap halving before the fallback
 GAMMA_INIT = 9.5     # damping of a rule's first step
-SWAP_DEGREES = {MODIFIED: (0.85, 1.0), BASELINE: (1.0, 1.0)}   # rule -> (rv, av) degree
 
 
 class SolverError(RuntimeError):
@@ -146,15 +145,13 @@ class Assignment:
         self.cnl_entries = cost_model.cnl_entries(
             self.entry_col[self.entry_col < n_links], (np.cumsum(path_rv) - 1)[rv_path],
             self.path_group[rv_path], network.lengths)
-        # every within-group pair (lo, hi) with lo < hi once, rv pairs first:
+        # every within-group pair (lo, hi) with lo < hi once, in path order:
         # path k pairs with each later path of its group
-        order = np.argsort(~path_rv, kind="stable")
         group_stops = self.group_starts + self.group_sizes
-        later = (np.repeat(group_stops, self.group_sizes) - 1 - np.arange(n_paths))[order]
-        self.pair_lo = np.repeat(order, later)
+        later = np.repeat(group_stops, self.group_sizes) - 1 - np.arange(n_paths)
+        self.pair_lo = np.repeat(np.arange(n_paths), later)
         self.pair_hi = (self.pair_lo + 1 + np.arange(self.pair_lo.size)
                         - np.repeat(np.cumsum(later) - later, later))
-        self.n_rv_pairs = int(later[:self.rv_paths.size].sum())
 
     def uniform_flows(self):
         """Each group's demand spread evenly over its paths."""
@@ -178,20 +175,17 @@ class Assignment:
             observed, flows[rv], self.rv_demand, commonality, params)
         return perceived
 
-    def swap_directions(self, flows, perceived, degree_rv, degree_av):
+    def swap_directions(self, flows, perceived):
         """Net pairwise flow exchange toward cheaper paths within every group.
 
         In each pair the dearer path sends its flow times the cost difference
-        raised to the class degree to the cheaper one, so a path without flow
-        never gets a negative direction and each group's exchange sums to zero.
+        to the cheaper one, so a path without flow never gets a negative
+        direction and each group's exchange sums to zero.
         """
-        lo, hi, n_rv = self.pair_lo, self.pair_hi, self.n_rv_pairs
+        lo, hi = self.pair_lo, self.pair_hi
         rate = perceived[lo] - perceived[hi]
         sender = np.where(rate > 0.0, lo, hi)
         np.abs(rate, out=rate)
-        for part, degree in ((rate[:n_rv], degree_rv), (rate[n_rv:], degree_av)):
-            if degree != 1.0:
-                np.power(part, degree, out=part)
         rate *= flows[sender]   # flow moved from the sender to the other path
         return (np.bincount(lo + hi - sender, rate, self.n_paths)
                 - np.bincount(sender, rate, self.n_paths))
@@ -307,7 +301,7 @@ def solve_assignment(assignment, config, initial_flows=None, callback=None):
                               f"positive: nesting/dispersion ({scale:.6g}) is too large against "
                               "the dollar-cost scale")
         gap = relative_gap(assignment, flows, perceived, total)
-        direction = assignment.swap_directions(flows, perceived, *SWAP_DEGREES[mode])
+        direction = assignment.swap_directions(flows, perceived)
         drain = max_relative_outflow(flows, direction, H_FLOOR)
         volume = swap_volume(direction)
         step, damping = step_size(drain, volume, prev_volume, damping, mode, config.gamma_growth)

@@ -251,14 +251,14 @@ def mp_perceived_cost_rv(cost, flow, demand, commonality, theta, u, dps=60):
     return float(value)
 
 
-def naive_swap_direction(flows, perceived, degree):
+def naive_swap_direction(flows, perceived):
     """Double-loop pairwise exchange, the direct reading of the rule."""
     n = len(flows)
     phi = np.zeros(n)
     for k in range(n):
         for g in range(n):
-            gain = max(perceived[g] - perceived[k], 0.0) ** degree
-            loss = max(perceived[k] - perceived[g], 0.0) ** degree
+            gain = max(perceived[g] - perceived[k], 0.0)
+            loss = max(perceived[k] - perceived[g], 0.0)
             phi[k] += flows[g] * gain - flows[k] * loss
     return phi
 

@@ -16,7 +16,6 @@ from mixflow.network import AV, RV, Link, Network, ODPair
 from mixflow.paths import yen_k_shortest
 from mixflow.pga import PgaConfig, generate_paths, pga_solve
 from mixflow.solver import Assignment, SolverConfig, solve, solve_assignment
-from mixflow import costs as cost_model
 
 from conftest import parallel_network, parallel_paths, random_network
 from oracles import (alpha_matrix, build_path, k_cheapest_paths, logit_shares,

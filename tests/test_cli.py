@@ -53,8 +53,8 @@ def test_config_file_parsing():
 
 def test_build_run_config_rejects_unknown_keys():
     # threads, lambda2 and seed did nothing or were only recorded; flow_floor,
-    # h_floor and final_gap were never set to another value. All are gone, and
-    # gamma_init and the swap degrees are solver constants of the step rules
+    # h_floor and final_gap were never set to another value. All are gone,
+    # gamma_init is a solver constant, and both step rules swap at unit degree
     for key in ("not_a_key", "threads", "lambda2", "seed", "flow_floor", "h_floor",
                 "final_gap", "gap_tol", "gamma_init", "swap_degree_rv", "swap_degree_av"):
         with pytest.raises(ValueError, match="unknown config key"):

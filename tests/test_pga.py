@@ -206,7 +206,7 @@ def test_carry_over_matches_per_group_oracle_on_sioux_falls(params, monkeypatch)
     """Seed 7 PGA at k = 10, gap 5e-3: in every round, a solve's flows placed
     at the positions `merge_path_sets` gives its paths equal the group-by-group
     copy bit for bit, and so do the next solve's initial flows; round 2 adds
-    paths to 827 groups and round 3 to 20."""
+    paths to 827 groups and round 3 to 19."""
     net = sioux_falls_network(params, seed=7)
     merges, solves = [], []
 
@@ -232,8 +232,8 @@ def test_carry_over_matches_per_group_oracle_on_sioux_falls(params, monkeypatch)
         expected = carry_over_by_groups(assignment, previous, solved.flow.f)
         assert carried.tobytes() == expected.tobytes() == initial.tobytes()
         grown.append(int((assignment.group_sizes != previous.group_sizes).sum()))
-    assert grown == [827, 20]
-    assert [row.new_paths for row in result.outer] == [10560, 1303, 20]
+    assert grown == [827, 19]
+    assert [row.new_paths for row in result.outer] == [10560, 1305, 19]
 
 
 def test_carry_over_matches_per_group_oracle_when_groups_grow_unevenly(params):
