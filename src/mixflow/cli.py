@@ -26,7 +26,7 @@ from . import costs as cost_model
 from . import diagnostics
 from .costs import ClassParams
 from .network import RV, VEHICLE_CLASSES, ParseError, ValidationError, load_network
-from .paths import format_path_line, yen_k_shortest
+from .paths import format_path_line, path_row_fault, yen_k_shortest
 from .pga import PgaConfig, generate_paths, pga_solve
 from .solver import BASELINE, MODIFIED, SolverConfig, SolverError, solve
 
@@ -253,8 +253,9 @@ def _path_flow_arrays(network, texts):
     """Flat arrays of path_flows.csv rows: group 2 * od index + class index
     (0 rv, 1 av), flow and link count per row, link index per (row, link)
     entry. Each check runs over all rows at once, in the order one row meets
-    them, and raises a ValueError naming the first row that fails it."""
-    n, n_od = len(texts), len(network.od_pairs)
+    them (`path_row_fault`'s last), and raises a ValueError naming the first
+    row that fails it."""
+    n_od = len(network.od_pairs)
     commas = np.array(list(map(str.count, texts, repeat(","))))
     _fail_first(np.flatnonzero(commas != 3), lambda i: f"bad row {texts[i]!r}")
     fields = ",".join(texts).split(",")
@@ -277,41 +278,8 @@ def _path_flow_arrays(network, texts):
     link = np.fromiter(map(network.link_index.get, ids, repeat(-1)), np.intp, sizes.sum())
     _fail_first(np.flatnonzero(link < 0),
                 lambda e: f"unknown link id {int('-'.join(keys).split('-')[e])}")
-    stops = np.cumsum(sizes)
-    starts = stops - sizes
-    node_index = {v: i for i, v in enumerate(network.nodes)}
-    tail = np.array([node_index[l.from_node] for l in network.links], np.int32)[link]
-    head = np.array([node_index[l.to_node] for l in network.links], np.int32)[link]
-    apart = head[:-1] != tail[1:]
-    apart[stops[:-1] - 1] = False
-    _fail_first(np.flatnonzero(apart),
-                lambda e: f"links {network.links[link[e]].id} and "
-                f"{network.links[link[e + 1]].id} are not adjacent")
-    # each row's nodes, its first tail then every head, row i from at[i] on
-    nodes = np.insert(head, starts, tail[starts])
-    at = starts + np.arange(n)
-    # a revisit is a pair of equal neighbours among the sorted (row, node) keys
-    visits = np.repeat(np.arange(n) * len(node_index), sizes + 1)
-    visits += nodes
-    visits.sort(kind="stable")    # the default int64 sort maps in 0.2 MB more code
-    _fail_first(visits[1:][visits[1:] == visits[:-1]] // len(node_index),
-                lambda i: "path revisits a node: "
-                f"{[network.nodes[v] for v in nodes[at[i]:at[i] + sizes[i] + 1]]}")
-    ends = np.array([(node_index[q.origin], node_index[q.destination])
-                     for q in network.od_pairs])[od]
-    _fail_first(np.flatnonzero((ends != np.stack([nodes[at], nodes[at + sizes]], 1)).any(1)),
-                lambda i: f"path {keys[i]} does not connect od {od[i]}")
-    del tail, head, nodes, visits    # before the duplicate table, to keep the peak memory down
-    # a duplicate is a later one of equal neighbours among the stably sorted
-    # (group, link sequence) rows; loop-free paths fit n_nodes columns
-    table = np.full((n, sizes.max() + 1), -1, dtype=np.int32)
-    table[:, 0] = group
-    table[np.repeat(np.arange(n), sizes),
-          np.arange(link.size) - np.repeat(starts - 1, sizes)] = link
-    order = np.lexsort(table.T[::-1])
-    table = table[order]
-    _fail_first(order[1:][(table[1:] == table[:-1]).all(axis=1)],
-                lambda i: f"duplicate row for path {keys[i]}")
+    if fault := path_row_fault(network, group, sizes, link, keys.__getitem__):
+        raise ValueError(fault[1])
     return group, flow, sizes, link
 
 

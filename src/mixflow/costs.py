@@ -107,10 +107,12 @@ class CnlEntries:
     n_nests: int
 
 
-def cnl_entries(link, path, group, lengths):
-    """The entries of rv paths given as flat entry arrays: each entry's link
-    index, its path (0 .. n - 1, entries of a path consecutive and in link
-    order) and its path's group; `lengths` holds the link lengths."""
+def cnl_entries(link, row, group, lengths):
+    """The entries of the rv rows, paths 0 .. n_rv - 1 in row order, of path
+    rows given as each entry's link index and row (a row's entries in link
+    order) and each row's group; `lengths` holds the link lengths."""
+    rv = group[row] % 2 == 0
+    path, group, link = (np.cumsum(group % 2 == 0) - 1)[row[rv]], group[row[rv]], link[rv]
     link_length = lengths[link]
     # a bincount sums each path in link order, as `sum` over its links does
     ln_alpha = np.log(link_length / np.bincount(path, link_length)[path])

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import costs as cost_model
 from .network import VEHICLE_CLASSES
+from .paths import path_rows
 
 
 @dataclass
@@ -102,9 +103,7 @@ def certify_rows(network, group, flow, sizes, link, params):
     if (bad := demand[group[rv]] <= 0).any():
         raise ValueError(f"od {group[rv][bad].min() // 2} class rv has flows "
                          "but no positive demand")
-    rv_entry = cls[row] == 0
-    entries = cost_model.cnl_entries(link[rv_entry], (np.cumsum(cls == 0) - 1)[row[rv_entry]],
-                                     group[row[rv_entry]], network.lengths)
+    entries = cost_model.cnl_entries(link, row, group, network.lengths)
     commonality = cost_model.cnl_commonalities(entries, costs[rv], params.dispersion,
                                                params.nesting)
     costs[rv] = cost_model.perceived_cost_rv(costs[rv], flow[rv], demand[group[rv]],
@@ -114,12 +113,9 @@ def certify_rows(network, group, flow, sizes, link, params):
 
 def certify(network, result, params):
     """Equilibrium report of a SolveResult's flows, repriced from the link ids
-    of its paths rather than from the solver's arrays."""
-    paths = result.paths
+    of its paths, checked by `paths.path_rows`, not from the solver's arrays."""
     return certify_rows(network, result.path_group, result.flow.f,
-                        np.fromiter((len(p.links) for p in paths), np.intp, len(paths)),
-                        np.fromiter((network.link_index[a] for p in paths for a in p.links),
-                                    np.intp), params)
+                        *path_rows(network, result.paths, result.path_group), params)
 
 
 def flow_deviation(link_flows, reference_flows):

@@ -11,8 +11,11 @@ import bisect
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
+
+from .network import VEHICLE_CLASSES
 
 # relative margin of the A* stop rule, far above the float error of the bound
 _SLACK = 1e-9
@@ -35,6 +38,70 @@ def merge_path_sets(paths, group, new_paths, new_group):
     positions[order] = np.arange(order.size)
     both = (*paths, *new_paths)
     return tuple(map(both.__getitem__, order.tolist())), groups[order], positions[:len(paths)]
+
+
+def _lowest(indices):
+    return int(indices.min()) if indices.size else None
+
+
+def path_row_fault(network, group, sizes, link, key):
+    """`(row, message)` of the first path row to fail a check, or None: row i
+    is path `key(i)` of group `group[i]`, its `sizes[i]` link indices next in
+    `link`. Each check runs over all rows, in the order one row meets them:
+    a link at least, adjacency, no revisited node, the od's ends, no duplicate."""
+    if (i := _lowest(np.flatnonzero(sizes < 1))) is not None:
+        return i, "a path needs at least one link"
+    n, stops = sizes.size, np.cumsum(sizes)
+    starts = stops - sizes
+    node_index = {v: i for i, v in enumerate(network.nodes)}
+    tail = np.array([node_index[l.from_node] for l in network.links], np.int32)[link]
+    head = np.array([node_index[l.to_node] for l in network.links], np.int32)[link]
+    apart = head[:-1] != tail[1:]
+    apart[stops[:-1] - 1] = False
+    if (e := _lowest(np.flatnonzero(apart))) is not None:
+        return (int(np.searchsorted(stops, e, side="right")),
+                f"links {network.links[link[e]].id} and {network.links[link[e + 1]].id} "
+                "are not adjacent")
+    # each row's nodes, its first tail then every head, row i from at[i] on
+    nodes = np.insert(head, starts, tail[starts])
+    at = starts + np.arange(n)
+    # a revisit is a pair of equal neighbours among the sorted (row, node) keys
+    visits = np.repeat(np.arange(n) * len(node_index), sizes + 1)
+    visits += nodes
+    visits.sort(kind="stable")    # the default int64 sort maps in 0.2 MB more code
+    if (i := _lowest(visits[1:][visits[1:] == visits[:-1]] // len(node_index))) is not None:
+        return i, ("path revisits a node: "
+                   f"{[network.nodes[v] for v in nodes[at[i]:at[i] + sizes[i] + 1]]}")
+    ends = np.array([(node_index[q.origin], node_index[q.destination])
+                     for q in network.od_pairs])[group // 2]
+    astray = (ends != np.stack([nodes[at], nodes[at + sizes]], 1)).any(1)
+    if (i := _lowest(np.flatnonzero(astray))) is not None:
+        return i, f"path {key(i)} does not connect od {group[i] // 2}"
+    del tail, head, nodes, visits    # before the duplicate table, to keep the peak memory down
+    # a duplicate is a later one of equal neighbours among the stably sorted
+    # (group, link sequence) rows; loop-free paths fit n_nodes columns
+    table = np.full((n, sizes.max(initial=0) + 1), -1, dtype=np.int32)
+    table[:, 0] = group
+    table[np.repeat(np.arange(n), sizes),
+          np.arange(link.size) - np.repeat(starts - 1, sizes)] = link
+    order = np.lexsort(table.T[::-1])
+    table = table[order]
+    if (i := _lowest(order[1:][(table[1:] == table[:-1]).all(axis=1)])) is not None:
+        return i, f"duplicate row for path {key(i)}"
+    return None
+
+
+def path_rows(network, paths, group):
+    """`(sizes, link)` of `paths` of groups `group` as path rows; a ValueError
+    names the od and class of a `path_row_fault`, a KeyError an unknown link id."""
+    sizes = np.fromiter(map(len, [p.links for p in paths]), np.intp, len(paths))
+    link = np.fromiter(map(network.link_index.__getitem__,
+                           chain.from_iterable(p.links for p in paths)), np.intp, sizes.sum())
+    if fault := path_row_fault(network, group, sizes, link,
+                               lambda i: "-".join(map(str, paths[i].links))):
+        od, cls = divmod(int(group[fault[0]]), 2)
+        raise ValueError(f"od {od} class {VEHICLE_CLASSES[cls]}: {fault[1]}")
+    return sizes, link
 
 
 class Graph:

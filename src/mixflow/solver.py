@@ -12,14 +12,13 @@ back to the baseline rule, damped from GAMMA_INIT, for the rest of the run.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from . import costs as cost_model
 from .network import VEHICLE_CLASSES
+from .paths import path_rows
 
 MODIFIED = "modified"
 BASELINE = "baseline"
@@ -91,8 +90,8 @@ class Assignment:
     `paths` and `path_group`, each path's (OD, class) group 2 * od_index +
     class index, hold the given paths sorted stably by group, less those of
     groups without positive demand. Construction fails on a non-integer or
-    out-of-range group id, a group that holds a link sequence twice, and a
-    demanded group without paths.
+    out-of-range group id, a demanded group without paths, and a path that
+    `mixflow check` would reject as a path of its group (`paths.path_rows`).
     """
 
     def __init__(self, network, paths, path_group, params):
@@ -111,11 +110,6 @@ class Assignment:
         order = order[demanded[path_group[order]]]
         self.paths = tuple(map(paths.__getitem__, order.tolist()))
         self.path_group = path_group[order]
-        keys = list(zip(self.path_group.tolist(), [p.links for p in self.paths]))
-        if len(set(keys)) < len(keys):
-            group, links = next(key for key, count in Counter(keys).items() if count > 1)
-            raise ValueError(f"od {group // 2} class {VEHICLE_CLASSES[group % 2]} holds "
-                             f"path {links} twice")
         ids = np.flatnonzero(demanded)
         self.group_demands = network.group_demand[ids]
         self.group_sizes = np.bincount(self.path_group, minlength=n_groups)[ids]
@@ -129,22 +123,17 @@ class Assignment:
         self.n_paths = n_paths = len(self.paths)
         self.group_starts = np.cumsum(self.group_sizes) - self.group_sizes
         self.demand_per_path = np.repeat(self.group_demands, self.group_sizes)
-        path_rv = self.path_group % 2 == 0
-        # each entry's column in the flat (class, link) layout: link index, plus n_links for av
-        n_links = network.n_links
-        path_sizes = np.fromiter((len(p.links) for p in self.paths), np.intp, n_paths)
+        path_sizes, link = path_rows(network, self.paths, self.path_group)
         self.entry_path = np.repeat(np.arange(n_paths, dtype=np.intp), path_sizes)
-        self.entry_col = np.fromiter(
-            map(network.link_index.__getitem__, chain.from_iterable(p.links for p in self.paths)),
-            np.intp, len(self.entry_path))
-        self.entry_col[~path_rv[self.entry_path]] += n_links
+        self.cnl_entries = cost_model.cnl_entries(link, self.entry_path, self.path_group,
+                                                  network.lengths)
+        # each entry's column in the flat (class, link) layout: link index, plus n_links for av
+        path_rv = self.path_group % 2 == 0
+        self.entry_col = link
+        self.entry_col[~path_rv[self.entry_path]] += network.n_links
         self.rv_paths = np.flatnonzero(path_rv)
         self.rv_demand = self.demand_per_path[self.rv_paths]
         self.drift_limit = 1e-9 * self.group_demands
-        rv_path = self.entry_path[self.entry_col < n_links]
-        self.cnl_entries = cost_model.cnl_entries(
-            self.entry_col[self.entry_col < n_links], (np.cumsum(path_rv) - 1)[rv_path],
-            self.path_group[rv_path], network.lengths)
         # every within-group pair (lo, hi) with lo < hi once, in path order:
         # path k pairs with each later path of its group
         group_stops = self.group_starts + self.group_sizes

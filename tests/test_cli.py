@@ -10,12 +10,13 @@ import pytest
 import mixflow
 from mixflow.cli import (CONFIG_KEYS, _path_flow_arrays, build_run_config, main,
                          parse_config_text)
-from mixflow.costs import (ClassParams, evaluate_links, fuel_gallons, link_generalized_cost,
-                           link_travel_time)
+from mixflow.costs import (ClassParams, evaluate_links, free_flow_state, fuel_gallons,
+                           link_generalized_cost, link_travel_time)
 from mixflow.fixtures import nguyen_network, sioux_falls_network
 from mixflow.network import Link, Network, ODPair, ParseError, write_network
-from mixflow.paths import yen_k_shortest
-from mixflow.solver import STALL_WINDOW
+from mixflow.paths import Path, yen_k_shortest
+from mixflow.pga import generate_paths
+from mixflow.solver import STALL_WINDOW, Assignment
 
 from conftest import diamond_network
 from oracles import build_path, link_flows_by_paths, path_cost
@@ -439,8 +440,13 @@ def test_reader_path_checks_match_build_path_oracle(fixture):
     """One-row files of random link-id sequences: valid Yen paths, random walks
     (Sioux Falls has two-way pairs, so a walk can revisit a node), walks with a
     link swapped for any or an unknown id. The reader raises the oracle's
-    message, or passes where it passes unless the path misses its od's ends."""
+    message, or passes where it passes unless the path misses its od's ends.
+    `Assignment` gives the same outcome, naming the od and class, for the same
+    path as the only one of its group; an unknown id stays a KeyError there."""
     net = fixture(ClassParams(), seed=7)
+    # one path per demanded group, so each sequence can take its group's place
+    base_paths, base_group = generate_paths(net, free_flow_state(net, ClassParams()), 1)
+    slot = {g: i for i, g in enumerate(base_group.tolist())}
     rng = np.random.default_rng(11)
     out = {}
     for link in net.links:
@@ -467,12 +473,23 @@ def test_reader_path_checks_match_build_path_oracle(fixture):
         if expected is None and od is None:
             expected = f"path {key} does not connect od 0"
         row = f"{od or 0},rv,{key},1.5"
+        paths = list(base_paths)
+        paths[slot[2 * (od or 0)]] = Path(links, ())
         if expected is None:
             _path_flow_arrays(net, [row])
+            Assignment(net, paths, base_group, ClassParams())
         else:
             with pytest.raises(ValueError) as info:
                 _path_flow_arrays(net, [row])
             assert str(info.value) == expected, row
+            if expected.startswith("unknown link id"):
+                with pytest.raises(KeyError) as info:
+                    Assignment(net, paths, base_group, ClassParams())
+                assert f"unknown link id {info.value.args[0]}" == expected, row
+            else:
+                with pytest.raises(ValueError) as info:
+                    Assignment(net, paths, base_group, ClassParams())
+                assert str(info.value) == f"od {od or 0} class rv: {expected}", row
         seen.add(next((kind for kind in ("unknown", "adjacent", "revisits", "connect")
                        if kind in (expected or "")), "ok"))
     # the Nguyen network has no cycle, so no walk on it revisits a node

@@ -19,8 +19,9 @@ def flat_cnl_entries(groups, lengths):
     `lengths` maps link id to length."""
     index = {a: i for i, a in enumerate(sorted(lengths))}
     paths = [(g, p) for g, group in enumerate(groups) for p in group]
-    entries = [(index[a], k, g) for k, (g, p) in enumerate(paths) for a in p.links]
-    link, path, group = np.array(entries, dtype=np.intp).reshape(-1, 3).T
+    entries = [(index[a], k) for k, (g, p) in enumerate(paths) for a in p.links]
+    link, path = np.array(entries, dtype=np.intp).reshape(-1, 2).T
+    group = np.array([2 * g for g, _ in paths], dtype=np.intp)    # rv group ids
     return cnl_entries(link, path, group, np.array([lengths[a] for a in sorted(lengths)]))
 
 

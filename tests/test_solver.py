@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from operator import attrgetter
 
 import numpy as np
@@ -12,7 +13,7 @@ from mixflow.costs import FLOW_FLOOR, ClassParams, evaluate_links, free_flow_sta
 from mixflow.fixtures import (NGUYEN_OD_NODES, nguyen_network, sioux_falls_network,
                               synthesize_demand)
 from mixflow.network import AV, RV, VEHICLE_CLASSES, Link, Network, ODPair
-from mixflow.paths import yen_k_shortest
+from mixflow.paths import Path, yen_k_shortest
 from mixflow.pga import generate_paths
 from mixflow.solver import (Assignment, BASELINE, GAMMA_INIT, H_FLOOR, MODIFIED,
                             STALL_WINDOW, SolverConfig,
@@ -22,7 +23,7 @@ from mixflow.solver import (Assignment, BASELINE, GAMMA_INIT, H_FLOOR, MODIFIED,
 from mixflow import costs as cost_model
 from mixflow import diagnostics
 
-from conftest import parallel_network, parallel_paths, random_network
+from conftest import diamond_network, parallel_network, parallel_paths, random_network
 from oracles import (alpha_matrix, build_path, flows_by_group, groups_of, link_flows_by_paths,
                      logit_shares, mp_cnl_commonality, mp_perceived_cost_rv,
                      naive_cnl_commonality, naive_swap_direction)
@@ -92,7 +93,7 @@ def test_path_set_with_a_repeated_path_or_a_foreign_group_rejected(params):
     silently; a negative group id would wrap around to the last group."""
     net = parallel_network([(5.0, 800.0)] * 2, demand_rv=50.0, demand_av=50.0)
     paths, group = parallel_paths(net, RV, AV)
-    with pytest.raises(ValueError, match=r"^od 0 class av holds path \(2,\) twice$"):
+    with pytest.raises(ValueError, match=r"^od 0 class av: duplicate row for path 2$"):
         Assignment(net, paths + paths[1:2], np.append(group, 1), params)
     for bad in (-1, 2):
         with pytest.raises(ValueError, match=rf"^path group {bad} is outside 0\.\.1$"):
@@ -107,6 +108,39 @@ def test_path_set_with_a_repeated_path_or_a_foreign_group_rejected(params):
     # an empty [] has a float dtype, and is still read as no paths
     with pytest.raises(ValueError, match="has demand 50.0 for class av but no paths$"):
         Assignment(av_net, [], [], params)
+
+
+def test_solve_and_certify_reject_the_paths_check_rejects(params):
+    """Paths that `mixflow check` rejects as paths of their group: another
+    od's path, a one-link path short of its od, a node revisit, and a path
+    without links in an av and in an rv group. `solve` raises, and so does
+    `certify` on a result built by hand from a good solve; both name the
+    path's od and class."""
+    nguyen = nguyen_network(params, seed=0)
+    link_of = {(l.from_node, l.to_node): l.id for l in nguyen.links}
+    nodes = (1, 5, 6, 7, 11, 3)
+    other_od = build_path(nguyen, tuple(link_of[a, b] for a, b in zip(nodes, nodes[1:])))
+    # the diamond plus link 5 back from node 2 to node 1, so a path can revisit a node
+    diamond = diamond_network(demand_rv=60.0, demand_av=60.0)
+    diamond = Network(diamond.nodes, diamond.links + (Link(5, 2, 1, 10.0, 10.0, 100.0, 200.0),),
+                      diamond.od_pairs)
+    cases = [  # network, k, the group whose first path is replaced, the path, message
+        (nguyen, 3, 0, other_od, r"od 0 class rv: path 1-5-7-10-16 does not connect od 0"),
+        (nguyen, 3, 0, build_path(nguyen, (1,)), r"od 0 class rv: path 1 does not connect od 0"),
+        (diamond, 2, 1, Path((1, 5, 1, 2), (1, 2, 1, 2, 4)),
+         r"od 0 class av: path revisits a node: \[1, 2, 1, 2, 4\]"),
+        (nguyen, 3, 1, Path((), (1,)), r"od 0 class av: a path needs at least one link"),
+        (nguyen, 3, 0, Path((), (1,)), r"od 0 class rv: a path needs at least one link"),
+    ]
+    for net, k, group_id, path, message in cases:
+        paths, group = generate_paths(net, free_flow_state(net, params), k)
+        good = solve(net, paths, group, params, SolverConfig(gap_tol=1e-3))
+        bad = list(paths)
+        bad[int(np.argmax(group == group_id))] = path
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solve(net, bad, group, params, SolverConfig(gap_tol=1e-3))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            diagnostics.certify(net, replace(good, paths=tuple(bad)), params)
 
 
 def test_path_set_order_and_zero_demand_groups_do_not_matter(params):
