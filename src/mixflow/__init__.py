@@ -8,7 +8,7 @@ an optional alternating path-generation outer loop.
 
 from .costs import ClassParams
 from .network import AV, RV, Link, Network, ODPair, load_network, split_demand, validate
-from .paths import Path, merge_path_sets, yen_k_shortest
+from .paths import merge_path_sets, yen_k_shortest
 from .pga import PgaConfig, pga_solve
 from .solver import FlowState, SolveResult, SolverConfig, solve
 
@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AV", "RV", "ClassParams", "FlowState", "Link", "Network", "ODPair",
-    "Path", "PgaConfig", "SolveResult", "SolverConfig",
+    "PgaConfig", "SolveResult", "SolverConfig",
     "load_network", "merge_path_sets", "pga_solve", "solve", "split_demand",
     "validate", "yen_k_shortest", "__version__",
 ]

@@ -26,7 +26,7 @@ from . import costs as cost_model
 from . import diagnostics
 from .costs import ClassParams
 from .network import RV, VEHICLE_CLASSES, ParseError, ValidationError, load_network
-from .paths import format_path_line, path_row_fault, yen_k_shortest
+from .paths import format_path_line, node_sequences, path_row_fault, yen_k_shortest
 from .pga import PgaConfig, generate_paths, pga_solve
 from .solver import BASELINE, MODIFIED, SolverConfig, SolverError, solve
 
@@ -129,10 +129,6 @@ def _fmt(x):
     return format(float(x), ".6g")
 
 
-def _path_key(path):
-    return "-".join(str(a) for a in path.links)
-
-
 def _write(path, lines):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -147,7 +143,7 @@ def write_link_flows_csv(path, network, x):
 def write_path_flows_csv(path, result):
     # round-trip precision, so `check` certifies the flows the solver certified
     _write(path, ["od,class,path_key,flow"] + [
-        f"{g // 2},{VEHICLE_CLASSES[g % 2]},{_path_key(p)},{flow!r}"
+        f"{g // 2},{VEHICLE_CLASSES[g % 2]},{'-'.join(map(str, p))},{flow!r}"
         for g, p, flow in zip(result.path_group.tolist(), result.paths, result.flow.f.tolist())])
 
 
@@ -165,9 +161,10 @@ def write_outer_trace_csv(path, rows):
     _write(path, lines)
 
 
-def write_path_dump(path, result):
-    rows = zip(result.path_group.tolist(), result.paths, result.flow.path_costs.tolist())
-    _write(path, [format_path_line(g // 2, VEHICLE_CLASSES[g % 2], cost, p) for g, p, cost in rows])
+def write_path_dump(path, network, result):
+    rows = zip(result.path_group.tolist(), node_sequences(network, result.paths),
+               result.flow.path_costs.tolist())
+    _write(path, [format_path_line(g // 2, VEHICLE_CLASSES[g % 2], c, n) for g, n, c in rows])
 
 
 def write_summary_json(path, payload):
@@ -203,7 +200,7 @@ def _write_outputs(rc, command, network, final, wall, pga=None):
     }
     if pga is not None:
         write_outer_trace_csv(os.path.join(out, "outer_trace.csv"), pga.outer)
-        write_path_dump(os.path.join(out, "paths.txt"), final)
+        write_path_dump(os.path.join(out, "paths.txt"), network, final)
         summary.update({
             "outer_iterations": len(pga.outer),
             "outer_converged": pga.outer_converged,
@@ -237,9 +234,8 @@ def cmd_ksp(rc, origin, destination, k, vehicle_class):
     link_costs = cost_model.free_flow_state(network, rc.params).cost[
         VEHICLE_CLASSES.index(vehicle_class)]
     paths = yen_k_shortest(network, link_costs, origin, destination, k)
-    for p in paths:
-        cost = sum(link_costs[network.link_index[a]] for a in p.links)
-        print(f"{_fmt(cost)} {'-'.join(map(str, p.nodes))}")
+    for p, nodes in zip(paths, node_sequences(network, paths)):
+        print(_fmt(sum(link_costs[network.link_index[a]] for a in p)), "-".join(map(str, nodes)))
     return EXIT_OK
 
 

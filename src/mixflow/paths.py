@@ -1,8 +1,8 @@
 """Loop-free paths, path-set merging, and Yen k-shortest search.
 
-Path identity is the ordered link-id sequence: costs change every
-iteration, the link sequence never does. Parallel links are supported, so
-two distinct paths may share a node sequence.
+A path is its tuple of link ids: costs change every iteration, the link
+sequence never does. Parallel links are supported, so two distinct paths
+may share a node sequence; `node_sequences` derives them where printed.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -19,12 +18,6 @@ from .network import VEHICLE_CLASSES
 
 # relative margin of the A* stop rule, far above the float error of the bound
 _SLACK = 1e-9
-
-
-@dataclass(frozen=True)
-class Path:
-    links: tuple          # ordered link ids
-    nodes: tuple          # ordered node ids, len(links) + 1
 
 
 def merge_path_sets(paths, group, new_paths, new_group):
@@ -79,14 +72,14 @@ def path_row_fault(network, group, sizes, link, key):
         return i, f"path {key(i)} does not connect od {group[i] // 2}"
     del tail, head, nodes, visits    # before the duplicate table, to keep the peak memory down
     # a duplicate is a later one of equal neighbours among the stably sorted
-    # (group, link sequence) rows; loop-free paths fit n_nodes columns
+    # (group, link sequence) rows, each one np.void; loop-free paths fit n_nodes columns
     table = np.full((n, sizes.max(initial=0) + 1), -1, dtype=np.int32)
     table[:, 0] = group
     table[np.repeat(np.arange(n), sizes),
           np.arange(link.size) - np.repeat(starts - 1, sizes)] = link
-    order = np.lexsort(table.T[::-1])
-    table = table[order]
-    if (i := _lowest(order[1:][(table[1:] == table[:-1]).all(axis=1)])) is not None:
+    rows = table.view(np.dtype((np.void, table.itemsize * table.shape[1])))[:, 0]
+    order = np.argsort(rows, kind="stable")
+    if (i := _lowest(order[1:][rows[order[1:]] == rows[order[:-1]]])) is not None:
         return i, f"duplicate row for path {key(i)}"
     return None
 
@@ -94,11 +87,10 @@ def path_row_fault(network, group, sizes, link, key):
 def path_rows(network, paths, group):
     """`(sizes, link)` of `paths` of groups `group` as path rows; a ValueError
     names the od and class of a `path_row_fault`, a KeyError an unknown link id."""
-    sizes = np.fromiter(map(len, [p.links for p in paths]), np.intp, len(paths))
-    link = np.fromiter(map(network.link_index.__getitem__,
-                           chain.from_iterable(p.links for p in paths)), np.intp, sizes.sum())
+    sizes = np.fromiter(map(len, paths), np.intp, len(paths))
+    link = np.fromiter(map(network.link_index.__getitem__, chain.from_iterable(paths)), np.intp)
     if fault := path_row_fault(network, group, sizes, link,
-                               lambda i: "-".join(map(str, paths[i].links))):
+                               lambda i: "-".join(map(str, paths[i]))):
         od, cls = divmod(int(group[fault[0]]), 2)
         raise ValueError(f"od {od} class {VEHICLE_CLASSES[cls]}: {fault[1]}")
     return sizes, link
@@ -110,12 +102,11 @@ class Graph:
     index tuples compare like node-id tuples and ties resolve as over ids."""
 
     def __init__(self, network, link_costs):
-        self.node_ids = network.nodes
         self.index = {node: i for i, node in enumerate(network.nodes)}
         # (to, link id, cost, (to,), (link id,)): the 1-tuples extend labels
         self.adj = [[] for _ in network.nodes]
         self.radj = [[] for _ in network.nodes]    # (from, cost, link id)
-        self.cost, self._bounds = {}, {}
+        self.cost, self.ends, self._bounds = {}, {}, {}    # ends: link id -> (tail, head) indices
         for link, cost in zip(network.links, link_costs, strict=True):
             cost = float(cost)
             if not 0 < cost < math.inf:
@@ -125,6 +116,7 @@ class Graph:
             self.adj[tail].append((head, link.id, cost, (head,), (link.id,)))
             self.radj[head].append((tail, cost, link.id))
             self.cost[link.id] = cost
+            self.ends[link.id] = tail, head
 
     def bound(self, destination):
         """`(dist, tree)` to `destination`, by a reverse Dijkstra on first use:
@@ -243,8 +235,8 @@ def _deviations(graph, bound, tree, sink, nodes, links, start, trie, limit):
 
 
 def yen_k_shortest(network, link_costs, origin, destination, k, graph=None, known=()):
-    """Up to k cheapest loop-free paths in nondecreasing cost order, less
-    the paths of `known`, which count among the k like any other.
+    """Up to k cheapest loop-free link-id tuples in nondecreasing cost order,
+    less the paths of `known`, which count among the k like any other.
 
     `link_costs` is indexed like network.links and must be positive and
     finite; `graph`, when given, is a `Graph` already built on them and
@@ -276,15 +268,15 @@ def yen_k_shortest(network, link_costs, origin, destination, k, graph=None, know
     if bound[source] == math.inf:
         raise ValueError(f"no path from {origin} to {destination}")
     trie, walks, candidates = {}, [], []    # candidates in ascending order
-    for path in known:
+    for links in known:
         children, shared = trie, 0
-        while path.links[shared] in children:
-            children, shared = children[path.links[shared]], shared + 1
-        nodes = tuple(map(graph.index.__getitem__, path.nodes))
-        walks.append((nodes, path.links, shared + 1 if trie else 0))
-        for link in path.links[shared:]:
+        while links[shared] in children:
+            children, shared = children[links[shared]], shared + 1
+        nodes = (graph.ends[links[0]][0], *(graph.ends[link][1] for link in links))
+        walks.append((nodes, links, shared + 1 if trie else 0))
+        for link in links[shared:]:
             children = children.setdefault(link, {})
-        candidates.append((sum(map(graph.cost.__getitem__, path.links)), nodes, path.links, -1))
+        candidates.append((sum(map(graph.cost.__getitem__, links)), nodes, links, -1))
     if not known:
         candidates.append(_shortest(graph.adj, bound, tree, source, sink, graph.adj[source]) + (0,))
     candidates.sort()
@@ -304,12 +296,16 @@ def yen_k_shortest(network, link_costs, origin, destination, k, graph=None, know
         walks = [walk] if walk[2] >= 0 else []
         found += walks
         need -= 1
-    ids = graph.node_ids
-    return [Path(links=links, nodes=tuple(map(ids.__getitem__, nodes)))
-            for nodes, links, _ in found]
+    return [links for _, links, _ in found]
 
 
-def format_path_line(od_index, vehicle_class, cost, path):
+def node_sequences(network, paths):
+    """Each path's node ids: its first link's tail, then every link's head."""
+    tail = {link.id: link.from_node for link in network.links}
+    head = {link.id: link.to_node for link in network.links}
+    return [(tail[links[0]], *map(head.__getitem__, links)) for links in paths]
+
+
+def format_path_line(od_index, vehicle_class, cost, nodes):
     """One dump line per path: `od_index class cost node_sequence`."""
-    nodes = "-".join(str(n) for n in path.nodes)
-    return f"{od_index} {vehicle_class} {cost:.6g} {nodes}"
+    return f"{od_index} {vehicle_class} {cost:.6g} {'-'.join(map(str, nodes))}"

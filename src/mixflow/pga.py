@@ -63,12 +63,12 @@ class PgaResult:
 
 
 def generate_paths(network, link_state, k, known=(), known_group=()):
-    """Up to k Yen paths for every demanded (OD, class) at the link state's
-    per-class costs, as `(paths, group)` in ascending group order; one
-    `Graph` per class serves all of that class's calls, built at its first
-    demanded group. A group's paths in `known` (with ascending group ids
-    `known_group`) count among its k and are not returned again, so a group
-    whose known paths hold its k cheapest gets none."""
+    """Up to k Yen paths, link-id tuples, for every demanded (OD, class) at
+    the link state's per-class costs, as `(paths, group)` in ascending group
+    order; one `Graph` per class serves all of that class's calls, built at
+    its first demanded group. A group's paths in `known` (with ascending
+    group ids `known_group`) count among its k and are not returned again,
+    so a group whose known paths hold its k cheapest gets none."""
     paths, sizes, graphs = [], [], {}
     at = np.searchsorted(known_group, np.arange(network.group_demand.size + 1)).tolist()
     groups = np.flatnonzero(~(network.group_demand <= 0))

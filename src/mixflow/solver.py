@@ -75,7 +75,7 @@ class SolveResult:
     flow: FlowState
     trace: list          # one TraceRow per iteration; the last one reports `flow`
     converged: bool
-    paths: tuple         # the assignment's paths; path k carries flow.f[k]
+    paths: tuple         # the assignment's link-id tuples; path k carries flow.f[k]
     path_group: np.ndarray   # each path's (OD, class) group 2 * od_index + class index
     fallback_at: int = None   # stalled modified solve: its last modified iteration
 

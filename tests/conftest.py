@@ -5,7 +5,6 @@ import pytest
 
 from mixflow.costs import ClassParams
 from mixflow.network import VEHICLE_CLASSES, Link, Network, ODPair
-from mixflow.paths import Path
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "data")
 
@@ -25,7 +24,7 @@ def parallel_network(specs, demand_rv=0.0, demand_av=0.0):
 def parallel_paths(network, *classes):
     """Every link of a `parallel_network` as a path of od 0, once for each
     class in `classes`: `(paths, group ids)`."""
-    paths = [Path((link.id,), (1, 2)) for link in network.links]
+    paths = [(link.id,) for link in network.links]
     return paths * len(classes), np.repeat([VEHICLE_CLASSES.index(c) for c in classes],
                                            len(paths))
 

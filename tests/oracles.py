@@ -28,7 +28,6 @@ from mpmath import mp
 from mixflow import costs as cost_model
 from mixflow.diagnostics import EquilibriumReport
 from mixflow.network import AV, RV, VEHICLE_CLASSES
-from mixflow.paths import Path
 
 
 def enumerate_simple_paths(network, origin, destination):
@@ -53,9 +52,9 @@ def enumerate_simple_paths(network, origin, destination):
 
 def incidence(path_groups, od_index, vehicle_class, link_id, path):
     """1 if the link belongs to a path in `path_groups[(od_index, class)]`, else 0."""
-    if path.links not in {p.links for p in path_groups.get((od_index, vehicle_class), ())}:
-        raise KeyError(f"unknown path key {path.links}")
-    return int(link_id in path.links)
+    if path not in set(path_groups.get((od_index, vehicle_class), ())):
+        raise KeyError(f"unknown path key {path}")
+    return int(link_id in path)
 
 
 def path_cost_by_id(links, cost_by_id):
@@ -64,11 +63,19 @@ def path_cost_by_id(links, cost_by_id):
 
 def path_cost(path, link_costs):
     """Sum of member-link costs; `link_costs` maps link id to dollars."""
-    return float(path_cost_by_id(path.links, link_costs))
+    return float(path_cost_by_id(path, link_costs))
+
+
+def path_nodes(network, links):
+    """The node ids of a path of link ids: every link's tail, then the last
+    link's head (`paths.node_sequences` reads the heads instead, so the two
+    agree only on a path whose links join)."""
+    by_id = {l.id: l for l in network.links}
+    return tuple(by_id[a].from_node for a in links) + (by_id[links[-1]].to_node,)
 
 
 def build_path(network, link_ids):
-    """Construct a Path from link ids, checking adjacency and loop-freeness;
+    """The link-id tuple of `link_ids`, checking adjacency and loop-freeness;
     an unknown link id raises KeyError."""
     if not link_ids:
         raise ValueError("a path needs at least one link")
@@ -80,7 +87,7 @@ def build_path(network, link_ids):
     nodes.extend(l.to_node for l in links)
     if len(set(nodes)) != len(nodes):
         raise ValueError(f"path revisits a node: {nodes}")
-    return Path(links=tuple(link_ids), nodes=tuple(nodes))
+    return tuple(link_ids)
 
 
 def k_cheapest_paths(network, link_costs, origin, destination, k):
@@ -186,13 +193,13 @@ def mixed_capacity(x_rv, x_av, cap_rv, cap_av):
 
 def path_length(path, lengths):
     """Sum of member-link lengths in path order; `lengths` maps link id to length."""
-    return sum(lengths[a] for a in path.links)
+    return sum(lengths[a] for a in path)
 
 
 def overlap_alpha(link_id, path, lengths):
     """Length share of the link within `path`; zero when the link is not a
     member. `lengths` maps link id to length."""
-    if link_id not in path.links:
+    if link_id not in path:
         return 0.0
     return lengths[link_id] / path_length(path, lengths)
 
@@ -200,7 +207,7 @@ def overlap_alpha(link_id, path, lengths):
 def alpha_matrix(paths, lengths):
     """Dense (link, path) overlap weights over the links of `paths` in id
     order; `lengths` maps link id to length."""
-    link_ids = sorted({a for p in paths for a in p.links})
+    link_ids = sorted({a for p in paths for a in p})
     return np.array([[overlap_alpha(a, p, lengths) for p in paths] for a in link_ids])
 
 
@@ -278,7 +285,7 @@ def cnl_entries_by_paths(groups, link_lengths):
         local = {}
         for p in paths:
             length = path_length(p, link_lengths)
-            for a in p.links:
+            for a in p:
                 alpha.append(link_lengths[a] / length)
                 path.append(n_paths)
                 nest.append(local.setdefault(a, n_nests + len(local)))
@@ -297,7 +304,7 @@ def link_flows_by_paths(path_groups, flows_by_group, network):
         if flows is None:
             continue
         for path, flow in zip(paths, flows):
-            for link_id in path.links:
+            for link_id in path:
                 x[cls][network.link_index[link_id]] += flow
     return np.array([x[RV], x[AV]])
 
@@ -330,7 +337,7 @@ def certify_by_paths(network, path_groups, flows_by_group, params):
         network, link_flows_by_paths(path_groups, flows_by_group, network), params)
     cost_by_id = {cls: {l.id: state.cost[c][i] for i, l in enumerate(network.links)}
                   for c, cls in enumerate(VEHICLE_CLASSES)}
-    costs_by_group = {key: np.array([path_cost_by_id(p.links, cost_by_id[key[1]]) for p in paths])
+    costs_by_group = {key: np.array([path_cost_by_id(p, cost_by_id[key[1]]) for p in paths])
                       for key, paths in path_groups.items() if key in flows_by_group}
     demand_by_group = {(od_index, cls): od.demand_rv if cls == RV else od.demand_av
                        for od_index, od in enumerate(network.od_pairs) for cls in VEHICLE_CLASSES}

@@ -19,7 +19,7 @@ from mixflow.solver import Assignment, SolverConfig, solve, solve_assignment
 
 from conftest import parallel_network, parallel_paths, random_network
 from oracles import (alpha_matrix, build_path, k_cheapest_paths, logit_shares,
-                     mp_cnl_commonality, mp_perceived_cost_rv, path_cost)
+                     mp_cnl_commonality, mp_perceived_cost_rv, path_cost, path_nodes)
 
 _CONVERGED_SOLVES = []
 
@@ -192,8 +192,8 @@ def test_criterion_6_yen_equals_enumeration():
         if not expected:
             continue
         got = yen_k_shortest(net, costs, od.origin, od.destination, 10)
-        assert [p.links for p in got] == [links for _, _, links in expected]
-        assert [p.nodes for p in got] == [nodes for _, nodes, _ in expected]
+        assert got == [links for _, _, links in expected]
+        assert [path_nodes(net, p) for p in got] == [nodes for _, nodes, _ in expected]
         tested += 1
     assert time.perf_counter() - started < 10.0
 

@@ -14,12 +14,12 @@ from mixflow.costs import (ClassParams, evaluate_links, free_flow_state, fuel_ga
                            link_generalized_cost, link_travel_time)
 from mixflow.fixtures import nguyen_network, sioux_falls_network
 from mixflow.network import Link, Network, ODPair, ParseError, write_network
-from mixflow.paths import Path, yen_k_shortest
+from mixflow.paths import yen_k_shortest
 from mixflow.pga import generate_paths
 from mixflow.solver import STALL_WINDOW, Assignment
 
 from conftest import diamond_network
-from oracles import build_path, link_flows_by_paths, path_cost
+from oracles import build_path, link_flows_by_paths, path_cost, path_nodes
 
 
 @pytest.fixture
@@ -451,7 +451,7 @@ def test_reader_path_checks_match_build_path_oracle(fixture):
     out = {}
     for link in net.links:
         out.setdefault(link.from_node, []).append(link.id)
-    sequences = [p.links for q in net.od_pairs[:40]
+    sequences = [p for q in net.od_pairs[:40]
                  for p in yen_k_shortest(net, net.free_times, q.origin, q.destination, 3)]
     for _ in range(600):
         walk = [int(rng.integers(1, net.n_links + 1))]
@@ -474,7 +474,7 @@ def test_reader_path_checks_match_build_path_oracle(fixture):
             expected = f"path {key} does not connect od 0"
         row = f"{od or 0},rv,{key},1.5"
         paths = list(base_paths)
-        paths[slot[2 * (od or 0)]] = Path(links, ())
+        paths[slot[2 * (od or 0)]] = links
         if expected is None:
             _path_flow_arrays(net, [row])
             Assignment(net, paths, base_group, ClassParams())
@@ -745,7 +745,7 @@ def test_pga_path_dump_prices_path_flows_rows_at_the_final_flows(tmp_path):
     cost_by_id = {cls: {l.id: state.cost[c][i] for i, l in enumerate(net.links)}
                   for c, cls in enumerate(("rv", "av"))}
     for (od, cls, _, _), p, (d_od, d_cls, d_cost, d_nodes) in zip(rows, paths, dump):
-        assert (d_od, d_cls, d_nodes) == (od, cls, "-".join(str(n) for n in p.nodes))
+        assert (d_od, d_cls, d_nodes) == (od, cls, "-".join(map(str, path_nodes(net, p))))
         assert float(d_cost) == pytest.approx(path_cost(p, cost_by_id[cls]), rel=5e-6)
 
 

@@ -224,7 +224,7 @@ def test_read_and_certify_rows_match_path_by_path_oracle(solved, tmp_path):
     net, ps, result = solved
     rng = np.random.default_rng(6)
     for name, path_set, flows, params in _variants(net, ps, flows_by_group(result), rng):
-        rows = [f"{od},{cls},{'-'.join(map(str, p.links))},{float(f)!r}"
+        rows = [f"{od},{cls},{'-'.join(map(str, p))},{float(f)!r}"
                 for (od, cls), paths in path_set.items() if (od, cls) in flows
                 for p, f in zip(paths, flows[(od, cls)])]
         csv = tmp_path / "path_flows.csv"

@@ -7,18 +7,19 @@ import pytest
 from mixflow.costs import ClassParams, free_flow_state
 from mixflow.fixtures import sioux_falls_network
 from mixflow.network import AV, RV, Link, Network, ODPair
-from mixflow.paths import (Graph, Path, _shortest, format_path_line,
-                           merge_path_sets, yen_k_shortest)
+from mixflow.paths import (Graph, _shortest, format_path_line, merge_path_sets,
+                           node_sequences, yen_k_shortest)
 
-from conftest import diamond_network, random_network
-from oracles import bellman_ford, build_path, incidence, k_cheapest_paths, plain_yen
+from conftest import diamond_network, parallel_network, random_network
+from oracles import (bellman_ford, build_path, incidence, k_cheapest_paths, path_nodes,
+                     plain_yen)
 
 
 def test_build_path_validates_adjacency():
     net = diamond_network()
     path = build_path(net, (1, 2))
-    assert path.nodes == (1, 2, 4)
-    assert path.links == (1, 2)
+    assert path_nodes(net, path) == (1, 2, 4)
+    assert path == (1, 2)
     with pytest.raises(ValueError):
         build_path(net, (1, 4))  # links 1->2 then 3->4 are not adjacent
 
@@ -43,31 +44,29 @@ def test_yen_single_path_matches_label_correcting_oracle():
         got = yen_k_shortest(net, costs, od.origin, od.destination, 1)
         assert expected is not None
         assert len(got) == 1
-        assert got[0].links == expected[2]
-        assert got[0].nodes == expected[1]
+        assert got[0] == expected[2]
+        assert path_nodes(net, got[0]) == expected[1]
 
 
 def test_yen_diamond_exhausts_paths():
     net = diamond_network()
     paths = yen_k_shortest(net, np.array([1.0, 1.0, 1.0, 2.0]), 1, 4, 5)
-    assert [p.links for p in paths] == [(1, 2), (3, 4)]
+    assert paths == [(1, 2), (3, 4)]
 
 
 def test_yen_cost_tie_breaks_lexicographically():
     # both routes cost 4; node sequence (1,2,4) beats (1,3,4)
     net = diamond_network()
     paths = yen_k_shortest(net, np.array([3.0, 1.0, 1.0, 3.0]), 1, 4, 2)
-    assert [p.nodes for p in paths] == [(1, 2, 4), (1, 3, 4)]
+    assert [path_nodes(net, p) for p in paths] == [(1, 2, 4), (1, 3, 4)]
 
 
 def test_yen_handles_parallel_links():
-    links = (Link(1, 1, 2, 1.0, 1.0, 10.0, 20.0),
-             Link(2, 1, 2, 1.0, 1.0, 10.0, 20.0),
-             Link(3, 1, 2, 1.0, 1.0, 10.0, 20.0))
-    net = Network(nodes=(1, 2), links=links, od_pairs=())
+    """Distinct paths over parallel links share one node sequence."""
+    net = parallel_network([(1.0, 10.0)] * 3)
     paths = yen_k_shortest(net, np.array([2.0, 1.0, 3.0]), 1, 2, 5)
-    assert [p.links for p in paths] == [(2,), (1,), (3,)]
-    assert all(p.nodes == (1, 2) for p in paths)
+    assert paths == [(2,), (1,), (3,)]
+    assert node_sequences(net, paths) == [path_nodes(net, p) for p in paths] == [(1, 2)] * 3
 
 
 def test_yen_matches_enumeration_on_random_graphs():
@@ -78,7 +77,7 @@ def test_yen_matches_enumeration_on_random_graphs():
         od = net.od_pairs[0]
         expected = k_cheapest_paths(net, costs, od.origin, od.destination, 6)
         got = yen_k_shortest(net, costs, od.origin, od.destination, 6)
-        assert [p.links for p in got] == [links for _, _, links in expected]
+        assert got == [links for _, _, links in expected]
 
 
 def test_yen_deterministic():
@@ -88,7 +87,7 @@ def test_yen_deterministic():
     od = net.od_pairs[0]
     first = yen_k_shortest(net, costs, od.origin, od.destination, 4)
     second = yen_k_shortest(net, costs, od.origin, od.destination, 4)
-    assert [p.links for p in first] == [p.links for p in second]
+    assert first == second
 
 
 def test_yen_rejects_bad_inputs():
@@ -149,11 +148,12 @@ def test_yen_matches_plain_yen_on_tie_heavy_graphs():
         od = net.od_pairs[0]
         expected = plain_yen(net, costs, od.origin, od.destination, k)
         got = yen_k_shortest(net, costs, od.origin, od.destination, k)
-        assert [p.links for p in got] == [links for _, _, links in expected], (case, kind)
-        assert [p.nodes for p in got] == [nodes for _, nodes, _ in expected], (case, kind)
+        assert got == [links for _, _, links in expected], (case, kind)
+        assert [path_nodes(net, p) for p in got] == [nodes for _, nodes, _ in expected], \
+            (case, kind)
         if kind == "integer":
             enumerated = k_cheapest_paths(net, costs, od.origin, od.destination, k)
-            assert [p.links for p in got] == [links for _, _, links in enumerated]
+            assert got == [links for _, _, links in enumerated]
 
 
 def test_yen_parallel_ties_follow_link_ids_not_list_order():
@@ -164,7 +164,7 @@ def test_yen_parallel_ties_follow_link_ids_not_list_order():
              Link(5, 2, 3, 1.0, 1.0, 10.0, 20.0))
     net = Network(nodes=(1, 2, 3), links=links, od_pairs=())
     paths = yen_k_shortest(net, np.ones(3), 1, 3, 3)
-    assert [p.links for p in paths] == [(3, 5), (7, 5)]
+    assert paths == [(3, 5), (7, 5)]
     rng = np.random.default_rng(405)
     for case in range(120):
         net = _tie_heavy_network(rng, cyclic=bool(case % 2), shuffle=True)
@@ -173,7 +173,7 @@ def test_yen_parallel_ties_follow_link_ids_not_list_order():
         od = net.od_pairs[0]
         expected = k_cheapest_paths(net, costs, od.origin, od.destination, k)
         got = yen_k_shortest(net, costs, od.origin, od.destination, k)
-        assert [p.links for p in got] == [links for _, _, links in expected], case
+        assert got == [links for _, _, links in expected], case
 
 
 def _relabelled(rng, net):
@@ -203,8 +203,8 @@ def test_yen_ties_follow_node_ids_not_positions():
         od = net.od_pairs[0]
         expected = plain_yen(net, costs, od.origin, od.destination, k)
         got = yen_k_shortest(net, costs, od.origin, od.destination, k)
-        assert [p.links for p in got] == [links for _, _, links in expected], case
-        assert [p.nodes for p in got] == [nodes for _, nodes, _ in expected], case
+        assert got == [links for _, _, links in expected], case
+        assert [path_nodes(net, p) for p in got] == [nodes for _, nodes, _ in expected], case
     assert relabelled == 240
 
 
@@ -255,8 +255,8 @@ def test_yen_exact_when_bounds_round_above_forward_sums():
     net = Network(nodes=(1, 2, 3, 4, 5), links=links, od_pairs=())
     costs = np.array([c for _, _, c in spec])
     got = yen_k_shortest(net, costs, 1, 5, 2)
-    assert [p.nodes for p in got] == [(1, 2, 3, 4, 5), (1, 2, 5)]
-    assert [p.links for p in got] == [links for _, _, links in plain_yen(net, costs, 1, 5, 2)]
+    assert [path_nodes(net, p) for p in got] == [(1, 2, 3, 4, 5), (1, 2, 5)]
+    assert got == [links for _, _, links in plain_yen(net, costs, 1, 5, 2)]
 
 
 def test_yen_matches_plain_yen_on_sioux_falls():
@@ -268,8 +268,8 @@ def test_yen_matches_plain_yen_on_sioux_falls():
         for costs in state.cost:
             expected = plain_yen(net, costs, od.origin, od.destination, 10)
             got = yen_k_shortest(net, costs, od.origin, od.destination, 10)
-            assert [p.links for p in got] == [links for _, _, links in expected]
-            assert [p.nodes for p in got] == [nodes for _, nodes, _ in expected]
+            assert got == [links for _, _, links in expected]
+            assert [path_nodes(net, p) for p in got] == [nodes for _, nodes, _ in expected]
 
 
 def _two_way(net):
@@ -363,25 +363,24 @@ def test_yen_from_known_paths_returns_the_others_among_the_k_cheapest():
         k = 1 + case % 8
         kind = kinds[case % len(kinds)]
         costs = _TIE_COSTS[kind](rng, net.n_links)
-        known, drawn = {}, costs    # link ids -> path, so that each is known once
+        known, drawn = {}, costs    # an insertion-ordered set, so that each path is known once
         for _ in range(int(rng.integers(1, 3))):
             drawn = drawn * rng.choice([1.0, 0.5, 2.0], size=net.n_links) \
                 if rng.random() < 0.5 else drawn * rng.uniform(0.8, 1.25, size=net.n_links)
             for path in yen_k_shortest(net, drawn, od.origin, od.destination,
                                        int(rng.integers(1, k + 3))):
-                known.setdefault(path.links, path)
-        paths = tuple(known.values())
-        links = {p.links for p in paths}
+                known.setdefault(path)
+        paths = tuple(known)
         plain = yen_k_shortest(net, costs, od.origin, od.destination, k)
-        expected = [p for p in plain if p.links not in links]
+        expected = [p for p in plain if p not in known]
         got = yen_k_shortest(net, costs, od.origin, od.destination, k, known=paths)
-        assert not links & {p.links for p in got}, case
+        assert not known.keys() & set(got), case
         tally["new" if got else "none"] += 1
         tally["fewer than k known"] += len(paths) < k
         if got != expected:
             assert kind != "integer", case
             cost = dict(zip((link.id for link in net.links), costs))
-            price = {p: math.fsum(map(cost.__getitem__, p.links)) for p in got + plain}
+            price = {p: math.fsum(map(cost.__getitem__, p)) for p in got + plain}
             assert _only_rounding_ties(got, expected, price[plain[-1]], price), case
             tally["tied"] += 1
     assert min(tally["new"], tally["none"], tally["fewer than k known"]) > 300, tally
@@ -399,7 +398,7 @@ def test_yen_from_known_paths_edge_cases():
         net = _two_way(net) if case % 3 == 0 else net
         od = net.od_pairs[0]
         costs = _TIE_COSTS["integer"](rng, net.n_links)
-        every = [Path(links, nodes) for _, nodes, links in k_cheapest_paths(
+        every = [links for _, _, links in k_cheapest_paths(
             net, costs, od.origin, od.destination, None)]    # k = None: all of them
         ends = (net, costs, od.origin, od.destination)
         for k in (1, len(every), len(every) + 3):
@@ -431,7 +430,7 @@ def test_merge_preserves_existing_order():
     """Groups come out ascending, each with its old paths first in their
     order and then its new ones in theirs, whatever order the new groups
     come in; `positions` says where each old path went."""
-    a, b, c, d, e, f = (Path((i,), (1, 2)) for i in range(1, 7))
+    a, b, c, d, e, f = ((i,) for i in range(1, 7))
     paths, group, positions = merge_path_sets((a, b, c), [0, 0, 3], [d, e, f], [3, 0, 1])
     assert paths == (a, b, e, f, c, d)
     assert group.tolist() == [0, 0, 0, 1, 3, 3]
@@ -461,5 +460,7 @@ def test_incidence_length_identity():
 
 def test_format_path_line():
     net = diamond_network()
-    path = build_path(net, (1, 2))
-    assert format_path_line(3, RV, 12.5, path) == "3 rv 12.5 1-2-4"
+    paths = [build_path(net, (1, 2)), build_path(net, (3, 4))]
+    nodes = node_sequences(net, paths)
+    assert nodes == [path_nodes(net, p) for p in paths] == [(1, 2, 4), (1, 3, 4)]
+    assert format_path_line(3, RV, 12.5, nodes[0]) == "3 rv 12.5 1-2-4"

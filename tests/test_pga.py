@@ -12,7 +12,7 @@ from mixflow.pga import PgaConfig, generate_paths, pga_solve
 from mixflow.solver import Assignment, SolverConfig, solve_assignment
 
 from conftest import diamond_network
-from oracles import carry_over_by_groups, flows_by_group
+from oracles import carry_over_by_groups, flows_by_group, path_nodes
 
 
 def test_pga_config_validation():
@@ -149,10 +149,10 @@ _GENERATED_DIGESTS = {
 }
 
 
-def _digest(paths, group):
+def _digest(net, paths, group):
     h = hashlib.sha256()
     for g, p in zip(group.tolist(), paths):
-        h.update(f"{g // 2} {VEHICLE_CLASSES[g % 2]} {p.links} {p.nodes}\n".encode())
+        h.update(f"{g // 2} {VEHICLE_CLASSES[g % 2]} {p} {path_nodes(net, p)}\n".encode())
     return h.hexdigest()
 
 
@@ -167,7 +167,7 @@ def test_generated_paths_pinned_on_sioux_falls(params):
                                                rng.uniform(0, 1500, net.n_links)]), params)
         for k in (4, 10):
             for name, state in (("free", free_flow_state(net, params)), ("loaded", loaded)):
-                got[(seed, k, name)] = _digest(*generate_paths(net, state, k))
+                got[(seed, k, name)] = _digest(net, *generate_paths(net, state, k))
     assert got == _GENERATED_DIGESTS
 
 
@@ -191,9 +191,9 @@ def test_known_paths_leave_pga_merges_unchanged_on_sioux_falls(params, monkeypat
     for link_state, known, known_group in rounds:
         generated, group = generate_paths(net, link_state, 10, known, known_group)
         merged = merge_path_sets(known, known_group, generated, group)
-        held = set(zip(map(int, known_group), (p.links for p in known)))
+        held = set(zip(map(int, known_group), known))
         plain, plain_group = generate_paths(net, link_state, 10)
-        fresh = [(p, g) for p, g in zip(plain, plain_group.tolist()) if (g, p.links) not in held]
+        fresh = [(p, g) for p, g in zip(plain, plain_group.tolist()) if (g, p) not in held]
         expected = merge_path_sets(known, known_group, [p for p, _ in fresh],
                                    [g for _, g in fresh])
         assert len(generated) == len(fresh)
